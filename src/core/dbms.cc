@@ -105,6 +105,59 @@ WorkloadProfiler::QueryOutcome ProfilerOutcome(TraceOutcome outcome) {
   return WorkloadProfiler::QueryOutcome::kFailed;
 }
 
+/// Bivariate functions that finish from co-moment partial states.
+bool IsPairFunction(const std::string& function) {
+  return function == "correlation" || function == "covariance" ||
+         function == "regression";
+}
+
+/// "a" or "a,b": the attribute part of trace, flight and profiler labels.
+std::string AttributeLabel(const std::vector<std::string>& attributes) {
+  std::string label;
+  for (const std::string& attr : attributes) {
+    if (!label.empty()) label += ",";
+    label += attr;
+  }
+  return label;
+}
+
+/// The one answer of a single-request pipeline call.
+Result<QueryAnswer> SingleAnswer(Result<std::vector<QueryAnswer>> answers) {
+  if (!answers.ok()) return std::move(answers).status();
+  return std::move(answers.value().front());
+}
+
+/// Finishes a pair function from merged co-moments (Chan et al.).
+Result<SummaryResult> FinishComoments(const std::string& function,
+                                      const ComomentStats& cs) {
+  if (function == "correlation") {
+    STATDB_ASSIGN_OR_RETURN(double r, cs.PearsonR());
+    return SummaryResult::Scalar(r);
+  }
+  if (function == "covariance") {
+    STATDB_ASSIGN_OR_RETURN(double c, cs.Covariance());
+    return SummaryResult::Scalar(c);
+  }
+  STATDB_ASSIGN_OR_RETURN(LinearFit fit, cs.Fit());
+  return SummaryResult::Model(fit);
+}
+
+/// Finishes a pair function with stats/ on the gathered pairs.
+Result<SummaryResult> FinishPairs(const std::string& function,
+                                  const std::vector<double>& xs,
+                                  const std::vector<double>& ys) {
+  if (function == "correlation") {
+    STATDB_ASSIGN_OR_RETURN(double r, PearsonR(xs, ys));
+    return SummaryResult::Scalar(r);
+  }
+  if (function == "covariance") {
+    STATDB_ASSIGN_OR_RETURN(double c, Covariance(xs, ys));
+    return SummaryResult::Scalar(c);
+  }
+  STATDB_ASSIGN_OR_RETURN(LinearFit fit, FitLinear(xs, ys));
+  return SummaryResult::Model(fit);
+}
+
 /// Finishes one mergeable statistic from the merged scan state,
 /// reproducing the serial functions' values and domain errors (empty
 /// columns fail with the exact strings the serial path uses).
@@ -225,37 +278,6 @@ StatisticalDbms::~StatisticalDbms() {
   }
 }
 
-void StatisticalDbms::EmitQueryObs(const TraceTimer& timer,
-                                   QueryTrace* trace, TraceOutcome outcome,
-                                   const std::string& query_class) {
-  double ms = timer.ElapsedMs();
-  obs_query_ms_->Record(ms);
-  obs_outcomes_[size_t(outcome)]->Inc();
-  slo_.Record(query_class, ms, outcome == TraceOutcome::kError);
-  if (trace != nullptr) {
-    trace->SetOutcome(outcome);
-    trace->SetTotalMs(ms);
-    if (trace_sink_ != nullptr) trace_sink_->OnQueryTrace(*trace);
-    if (slow_log_.enabled() && slow_log_.ShouldCapture(ms)) {
-      slow_log_.Capture(*trace, ms, &flight_);
-    }
-  }
-}
-
-void StatisticalDbms::NoteQueryOutcome(const causal::TraceContext& ctx,
-                                       const std::string& view,
-                                       const std::string& function,
-                                       const std::string& attribute,
-                                       TraceOutcome outcome, double wall_ms) {
-  if (flight_.enabled()) {
-    flight_.Record(ctx, FlightEventKind::kQueryEnd,
-                   QueryLabel(view, function, attribute),
-                   static_cast<int64_t>(outcome), 0, wall_ms);
-  }
-  profiler_.NoteQuery(view, function, attribute, ProfilerOutcome(outcome),
-                      wall_ms);
-}
-
 std::string StatisticalDbms::DumpChromeTrace(uint64_t trace_id_filter) {
   std::vector<QueryTrace> traces;
   for (const causal::SlowQueryLog::Entry& e : slow_log_.Snapshot()) {
@@ -348,15 +370,6 @@ StatPoint StatisticalDbms::TakeStatSnapshot() {
     p.values["wal.commits"] = static_cast<double>(ws.records_appended);
   }
   return p;
-}
-
-void StatisticalDbms::FoldPoolStats(const ThreadPool& pool) {
-  ThreadPoolStats s = pool.stats();
-  obs_pool_submitted_->Inc(s.submitted);
-  obs_pool_executed_->Inc(s.executed);
-  obs_pool_rejected_->Inc(s.rejected);
-  obs_pool_queue_max_->MaxOf(double(s.max_queue_depth));
-  obs_pool_task_ms_total_->Add(s.total_task_ms);
 }
 
 Status StatisticalDbms::LoadRawDataSet(const std::string& name,
@@ -517,14 +530,6 @@ Result<Table> StatisticalDbms::RematerializeFromTape(
   return ReadRawFromTape(source);
 }
 
-Result<SummaryResult> StatisticalDbms::ComputeOnView(
-    ViewState* state, const std::string& function,
-    const std::string& attribute, const FunctionParams& params) {
-  STATDB_ASSIGN_OR_RETURN(std::vector<double> data,
-                          state->view->ReadNumericColumn(attribute));
-  return mdb_.functions().Compute(function, data, params);
-}
-
 Status StatisticalDbms::CheckQueryable(const Schema& schema,
                                        const std::string& function,
                                        const std::string& attribute) {
@@ -546,11 +551,47 @@ Status StatisticalDbms::CheckQueryable(const Schema& schema,
   return Status::OK();
 }
 
+/// One planned scan: its route, the batch requests it answers, and
+/// whether their computed entries arm incremental maintainers.
+struct StatisticalDbms::PlannedScan {
+  QueryRoute route = QueryRoute::kColumnChunks;
+  std::vector<size_t> members;
+  bool arm = false;
+  bool mergeable = true;     // every member finishes from partial states
+  bool want_counts = false;  // some member needs ValueCounts
+  /// The RLE sidecar of a univariate scan's attribute, if attached.
+  std::shared_ptr<const CompressedColumnFile> sidecar;
+};
+
+/// What a route's scan leaves for FinishQuery.
+struct StatisticalDbms::ScanOutput {
+  ColumnScanResult column;  // compressed runs / column chunks
+  std::vector<double> xs;   // pairs at one worker
+  std::vector<double> ys;
+  std::optional<ComomentStats> comoments;  // merged, or the arming seed
+  std::vector<Value> a;  // gathered Value columns
+  std::vector<Value> b;
+};
+
+Status StatisticalDbms::PlannedQuery::Gate(const Schema& schema) const {
+  // The meta-data gate, by attribute role: a summarized attribute must be
+  // queryable (§3.2); pair and group requests keep their historical
+  // acceptance — a cross-tab of category codes is the point — and need
+  // only a known function.
+  if (attributes.size() == 1) {
+    return CheckQueryable(schema, function, attributes.front());
+  }
+  if (group_codes || IsPairFunction(function) || function == "crosstab" ||
+      function == "chi2_independence") {
+    return Status::OK();
+  }
+  return InvalidArgumentError("unknown bivariate function " + function);
+}
+
 Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
-    const std::string& view, ViewState* state, const SummaryKey& key,
-    const std::string& function, const std::string& attribute,
-    const FunctionParams& params, const QueryOptions& opts,
-    QueryAnswer* answer, QueryTrace* trace) {
+    const std::string& view, ViewState* state, const PlannedQuery& query,
+    const SummaryKey& key, const QueryOptions& opts, QueryAnswer* answer,
+    QueryTrace* trace) {
   // Flush barrier (§16): a cached entry with pending deltas is behind
   // the data without being marked stale, so an exact serve must apply
   // the batch first. allow_stale accepts it as-is — the analyst already
@@ -567,11 +608,12 @@ Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
     ScopedSpan span(trace, SpanKind::kCacheProbe);
     return state->summary->Lookup(key);
   }();
+  const std::string label =
+      query.function + "(" + AttributeLabel(query.attributes) + ")";
   if (cached.ok() && !cached.value().stale) {
     ++state->traffic.cache_hits;
     if (flight_.enabled()) {
-      flight_.Record(causal::Current(), FlightEventKind::kCacheHit,
-                     function + "(" + attribute + ")");
+      flight_.Record(causal::Current(), FlightEventKind::kCacheHit, label);
     }
     *answer = QueryAnswer{cached.value().result, AnswerSource::kCacheHit,
                           true, ""};
@@ -587,7 +629,7 @@ Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
       state->summary->NoteServedStale();
       if (flight_.enabled()) {
         flight_.Record(causal::Current(), FlightEventKind::kStaleServe,
-                       function + "(" + attribute + ")",
+                       label,
                        int64_t(state->view->version() -
                                cached.value().view_version));
       }
@@ -598,15 +640,15 @@ Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
     }
   }
   if (flight_.enabled()) {
-    flight_.Record(causal::Current(), FlightEventKind::kCacheMiss,
-                   function + "(" + attribute + ")");
+    flight_.Record(causal::Current(), FlightEventKind::kCacheMiss, label);
   }
 
-  if (opts.allow_inference) {
+  // The Database-Abstract rules derive univariate statistics only.
+  if (opts.allow_inference && query.attributes.size() == 1) {
     ScopedSpan span(trace, SpanKind::kInference);
     Result<InferenceResult> inferred =
-        InferFromSummaries(state->summary.get(), function, attribute,
-                           params);
+        InferFromSummaries(state->summary.get(), query.function,
+                           query.attributes.front(), query.params);
     if (inferred.ok() &&
         (inferred.value().exact || opts.allow_estimates)) {
       ++state->traffic.inferred;
@@ -619,915 +661,525 @@ Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
   return false;
 }
 
-Status StatisticalDbms::CacheComputedResult(const std::string& view,
-                                            ViewState* state,
-                                            const SummaryKey& key,
-                                            const SummaryResult& result,
-                                            const std::vector<double>& data,
-                                            QueryTrace* trace) {
+Status StatisticalDbms::CacheComputedResult(
+    const std::string& view, ViewState* state, const SummaryKey& key,
+    const SummaryResult& result, const std::vector<double>& data,
+    const ComomentStats* comoments, QueryTrace* trace) {
   {
     ScopedSpan span(trace, SpanKind::kSummaryInsert);
     STATDB_RETURN_IF_ERROR(
         state->summary->Insert(key, result, state->view->version()));
   }
   // Arm an incremental rule for this entry when one exists and the
-  // view maintains incrementally.
+  // view maintains incrementally: a univariate maintainer initialized
+  // from the column, or a bivariate comoment maintainer seeded from the
+  // scan's co-moments.
   STATDB_ASSIGN_OR_RETURN(const ViewRecord* rec, mdb_.GetView(view));
-  if (rec->policy == MaintenancePolicy::kIncremental) {
-    ScopedSpan span(trace, SpanKind::kMaintainerArm);
-    span.SetRows(data.size());
-    // Arming routes through the delta engine (R7: dbms never drives
-    // maintainer arms directly), so the flush path owns every
-    // maintainer lifecycle transition.
-    if (delta::ArmMaintainer(mdb_, key, data, &state->maintainers) &&
-        flight_.enabled()) {
-      flight_.Record(causal::Current(), FlightEventKind::kMaintainerArm,
-                     QueryLabel(view, key.function,
-                                key.attributes.empty()
-                                    ? std::string()
-                                    : key.attributes.front()),
-                     /*a=*/0, int64_t(data.size()));
-    }
+  if (rec->policy != MaintenancePolicy::kIncremental ||
+      (key.attributes.size() != 1 && comoments == nullptr)) {
+    return Status::OK();
+  }
+  ScopedSpan span(trace, SpanKind::kMaintainerArm);
+  const uint64_t rows = comoments != nullptr ? comoments->n : data.size();
+  span.SetRows(rows);
+  // Arming routes through the delta engine (R7: dbms never drives
+  // maintainer arms directly), so the flush path owns every maintainer
+  // lifecycle transition.
+  const bool armed =
+      comoments != nullptr
+          ? delta::ArmComomentMaintainer(key, *comoments,
+                                         &state->comaintainers)
+          : delta::ArmMaintainer(mdb_, key, data, &state->maintainers);
+  if (armed && flight_.enabled()) {
+    flight_.Record(causal::Current(), FlightEventKind::kMaintainerArm,
+                   QueryLabel(view, key.function,
+                              AttributeLabel(key.attributes)),
+                   /*a=*/0, int64_t(rows));
   }
   return Status::OK();
 }
+
+// --- the query pipeline (DESIGN.md §9) --------------------------------------
 
 Result<QueryAnswer> StatisticalDbms::Query(const std::string& view,
                                            const std::string& function,
                                            const std::string& attribute,
                                            const FunctionParams& params,
                                            const QueryOptions& opts) {
-  causal::ScopedTraceContext scope(causal::Mint());
-  TraceTimer timer;
-  std::optional<QueryTrace> trace;
-  if (WantTrace()) {
-    trace.emplace();
-    trace->SetLabel("query", view, function, attribute);
-    trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
-                      scope.ctx().query_seq);
-  }
-  QueryTrace* tr = trace ? &*trace : nullptr;
-  if (flight_.enabled()) {
-    flight_.Record(scope.ctx(), FlightEventKind::kQueryBegin,
-                   QueryLabel(view, function, attribute));
-  }
-  Result<QueryAnswer> r =
-      QueryImpl(view, function, attribute, params, opts, tr);
-  TraceOutcome outcome = r.ok() ? OutcomeOfSource(r.value().source)
-                                : TraceOutcome::kError;
-  EmitQueryObs(timer, tr, outcome, "query");
-  NoteQueryOutcome(scope.ctx(), view, function, attribute, outcome,
-                   timer.ElapsedMs());
-  if (r.ok()) CommitAfterQuery(attribute);
-  return r;
-}
-
-Result<QueryAnswer> StatisticalDbms::QueryImpl(const std::string& view,
-                                               const std::string& function,
-                                               const std::string& attribute,
-                                               const FunctionParams& params,
-                                               const QueryOptions& opts,
-                                               QueryTrace* trace) {
-  STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
-  ++state->traffic.queries;
-  ++state->traffic.attribute_accesses[attribute];
-
-  STATDB_RETURN_IF_ERROR(
-      CheckQueryable(state->view->schema(), function, attribute));
-
-  SummaryKey key{function, {attribute}, params.Encode()};
-  QueryAnswer answer;
-  STATDB_ASSIGN_OR_RETURN(
-      bool answered,
-      TryAnswerWithoutComputing(view, state, key, function, attribute,
-                                params, opts, &answer, trace));
-  if (answered) return answer;
-
-  // Compute path: flush unconditionally (even under allow_stale, which
-  // only relaxes *serves*). A maintainer armed from the current column
-  // must never later receive buffered deltas the column already
-  // reflects — that would double-apply them.
-  if (state->deltas.HasPending(attribute)) {
-    STATDB_RETURN_IF_ERROR(FlushAttributeDeltas(view, state, attribute));
-  }
-
-  // Planner choice (DESIGN.md §14): answer from the RLE sidecar in the
-  // compressed domain when the function finishes from mergeable partials
-  // and nothing downstream needs the materialized column. Arming an
-  // incremental maintainer does (it initializes from the full column), so
-  // that combination takes the materialized path.
-  STATDB_ASSIGN_OR_RETURN(const ViewRecord* rec, mdb_.GetView(view));
-  const bool arm_maintainers =
-      opts.cache_result && rec->policy == MaintenancePolicy::kIncremental;
-  // Shared ref, not the raw pointer: a concurrent WriteCell/Append
-  // detaches the sidecar, and this scan's reference must keep the
-  // retired pages alive until it finishes.
-  const std::shared_ptr<const CompressedColumnFile> sidecar =
-      state->view->CompressedSidecarRef(attribute);
-  if (compressed_scan_enabled_ && sidecar != nullptr &&
-      IsMergeable(function) && !arm_maintainers) {
-    ColumnScanResult scan;
-    {
-      ScopedSpan span(trace, SpanKind::kCompressedScan);
-      STATDB_ASSIGN_OR_RETURN(
-          scan, ScanCompressedColumn(*sidecar,
-                                     RunKindOf(state->view->schema(),
-                                               *state->view->schema()
-                                                    .IndexOf(attribute)),
-                                     NeedsValueCounts(function),
-                                     /*pool=*/nullptr));
-      span.SetRows(sidecar->size());
-      span.SetPages(sidecar->page_count());
-    }
-    SummaryResult result;
-    {
-      ScopedSpan span(trace, SpanKind::kCompute);
-      span.SetRows(scan.desc.count);
-      STATDB_ASSIGN_OR_RETURN(result,
-                              FinishMergeable(function, params, scan));
-    }
-    obs_scan_compressed_->Inc();
-    ++state->traffic.computed;
-    if (opts.cache_result) {
-      // No maintainer to arm (excluded above), so the column data the
-      // cache tail would feed one is never needed.
-      STATDB_RETURN_IF_ERROR(
-          CacheComputedResult(view, state, key, result, {}, trace));
-    }
-    return QueryAnswer{std::move(result), AnswerSource::kComputed, true, ""};
-  }
-
-  std::vector<double> data;
-  {
-    ScopedSpan span(trace, SpanKind::kScan);
-    STATDB_ASSIGN_OR_RETURN(data,
-                            state->view->ReadNumericColumn(attribute));
-    span.SetRowsPaged(data.size(), ColumnFile::kCellsPerPage);
-  }
-  SummaryResult result;
-  {
-    ScopedSpan span(trace, SpanKind::kCompute);
-    span.SetRows(data.size());
-    STATDB_ASSIGN_OR_RETURN(result,
-                            mdb_.functions().Compute(function, data, params));
-  }
-  obs_scan_materialized_->Inc();
-  ++state->traffic.computed;
-  if (opts.cache_result) {
-    STATDB_RETURN_IF_ERROR(
-        CacheComputedResult(view, state, key, result, data, trace));
-  }
-  return QueryAnswer{std::move(result), AnswerSource::kComputed, true, ""};
+  return SingleAnswer(RunQueries("query", "query", view,
+                                 {{function, {attribute}, params, {}, {}}},
+                                 opts, /*workers=*/1));
 }
 
 Result<QueryAnswer> StatisticalDbms::QueryParallel(
     const std::string& view, const std::string& function,
     const std::string& attribute, const FunctionParams& params,
     const QueryOptions& opts, size_t workers) {
-  causal::ScopedTraceContext scope(causal::Mint());
-  TraceTimer timer;
-  std::optional<QueryTrace> trace;
-  if (WantTrace()) {
-    trace.emplace();
-    trace->SetLabel("queryp", view, function, attribute);
-    trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
-                      scope.ctx().query_seq);
-  }
-  QueryTrace* tr = trace ? &*trace : nullptr;
-  if (flight_.enabled()) {
-    flight_.Record(scope.ctx(), FlightEventKind::kQueryBegin,
-                   QueryLabel(view, function, attribute));
-  }
-  std::vector<QueryRequest> requests = {{function, attribute, params}};
-  Result<std::vector<QueryAnswer>> answers =
-      QueryManyImpl(view, requests, opts, workers, tr);
-  if (!answers.ok()) {
-    EmitQueryObs(timer, tr, TraceOutcome::kError, "query_parallel");
-    NoteQueryOutcome(scope.ctx(), view, function, attribute,
-                     TraceOutcome::kError, timer.ElapsedMs());
-    return answers.status();
-  }
-  TraceOutcome outcome = OutcomeOfSource(answers.value()[0].source);
-  EmitQueryObs(timer, tr, outcome, "query_parallel");
-  NoteQueryOutcome(scope.ctx(), view, function, attribute, outcome,
-                   timer.ElapsedMs());
-  CommitAfterQuery(attribute);
-  return std::move(answers.value()[0]);
+  return SingleAnswer(RunQueries("queryp", "query_parallel", view,
+                                 {{function, {attribute}, params, {}, {}}},
+                                 opts, workers));
 }
 
 Result<QueryAnswer> StatisticalDbms::QueryFiltered(
     const std::string& view, const std::string& function,
     const std::string& attribute, const FilterPredicate& pred,
     const FunctionParams& params) {
-  causal::ScopedTraceContext scope(causal::Mint());
-  TraceTimer timer;
-  std::optional<QueryTrace> trace;
-  if (WantTrace()) {
-    trace.emplace();
-    trace->SetLabel("queryfiltered", view, function, attribute);
-    trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
-                      scope.ctx().query_seq);
-  }
-  QueryTrace* tr = trace ? &*trace : nullptr;
-  if (flight_.enabled()) {
-    flight_.Record(scope.ctx(), FlightEventKind::kQueryBegin,
-                   QueryLabel(view, function, attribute));
-  }
-  Result<QueryAnswer> r =
-      QueryFilteredImpl(view, function, attribute, pred, params, tr);
-  TraceOutcome outcome =
-      r.ok() ? TraceOutcome::kComputed : TraceOutcome::kError;
-  EmitQueryObs(timer, tr, outcome, "query_filtered");
-  NoteQueryOutcome(scope.ctx(), view, function, attribute, outcome,
-                   timer.ElapsedMs());
-  return r;
-}
-
-Result<QueryAnswer> StatisticalDbms::QueryFilteredImpl(
-    const std::string& view, const std::string& function,
-    const std::string& attribute, const FilterPredicate& pred,
-    const FunctionParams& params, QueryTrace* trace) {
-  STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
-  ++state->traffic.queries;
-  ++state->traffic.attribute_accesses[attribute];
-  const Schema& schema = state->view->schema();
-  STATDB_RETURN_IF_ERROR(CheckQueryable(schema, function, attribute));
-  STATDB_ASSIGN_OR_RETURN(size_t attr_idx, schema.IndexOf(attribute));
-
-  // Coerce predicate endpoints like index probes, then compare as
-  // doubles — both paths below apply the same RunPredicate semantics.
-  simd::RunPredicate rp;
-  switch (pred.kind) {
-    case FilterPredicate::Kind::kAll:
-      rp.kind = simd::RunPredicate::Kind::kAll;
-      break;
-    case FilterPredicate::Kind::kEqual: {
-      STATDB_ASSIGN_OR_RETURN(Value probe,
-                              CoerceToAttribute(schema, attribute,
-                                                pred.equal));
-      STATDB_ASSIGN_OR_RETURN(rp.equal, probe.ToDouble());
-      rp.kind = simd::RunPredicate::Kind::kEqual;
-      break;
-    }
-    case FilterPredicate::Kind::kRange: {
-      STATDB_ASSIGN_OR_RETURN(Value plo,
-                              CoerceToAttribute(schema, attribute, pred.lo));
-      STATDB_ASSIGN_OR_RETURN(Value phi,
-                              CoerceToAttribute(schema, attribute, pred.hi));
-      STATDB_ASSIGN_OR_RETURN(rp.lo, plo.ToDouble());
-      STATDB_ASSIGN_OR_RETURN(rp.hi, phi.ToDouble());
-      rp.kind = simd::RunPredicate::Kind::kRange;
-      break;
-    }
-  }
-
-  // Shared ref, not the raw pointer: a concurrent WriteCell/Append
-  // detaches the sidecar, and this scan's reference must keep the
-  // retired pages alive until it finishes.
-  const std::shared_ptr<const CompressedColumnFile> sidecar =
-      state->view->CompressedSidecarRef(attribute);
-  if (compressed_scan_enabled_ && sidecar != nullptr &&
-      IsMergeable(function)) {
-    // Pushdown: predicate decided once per run, no row materialized.
-    FilteredScanResult filtered;
-    {
-      ScopedSpan span(trace, SpanKind::kCompressedScan);
-      STATDB_ASSIGN_OR_RETURN(
-          filtered,
-          ScanCompressedFiltered(*sidecar, RunKindOf(schema, attr_idx), rp,
-                                 NeedsValueCounts(function),
-                                 /*pool=*/nullptr));
-      span.SetRows(filtered.rows);
-      span.SetPages(sidecar->page_count());
-    }
-    ColumnScanResult scan;
-    scan.desc = filtered.desc;
-    scan.counts = std::move(filtered.counts);
-    SummaryResult result;
-    {
-      ScopedSpan span(trace, SpanKind::kCompute);
-      span.SetRows(scan.desc.count);
-      STATDB_ASSIGN_OR_RETURN(result,
-                              FinishMergeable(function, params, scan));
-    }
-    obs_scan_compressed_->Inc();
-    ++state->traffic.computed;
-    return QueryAnswer{std::move(result), AnswerSource::kComputed, true,
-                       "compressed-domain pushdown"};
-  }
-
-  // Filter-then-materialize: read the column, keep matching cells, run
-  // the registry function on the kept values.
-  std::vector<double> data;
-  {
-    ScopedSpan span(trace, SpanKind::kScan);
-    STATDB_ASSIGN_OR_RETURN(data,
-                            state->view->ReadNumericColumn(attribute));
-    span.SetRowsPaged(data.size(), ColumnFile::kCellsPerPage);
-  }
-  std::vector<double> kept;
-  kept.reserve(data.size());
-  for (double x : data) {
-    if (rp.Matches(x)) kept.push_back(x);
-  }
-  SummaryResult result;
-  {
-    ScopedSpan span(trace, SpanKind::kCompute);
-    span.SetRows(kept.size());
-    STATDB_ASSIGN_OR_RETURN(result,
-                            mdb_.functions().Compute(function, kept, params));
-  }
-  obs_scan_materialized_->Inc();
-  ++state->traffic.computed;
-  return QueryAnswer{std::move(result), AnswerSource::kComputed, true, ""};
+  return SingleAnswer(RunQueries("queryfiltered", "query_filtered", view,
+                                 {{function, {attribute}, params, pred, {}}},
+                                 {}, /*workers=*/1));
 }
 
 Result<std::vector<QueryAnswer>> StatisticalDbms::QueryMany(
     const std::string& view, const std::vector<QueryRequest>& requests,
     const QueryOptions& opts, size_t workers) {
-  causal::ScopedTraceContext scope(causal::Mint());
-  TraceTimer timer;
-  std::optional<QueryTrace> trace;
-  if (WantTrace()) {
-    trace.emplace();
-    trace->SetLabel("querymany", view,
-                    "[" + std::to_string(requests.size()) + " requests]",
-                    "");
-    trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
-                      scope.ctx().query_seq);
+  std::vector<PlannedQuery> batch;
+  batch.reserve(requests.size());
+  for (const QueryRequest& r : requests) {
+    batch.push_back({r.function, {r.attribute}, r.params, {}, {}});
   }
-  QueryTrace* tr = trace ? &*trace : nullptr;
-  if (flight_.enabled()) {
-    for (size_t i = 0; i < requests.size(); ++i) {
-      flight_.Record(scope.ctx(), FlightEventKind::kQueryBegin,
-                     QueryLabel(view, requests[i].function,
-                                requests[i].attribute),
-                     static_cast<int64_t>(i));
-    }
-  }
-  Result<std::vector<QueryAnswer>> r =
-      QueryManyImpl(view, requests, opts, workers, tr);
-  EmitQueryObs(timer, tr,
-               r.ok() ? OutcomeOfBatch(r.value()) : TraceOutcome::kError,
-               "query_many");
-  // Per-request provenance for the profiler and the flight ring; the
-  // batch's wall time is split evenly (per-request time is not observable
-  // once scans are shared across requests).
-  double per_request_ms =
-      requests.empty() ? 0 : timer.ElapsedMs() / double(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    NoteQueryOutcome(scope.ctx(), view, requests[i].function,
-                     requests[i].attribute,
-                     r.ok() ? OutcomeOfSource(r.value()[i].source)
-                            : TraceOutcome::kError,
-                     per_request_ms);
-  }
-  if (r.ok()) {
-    CommitAfterQuery(requests.empty() ? "" : requests.front().attribute);
-  }
-  return r;
-}
-
-Result<std::vector<QueryAnswer>> StatisticalDbms::QueryManyImpl(
-    const std::string& view, const std::vector<QueryRequest>& requests,
-    const QueryOptions& opts, size_t workers, QueryTrace* trace) {
-  STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
-  STATDB_ASSIGN_OR_RETURN(const ViewRecord* rec, mdb_.GetView(view));
-  // Incremental maintainers initialize from the full column, so the scan
-  // must gather it even when every requested statistic is mergeable.
-  const bool arm_maintainers =
-      opts.cache_result && rec->policy == MaintenancePolicy::kIncremental;
-
-  std::vector<QueryAnswer> answers(requests.size());
-  // Encoded key -> index of the request that owns the computation; later
-  // duplicates alias that slot instead of recomputing or re-inserting.
-  std::map<std::string, size_t> primary;
-  constexpr size_t kNoAlias = static_cast<size_t>(-1);
-  std::vector<size_t> alias_of(requests.size(), kNoAlias);
-  // Attributes needing a scan, in first-appearance order, with the
-  // indices of the unique requests each scan must answer.
-  std::vector<std::string> attr_order;
-  std::map<std::string, std::vector<size_t>> by_attr;
-
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const QueryRequest& r = requests[i];
-    ++state->traffic.queries;
-    ++state->traffic.attribute_accesses[r.attribute];
-    STATDB_RETURN_IF_ERROR(
-        CheckQueryable(state->view->schema(), r.function, r.attribute));
-    SummaryKey key{r.function, {r.attribute}, r.params.Encode()};
-    auto dup = primary.find(key.Encode());
-    if (dup != primary.end()) {
-      alias_of[i] = dup->second;
-      continue;
-    }
-    primary.emplace(key.Encode(), i);
-    STATDB_ASSIGN_OR_RETURN(
-        bool answered,
-        TryAnswerWithoutComputing(view, state, key, r.function, r.attribute,
-                                  r.params, opts, &answers[i], trace));
-    if (answered) continue;
-    if (!by_attr.contains(r.attribute)) attr_order.push_back(r.attribute);
-    by_attr[r.attribute].push_back(i);
-  }
-
-  // Compute paths flush unconditionally (see QueryImpl): a maintainer
-  // armed from the scanned column must not see those deltas again.
-  for (const std::string& attr : attr_order) {
-    if (state->deltas.HasPending(attr)) {
-      STATDB_RETURN_IF_ERROR(FlushAttributeDeltas(view, state, attr));
-    }
-  }
-
-  if (!attr_order.empty()) {
-    std::optional<ThreadPool> pool;
-    if (workers > 1) {
-      pool.emplace(workers);
-      pool->set_task_latency_sink(obs_pool_task_ms_);
-    }
-    for (const std::string& attr : attr_order) {
-      const std::vector<size_t>& idxs = by_attr[attr];
-      ColumnScanSpec spec;
-      for (size_t i : idxs) {
-        const std::string& fn = requests[i].function;
-        if (NeedsValueCounts(fn)) spec.want_counts = true;
-        if (!IsMergeable(fn)) spec.keep_values = true;
-      }
-      if (arm_maintainers) spec.keep_values = true;
-      spec.time_chunks = trace != nullptr;
-      const ConcreteView* cv = state->view.get();
-      // Planner choice (DESIGN.md §14): the whole attribute group goes
-      // compressed-domain when every statistic finishes from mergeable
-      // partials (no keep_values) and an RLE sidecar is attached.
-      // Shared ref: keeps the sidecar alive across the scan even if a
-      // concurrent writer detaches it (see CompressedSidecarRef).
-      const std::shared_ptr<const CompressedColumnFile> sidecar =
-          cv->CompressedSidecarRef(attr);
-      ColumnScanResult scan;
-      if (compressed_scan_enabled_ && sidecar != nullptr &&
-          !spec.keep_values) {
-        ScopedSpan span(trace, SpanKind::kCompressedScan);
-        STATDB_ASSIGN_OR_RETURN(
-            scan, ScanCompressedColumn(
-                      *sidecar,
-                      RunKindOf(cv->schema(), *cv->schema().IndexOf(attr)),
-                      spec.want_counts, pool ? &*pool : nullptr));
-        span.SetRows(sidecar->size());
-        span.SetPages(sidecar->page_count());
-        obs_scan_compressed_->Inc();
-      } else {
-        ColumnRangeReader reader = [cv, attr](uint64_t begin, uint64_t end) {
-          return cv->ReadNumericRange(attr, begin, end);
-        };
-        {
-          ScopedSpan span(trace, SpanKind::kScan);
-          STATDB_ASSIGN_OR_RETURN(
-              scan,
-              ParallelScanColumn(cv->num_rows(), ColumnFile::kCellsPerPage,
-                                 reader, spec, pool ? &*pool : nullptr));
-          span.SetRowsPaged(scan.desc.count, ColumnFile::kCellsPerPage);
-        }
-        obs_scan_materialized_->Inc();
-        if (trace != nullptr) {
-          for (size_t c = 0; c < scan.chunk_stats.size(); ++c) {
-            const ChunkScanStat& cs = scan.chunk_stats[c];
-            trace->Add(SpanKind::kScanChunk, cs.wall_ms, cs.rows,
-                       PagesOf(cs.rows), int32_t(c));
-          }
-        }
-      }
-      for (size_t i : idxs) {
-        const QueryRequest& r = requests[i];
-        SummaryResult result;
-        {
-          ScopedSpan span(trace, SpanKind::kCompute);
-          span.SetRows(scan.desc.count);
-          if (IsMergeable(r.function)) {
-            STATDB_ASSIGN_OR_RETURN(
-                result, FinishMergeable(r.function, r.params, scan));
-          } else {
-            // Order-dependent / unregistered functions run the serial
-            // computation on the gathered column (bit-identical to the
-            // serial read, so their answers are bit-identical too).
-            STATDB_ASSIGN_OR_RETURN(
-                result,
-                mdb_.functions().Compute(r.function, scan.values, r.params));
-          }
-        }
-        ++state->traffic.computed;
-        if (opts.cache_result) {
-          SummaryKey key{r.function, {r.attribute}, r.params.Encode()};
-          STATDB_RETURN_IF_ERROR(CacheComputedResult(view, state, key,
-                                                     result, scan.values,
-                                                     trace));
-        }
-        answers[i] = QueryAnswer{std::move(result), AnswerSource::kComputed,
-                                 true, ""};
-      }
-    }
-    if (pool) {
-      // The scans joined at their barriers, but a worker bumps `executed`
-      // only after the task's future resolves — Quiesce() joins the
-      // workers so the counters are exact before folding.
-      pool->Quiesce();
-      FoldPoolStats(*pool);
-    }
-  }
-
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (alias_of[i] != kNoAlias) answers[i] = answers[alias_of[i]];
-  }
-  return answers;
-}
-
-Result<QueryAnswer> StatisticalDbms::QueryBivariateParallel(
-    const std::string& view, const std::string& function,
-    const std::string& attr_a, const std::string& attr_b,
-    const QueryOptions& opts, size_t workers) {
-  if (function == "crosstab" || function == "chi2_independence") {
-    // Contingency tables carry no mergeable partial state here; forward
-    // *before* recording anything so the serial wrapper owns the whole
-    // begin/end pair — the forwarding path must never emit a second
-    // begin (or an unmatched one, the bug this comment memorializes).
-    return QueryBivariate(view, function, attr_a, attr_b, opts);
-  }
-  causal::ScopedTraceContext scope(causal::Mint());
-  TraceTimer timer;
-  std::optional<QueryTrace> trace;
-  if (WantTrace()) {
-    trace.emplace();
-    trace->SetLabel("bivariate", view, function, attr_a + "," + attr_b);
-    trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
-                      scope.ctx().query_seq);
-  }
-  QueryTrace* tr = trace ? &*trace : nullptr;
-  if (flight_.enabled()) {
-    flight_.Record(scope.ctx(), FlightEventKind::kQueryBegin,
-                   QueryLabel(view, function, attr_a + "," + attr_b));
-  }
-  Result<QueryAnswer> r =
-      QueryBivariateParallelImpl(view, function, attr_a, attr_b, opts,
-                                 workers, tr);
-  TraceOutcome outcome = r.ok() ? OutcomeOfSource(r.value().source)
-                                : TraceOutcome::kError;
-  EmitQueryObs(timer, tr, outcome, "bivariate");
-  NoteQueryOutcome(scope.ctx(), view, function, attr_a + "," + attr_b,
-                   outcome, timer.ElapsedMs());
-  return r;
-}
-
-Result<QueryAnswer> StatisticalDbms::QueryBivariateParallelImpl(
-    const std::string& view, const std::string& function,
-    const std::string& attr_a, const std::string& attr_b,
-    const QueryOptions& opts, size_t workers, QueryTrace* trace) {
-  if (function != "correlation" && function != "covariance" &&
-      function != "regression") {
-    return InvalidArgumentError("unknown bivariate function " + function);
-  }
-  STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
-  ++state->traffic.queries;
-  ++state->traffic.attribute_accesses[attr_a];
-  ++state->traffic.attribute_accesses[attr_b];
-  SummaryKey key{function, {attr_a, attr_b}, ""};
-
-  // Flush barrier: a cached bivariate entry may have pending deltas on
-  // either side; fresh serves must observe the post-flush summary.
-  if (!opts.allow_stale) {
-    for (const std::string* attr : {&attr_a, &attr_b}) {
-      if (state->deltas.HasPending(*attr)) {
-        STATDB_RETURN_IF_ERROR(FlushAttributeDeltas(view, state, *attr));
-      }
-    }
-  }
-
-  Result<SummaryEntry> cached = [&] {
-    ScopedSpan span(trace, SpanKind::kCacheProbe);
-    return state->summary->Lookup(key);
-  }();
-  if (cached.ok() && !cached.value().stale) {
-    ++state->traffic.cache_hits;
-    return QueryAnswer{cached.value().result, AnswerSource::kCacheHit, true,
-                       ""};
-  }
-  if (cached.ok() && cached.value().stale) {
-    ScopedSpan span(trace, SpanKind::kStalenessGate);
-    if (opts.allow_stale ||
-        (opts.max_version_lag > 0 &&
-         state->view->version() - cached.value().view_version <=
-             opts.max_version_lag)) {
-      ++state->traffic.stale_hits;
-      state->summary->NoteServedStale();
-      return QueryAnswer{cached.value().result, AnswerSource::kStaleCacheHit,
-                         false, "stale cached value"};
-    }
-  }
-
-  // Compute paths flush unconditionally (even under allow_stale): the
-  // comoment maintainer armed below is seeded from the scanned pairs and
-  // must never see those buffered deltas again.
-  for (const std::string* attr : {&attr_a, &attr_b}) {
-    if (state->deltas.HasPending(*attr)) {
-      STATDB_RETURN_IF_ERROR(FlushAttributeDeltas(view, state, *attr));
-    }
-  }
-
-  const ConcreteView* cv = state->view.get();
-  PairRangeReader reader = [cv, attr_a, attr_b](
-                               uint64_t begin, uint64_t end,
-                               std::vector<double>* xs,
-                               std::vector<double>* ys) {
-    return cv->ReadNumericPairsRange(attr_a, attr_b, begin, end, xs, ys);
-  };
-  std::optional<ThreadPool> pool;
-  if (workers > 1) {
-    pool.emplace(workers);
-    pool->set_task_latency_sink(obs_pool_task_ms_);
-  }
-  ComomentStats cs;
-  {
-    ScopedSpan span(trace, SpanKind::kScan);
-    STATDB_ASSIGN_OR_RETURN(
-        cs,
-        ParallelScanPairs(cv->num_rows(), ColumnFile::kCellsPerPage, reader,
-                          pool ? &*pool : nullptr));
-    // Two columns read per row-pair: twice the pages of one column.
-    span.SetRows(cs.n);
-    span.SetPages(2 * PagesOf(cv->num_rows()));
-  }
-  SummaryResult result;
-  {
-    ScopedSpan span(trace, SpanKind::kCompute);
-    span.SetRows(cs.n);
-    if (function == "correlation") {
-      STATDB_ASSIGN_OR_RETURN(double r, cs.PearsonR());
-      result = SummaryResult::Scalar(r);
-    } else if (function == "covariance") {
-      STATDB_ASSIGN_OR_RETURN(double c, cs.Covariance());
-      result = SummaryResult::Scalar(c);
-    } else {
-      STATDB_ASSIGN_OR_RETURN(LinearFit fit, cs.Fit());
-      result = SummaryResult::Model(fit);
-    }
-  }
-  ++state->traffic.computed;
-  if (opts.cache_result) {
-    ScopedSpan span(trace, SpanKind::kSummaryInsert);
-    STATDB_RETURN_IF_ERROR(
-        state->summary->Insert(key, result, state->view->version()));
-    if (delta::ArmComomentMaintainer(key, cs, &state->comaintainers) &&
-        flight_.enabled()) {
-      flight_.Record(causal::Current(), FlightEventKind::kMaintainerArm,
-                     QueryLabel(view, function, attr_a + "," + attr_b), 0,
-                     int64_t(cs.n));
-    }
-  }
-  if (pool) {
-    pool->Quiesce();  // join workers so `executed` is exact
-    FoldPoolStats(*pool);
-  }
-  return QueryAnswer{std::move(result), AnswerSource::kComputed, true, ""};
+  return RunQueries("querymany", "query_many", view, batch, opts, workers);
 }
 
 Result<QueryAnswer> StatisticalDbms::QueryBivariate(
     const std::string& view, const std::string& function,
     const std::string& attr_a, const std::string& attr_b,
     const QueryOptions& opts) {
-  // Full wrapper (begin/end pairing regression fix): this entry point
-  // used to bypass the flight recorder and EmitQueryObs entirely, so a
-  // crosstab forwarded from QueryBivariateParallel left no events and
-  // no outcome counter at all.
-  causal::ScopedTraceContext scope(causal::Mint());
-  TraceTimer timer;
-  std::optional<QueryTrace> trace;
-  if (WantTrace()) {
-    trace.emplace();
-    trace->SetLabel("bivariate", view, function, attr_a + "," + attr_b);
-    trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
-                      scope.ctx().query_seq);
-  }
-  QueryTrace* tr = trace ? &*trace : nullptr;
-  if (flight_.enabled()) {
-    flight_.Record(scope.ctx(), FlightEventKind::kQueryBegin,
-                   QueryLabel(view, function, attr_a + "," + attr_b));
-  }
-  Result<QueryAnswer> r =
-      QueryBivariateImpl(view, function, attr_a, attr_b, opts, tr);
-  TraceOutcome outcome = r.ok() ? OutcomeOfSource(r.value().source)
-                                : TraceOutcome::kError;
-  EmitQueryObs(timer, tr, outcome, "bivariate");
-  NoteQueryOutcome(scope.ctx(), view, function, attr_a + "," + attr_b,
-                   outcome, timer.ElapsedMs());
-  if (r.ok()) CommitAfterQuery(attr_a);
-  return r;
+  return SingleAnswer(RunQueries("bivariate", "bivariate", view,
+                                 {{function, {attr_a, attr_b}, {}, {}, {}}},
+                                 opts, /*workers=*/1));
 }
 
-Result<QueryAnswer> StatisticalDbms::QueryBivariateImpl(
+Result<QueryAnswer> StatisticalDbms::QueryBivariateParallel(
     const std::string& view, const std::string& function,
     const std::string& attr_a, const std::string& attr_b,
-    const QueryOptions& opts, QueryTrace* trace) {
-  STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
-  ++state->traffic.queries;
-  ++state->traffic.attribute_accesses[attr_a];
-  ++state->traffic.attribute_accesses[attr_b];
-  SummaryKey key{function, {attr_a, attr_b}, ""};
-
-  // Flush barrier, as in QueryBivariateParallelImpl.
-  if (!opts.allow_stale) {
-    for (const std::string* attr : {&attr_a, &attr_b}) {
-      if (state->deltas.HasPending(*attr)) {
-        STATDB_RETURN_IF_ERROR(FlushAttributeDeltas(view, state, *attr));
-      }
-    }
-  }
-
-  Result<SummaryEntry> cached = [&] {
-    ScopedSpan span(trace, SpanKind::kCacheProbe);
-    return state->summary->Lookup(key);
-  }();
-  if (cached.ok() && !cached.value().stale) {
-    ++state->traffic.cache_hits;
-    return QueryAnswer{cached.value().result, AnswerSource::kCacheHit, true,
-                       ""};
-  }
-  if (cached.ok() && cached.value().stale &&
-      (opts.allow_stale ||
-       (opts.max_version_lag > 0 &&
-        state->view->version() - cached.value().view_version <=
-            opts.max_version_lag))) {
-    ++state->traffic.stale_hits;
-    state->summary->NoteServedStale();
-    return QueryAnswer{cached.value().result, AnswerSource::kStaleCacheHit,
-                       false, "stale cached value"};
-  }
-
-  // Compute paths flush unconditionally (see QueryBivariateParallelImpl).
-  for (const std::string* attr : {&attr_a, &attr_b}) {
-    if (state->deltas.HasPending(*attr)) {
-      STATDB_RETURN_IF_ERROR(FlushAttributeDeltas(view, state, *attr));
-    }
-  }
-
-  // Row-aligned read of both columns (pairs with either cell missing are
-  // dropped — pairwise deletion).
-  std::vector<Value> va;
-  std::vector<Value> vb;
-  {
-    ScopedSpan span(trace, SpanKind::kScan);
-    STATDB_ASSIGN_OR_RETURN(va, state->view->ReadColumn(attr_a));
-    STATDB_ASSIGN_OR_RETURN(vb, state->view->ReadColumn(attr_b));
-    span.SetRowsPaged(2 * va.size(), ColumnFile::kCellsPerPage);
-  }
-  SummaryResult result;
-  std::optional<ComomentStats> cs_seed;
-  if (function == "correlation" || function == "covariance" ||
-      function == "regression") {
-    std::vector<double> xs, ys;
-    for (size_t i = 0; i < va.size(); ++i) {
-      if (va[i].is_null() || vb[i].is_null()) continue;
-      Result<double> x = va[i].ToDouble();
-      Result<double> y = vb[i].ToDouble();
-      if (!x.ok() || !y.ok()) continue;
-      xs.push_back(x.value());
-      ys.push_back(y.value());
-    }
-    cs_seed = ComputeComoments(xs, ys);
-    if (function == "correlation") {
-      STATDB_ASSIGN_OR_RETURN(double r, PearsonR(xs, ys));
-      result = SummaryResult::Scalar(r);
-    } else if (function == "covariance") {
-      STATDB_ASSIGN_OR_RETURN(double c, Covariance(xs, ys));
-      result = SummaryResult::Scalar(c);
-    } else {
-      STATDB_ASSIGN_OR_RETURN(LinearFit fit, FitLinear(xs, ys));
-      result = SummaryResult::Model(fit);
-    }
-  } else if (function == "crosstab" || function == "chi2_independence") {
-    Table pair{Schema({Attribute::Category(attr_a, DataType::kInt64),
-                       Attribute::Category(attr_b, DataType::kInt64)})};
-    for (size_t i = 0; i < va.size(); ++i) {
-      // Category cells are int-coded in views; keep whatever they are.
-      Row row = {va[i], vb[i]};
-      Status s = pair.AppendRow(std::move(row));
-      if (!s.ok()) {
-        return InvalidArgumentError(
-            "bivariate cross-tab needs integer-coded attributes");
-      }
-    }
-    STATDB_ASSIGN_OR_RETURN(CrossTab ct,
-                            BuildCrossTab(pair, attr_a, attr_b));
-    if (function == "crosstab") {
-      result = SummaryResult::Contingency(std::move(ct));
-    } else {
-      STATDB_ASSIGN_OR_RETURN(TestResult tr, ChiSquaredIndependence(ct));
-      result = SummaryResult::Vector({tr.statistic, tr.dof, tr.p_value});
-    }
-  } else {
-    return InvalidArgumentError("unknown bivariate function " + function);
-  }
-  ++state->traffic.computed;
-  if (opts.cache_result) {
-    ScopedSpan span(trace, SpanKind::kSummaryInsert);
-    STATDB_RETURN_IF_ERROR(
-        state->summary->Insert(key, result, state->view->version()));
-    if (cs_seed.has_value() &&
-        delta::ArmComomentMaintainer(key, *cs_seed,
-                                     &state->comaintainers) &&
-        flight_.enabled()) {
-      flight_.Record(causal::Current(), FlightEventKind::kMaintainerArm,
-                     QueryLabel(view, function, attr_a + "," + attr_b), 0,
-                     int64_t(cs_seed->n));
-    }
-  }
-  return QueryAnswer{std::move(result), AnswerSource::kComputed, true, ""};
+    const QueryOptions& opts, size_t workers) {
+  return SingleAnswer(RunQueries("bivariate", "bivariate", view,
+                                 {{function, {attr_a, attr_b}, {}, {}, {}}},
+                                 opts, workers));
 }
 
 Result<QueryAnswer> StatisticalDbms::QueryGroupCompare(
     const std::string& view, const std::string& value_attr,
     const std::string& category_attr, int64_t code_a, int64_t code_b,
     const QueryOptions& opts) {
-  // Full wrapper, same pairing contract (and regression fix) as
-  // QueryBivariate.
+  return SingleAnswer(RunQueries(
+      "groupcompare", "group_compare", view,
+      {{"welch_t",
+        {value_attr, category_attr},
+        FunctionParams().Set("a", double(code_a)).Set("b", double(code_b)),
+        std::nullopt,
+        std::make_pair(code_a, code_b)}},
+      opts, /*workers=*/1));
+}
+
+Result<std::vector<QueryAnswer>> StatisticalDbms::RunQueries(
+    const std::string& operation, const std::string& query_class,
+    const std::string& view, const std::vector<PlannedQuery>& batch,
+    const QueryOptions& opts, size_t workers) {
   causal::ScopedTraceContext scope(causal::Mint());
   TraceTimer timer;
   std::optional<QueryTrace> trace;
   if (WantTrace()) {
     trace.emplace();
-    trace->SetLabel("groupcompare", view, "welch_t",
-                    value_attr + "," + category_attr);
+    if (operation == "querymany") {
+      trace->SetLabel(operation, view,
+                      "[" + std::to_string(batch.size()) + " requests]", "");
+    } else {
+      trace->SetLabel(operation, view, batch.front().function,
+                      AttributeLabel(batch.front().attributes));
+    }
     trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
                       scope.ctx().query_seq);
   }
   QueryTrace* tr = trace ? &*trace : nullptr;
   if (flight_.enabled()) {
-    flight_.Record(scope.ctx(), FlightEventKind::kQueryBegin,
-                   QueryLabel(view, "welch_t",
-                              value_attr + "," + category_attr));
+    for (size_t i = 0; i < batch.size(); ++i) {
+      flight_.Record(scope.ctx(), FlightEventKind::kQueryBegin,
+                     QueryLabel(view, batch[i].function,
+                                AttributeLabel(batch[i].attributes)),
+                     static_cast<int64_t>(i));
+    }
   }
-  Result<QueryAnswer> r = QueryGroupCompareImpl(
-      view, value_attr, category_attr, code_a, code_b, opts, tr);
-  TraceOutcome outcome = r.ok() ? OutcomeOfSource(r.value().source)
-                                : TraceOutcome::kError;
-  EmitQueryObs(timer, tr, outcome, "group_compare");
-  NoteQueryOutcome(scope.ctx(), view, "welch_t",
-                   value_attr + "," + category_attr, outcome,
-                   timer.ElapsedMs());
-  if (r.ok()) CommitAfterQuery(value_attr);
+  Result<std::vector<QueryAnswer>> r =
+      RunPipeline(view, batch, opts, workers, tr);
+  const TraceOutcome outcome =
+      r.ok() ? OutcomeOfBatch(r.value()) : TraceOutcome::kError;
+  const double ms = timer.ElapsedMs();
+  obs_query_ms_->Record(ms);
+  obs_outcomes_[size_t(outcome)]->Inc();
+  slo_.Record(query_class, ms, outcome == TraceOutcome::kError);
+  if (tr != nullptr) {
+    tr->SetOutcome(outcome);
+    tr->SetTotalMs(ms);
+    if (trace_sink_ != nullptr) trace_sink_->OnQueryTrace(*tr);
+    if (slow_log_.enabled() && slow_log_.ShouldCapture(ms)) {
+      slow_log_.Capture(*tr, ms, &flight_);
+    }
+  }
+  // Per-request provenance for the flight ring (kQueryEnd) and the
+  // workload profiler; a batch's wall time is split evenly (per-request
+  // time is not observable once scans are shared across requests).
+  const double per_request_ms =
+      batch.empty() ? 0 : timer.ElapsedMs() / double(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const std::string attribute = AttributeLabel(batch[i].attributes);
+    const TraceOutcome o =
+        r.ok() ? OutcomeOfSource(r.value()[i].source) : TraceOutcome::kError;
+    if (flight_.enabled()) {
+      flight_.Record(scope.ctx(), FlightEventKind::kQueryEnd,
+                     QueryLabel(view, batch[i].function, attribute),
+                     static_cast<int64_t>(o), 0, per_request_ms);
+    }
+    profiler_.NoteQuery(view, batch[i].function, attribute,
+                        ProfilerOutcome(o), per_request_ms);
+  }
+  if (r.ok()) {
+    CommitAfterQuery(batch.empty() ? "" : batch.front().attributes.front());
+  }
   return r;
 }
 
-Result<QueryAnswer> StatisticalDbms::QueryGroupCompareImpl(
-    const std::string& view, const std::string& value_attr,
-    const std::string& category_attr, int64_t code_a, int64_t code_b,
-    const QueryOptions& opts, QueryTrace* trace) {
+Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
+    const std::string& view, const std::vector<PlannedQuery>& batch,
+    const QueryOptions& opts, size_t workers, QueryTrace* trace) {
   STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
-  ++state->traffic.queries;
-  ++state->traffic.attribute_accesses[value_attr];
-  ++state->traffic.attribute_accesses[category_attr];
-  FunctionParams params;
-  params.Set("a", double(code_a)).Set("b", double(code_b));
-  SummaryKey key{"welch_t", {value_attr, category_attr}, params.Encode()};
+  STATDB_ASSIGN_OR_RETURN(const ViewRecord* rec, mdb_.GetView(view));
+  const ConcreteView* cv = state->view.get();
+  const Schema& schema = cv->schema();
 
-  Result<SummaryEntry> cached = [&] {
-    ScopedSpan span(trace, SpanKind::kCacheProbe);
-    return state->summary->Lookup(key);
-  }();
-  if (cached.ok() && !cached.value().stale) {
-    ++state->traffic.cache_hits;
-    return QueryAnswer{cached.value().result, AnswerSource::kCacheHit, true,
-                       ""};
-  }
-
-  std::vector<Value> values;
-  std::vector<Value> codes;
-  {
-    ScopedSpan span(trace, SpanKind::kScan);
-    STATDB_ASSIGN_OR_RETURN(values, state->view->ReadColumn(value_attr));
-    STATDB_ASSIGN_OR_RETURN(codes, state->view->ReadColumn(category_attr));
-    span.SetRowsPaged(2 * values.size(), ColumnFile::kCellsPerPage);
-  }
-  std::vector<double> group_a, group_b;
-  SummaryResult result;
-  {
-    ScopedSpan span(trace, SpanKind::kCompute);
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (values[i].is_null() || codes[i].is_null()) continue;
-      Result<int64_t> code = codes[i].ToInt();
-      Result<double> v = values[i].ToDouble();
-      if (!code.ok() || !v.ok()) continue;
-      if (*code == code_a) group_a.push_back(*v);
-      if (*code == code_b) group_b.push_back(*v);
+  // Gate and cache consult, per request. Requests left to compute are
+  // grouped into scans in first-appearance order: unfiltered univariate
+  // requests on one attribute share a scan (QueryMany's one pass per
+  // attribute); any other request scans alone.
+  std::vector<QueryAnswer> answers(batch.size());
+  // Encoded key -> the request that owns the computation; later
+  // duplicates alias that slot instead of recomputing or re-inserting.
+  std::map<std::string, size_t> primary;
+  std::vector<std::optional<size_t>> alias_of(batch.size());
+  std::vector<PlannedScan> scans;
+  std::map<std::string, size_t> scan_of_attribute;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const PlannedQuery& q = batch[i];
+    ++state->traffic.queries;
+    for (const std::string& attr : q.attributes) {
+      ++state->traffic.attribute_accesses[attr];
     }
-    span.SetRows(group_a.size() + group_b.size());
-    STATDB_ASSIGN_OR_RETURN(TestResult tr, WelchTTest(group_a, group_b));
-    result = SummaryResult::Vector({tr.statistic, tr.dof, tr.p_value});
+    STATDB_RETURN_IF_ERROR(q.Gate(schema));
+    if (!q.filter) {
+      SummaryKey key = q.Key();
+      auto [owner, first] = primary.emplace(key.Encode(), i);
+      if (!first) {
+        alias_of[i] = owner->second;
+        continue;
+      }
+      STATDB_ASSIGN_OR_RETURN(
+          bool answered, TryAnswerWithoutComputing(view, state, q, key, opts,
+                                                   &answers[i], trace));
+      if (answered) continue;
+    }
+    size_t s = scans.size();
+    if (q.attributes.size() == 1 && !q.filter) {
+      s = scan_of_attribute.try_emplace(q.attributes.front(), s)
+              .first->second;
+    }
+    if (s == scans.size()) scans.emplace_back();
+    scans[s].members.push_back(i);
   }
-  ++state->traffic.computed;
-  if (opts.cache_result) {
-    ScopedSpan span(trace, SpanKind::kSummaryInsert);
-    STATDB_RETURN_IF_ERROR(
-        state->summary->Insert(key, result, state->view->version()));
+
+  // Flush before compute, even under allow_stale (which only relaxes
+  // serves): a maintainer armed from the scanned data must never later
+  // receive buffered deltas the data already reflects. Filtered requests
+  // neither consult nor fill the Summary Database, so they skip it.
+  for (const PlannedScan& scan : scans) {
+    const PlannedQuery& head = batch[scan.members.front()];
+    if (head.filter) continue;
+    for (const std::string& attr : head.attributes) {
+      if (state->deltas.HasPending(attr)) {
+        STATDB_RETURN_IF_ERROR(FlushAttributeDeltas(view, state, attr));
+      }
+    }
   }
-  return QueryAnswer{std::move(result), AnswerSource::kComputed, true, ""};
+
+  // Plan: one route per scan, from facts observable right now.
+  const bool parallel = workers > 1;
+  bool needs_pool = false;
+  for (PlannedScan& scan : scans) {
+    const PlannedQuery& head = batch[scan.members.front()];
+    // Incremental maintainers initialize from the scanned data.
+    scan.arm = opts.cache_result && !head.filter &&
+               rec->policy == MaintenancePolicy::kIncremental;
+    if (head.attributes.size() == 2) {
+      scan.route = !head.group_codes && IsPairFunction(head.function)
+                       ? QueryRoute::kPairs
+                       : QueryRoute::kValueColumns;
+    } else {
+      // Shared ref, not the raw pointer: a concurrent WriteCell/Append
+      // detaches the sidecar, and this scan's reference must keep the
+      // retired pages alive until it finishes.
+      scan.sidecar = cv->CompressedSidecarRef(head.attributes.front());
+      for (size_t i : scan.members) {
+        scan.mergeable = scan.mergeable && IsMergeable(batch[i].function);
+        scan.want_counts =
+            scan.want_counts || NeedsValueCounts(batch[i].function);
+      }
+      scan.route = compressed_scan_enabled_ && scan.sidecar != nullptr &&
+                           scan.mergeable && !scan.arm
+                       ? QueryRoute::kCompressedRuns
+                       : QueryRoute::kColumnChunks;
+    }
+    needs_pool = needs_pool || scan.route != QueryRoute::kValueColumns;
+  }
+  std::optional<ThreadPool> pool;
+  if (parallel && needs_pool) {
+    pool.emplace(workers);
+    pool->set_task_latency_sink(obs_pool_task_ms_);
+  }
+
+  // Execute, finish and insert.
+  for (const PlannedScan& scan : scans) {
+    ScanOutput out;
+    STATDB_RETURN_IF_ERROR(ExecuteScan(*cv, batch, scan,
+                                       pool ? &*pool : nullptr, trace, &out));
+    for (size_t i : scan.members) {
+      const PlannedQuery& q = batch[i];
+      SummaryResult result;
+      {
+        ScopedSpan span(trace, SpanKind::kCompute);
+        STATDB_ASSIGN_OR_RETURN(result,
+                                FinishQuery(q, scan, out, parallel, &span));
+      }
+      ++state->traffic.computed;
+      if (opts.cache_result && !q.filter) {
+        STATDB_RETURN_IF_ERROR(CacheComputedResult(
+            view, state, q.Key(), result, out.column.values,
+            out.comoments ? &*out.comoments : nullptr, trace));
+      }
+      const bool pushdown =
+          q.filter && scan.route == QueryRoute::kCompressedRuns;
+      answers[i] = QueryAnswer{std::move(result), AnswerSource::kComputed,
+                               true,
+                               pushdown ? "compressed-domain pushdown" : ""};
+    }
+    // Which scan path the planner chose, for the answered univariate scans.
+    if (scan.route == QueryRoute::kCompressedRuns) {
+      obs_scan_compressed_->Inc();
+    } else if (scan.route == QueryRoute::kColumnChunks) {
+      obs_scan_materialized_->Inc();
+    }
+  }
+  if (pool) {
+    // The scans joined at their barriers, but a worker bumps `executed`
+    // only after the task's future resolves — Quiesce() joins the
+    // workers so the counters are exact before folding.
+    pool->Quiesce();
+    ThreadPoolStats ps = pool->stats();
+    obs_pool_submitted_->Inc(ps.submitted);
+    obs_pool_executed_->Inc(ps.executed);
+    obs_pool_rejected_->Inc(ps.rejected);
+    obs_pool_queue_max_->MaxOf(double(ps.max_queue_depth));
+    obs_pool_task_ms_total_->Add(ps.total_task_ms);
+  }
+
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (alias_of[i]) answers[i] = answers[*alias_of[i]];
+  }
+  return answers;
+}
+
+Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
+                                    const std::vector<PlannedQuery>& batch,
+                                    const PlannedScan& scan, ThreadPool* pool,
+                                    QueryTrace* trace, ScanOutput* out) {
+  const PlannedQuery& head = batch[scan.members.front()];
+  const uint64_t rows = cv.num_rows();
+  switch (scan.route) {
+    case QueryRoute::kCompressedRuns:
+    case QueryRoute::kColumnChunks: {
+      const std::string& attr = head.attributes.front();
+      // Coerce filter endpoints like index probes, then compare as
+      // doubles — both column routes apply the same RunPredicate.
+      std::optional<simd::RunPredicate> filter;
+      if (head.filter) {
+        auto endpoint = [&](const Value& v) -> Result<double> {
+          STATDB_ASSIGN_OR_RETURN(Value probe,
+                                  CoerceToAttribute(cv.schema(), attr, v));
+          return probe.ToDouble();
+        };
+        const FilterPredicate& f = *head.filter;
+        filter.emplace();
+        static_assert(uint8_t(FilterPredicate::Kind::kEqual) ==
+                          uint8_t(simd::RunPredicate::Kind::kEqual) &&
+                      uint8_t(FilterPredicate::Kind::kRange) ==
+                          uint8_t(simd::RunPredicate::Kind::kRange));
+        filter->kind = static_cast<simd::RunPredicate::Kind>(f.kind);
+        if (f.kind == FilterPredicate::Kind::kEqual) {
+          STATDB_ASSIGN_OR_RETURN(filter->equal, endpoint(f.equal));
+        } else if (f.kind == FilterPredicate::Kind::kRange) {
+          STATDB_ASSIGN_OR_RETURN(filter->lo, endpoint(f.lo));
+          STATDB_ASSIGN_OR_RETURN(filter->hi, endpoint(f.hi));
+        }
+      }
+      if (scan.route == QueryRoute::kCompressedRuns) {
+        // Aggregation over the RLE runs; a filter is decided once per run.
+        ScopedSpan span(trace, SpanKind::kCompressedScan);
+        const simd::RunValueKind kind =
+            RunKindOf(cv.schema(), *cv.schema().IndexOf(attr));
+        if (filter) {
+          STATDB_ASSIGN_OR_RETURN(
+              FilteredScanResult filtered,
+              ScanCompressedFiltered(*scan.sidecar, kind, *filter,
+                                     scan.want_counts, pool));
+          out->column.desc = filtered.desc;
+          out->column.counts = std::move(filtered.counts);
+          span.SetRows(filtered.rows);
+        } else {
+          STATDB_ASSIGN_OR_RETURN(
+              out->column,
+              ScanCompressedColumn(*scan.sidecar, kind, scan.want_counts,
+                                   pool));
+          span.SetRows(scan.sidecar->size());
+        }
+        span.SetPages(scan.sidecar->page_count());
+        return Status::OK();
+      }
+      // One worker gathers the column in one read and finishes through
+      // the registry (the serial semantics). More workers scan page-aligned
+      // chunks, finish mergeable statistics from the merged partials, and
+      // keep values only for order-dependent functions and maintainer
+      // arming.
+      ColumnRangeReader reader = [&cv, &attr](uint64_t begin, uint64_t end) {
+        return cv.ReadNumericRange(attr, begin, end);
+      };
+      {
+        ScopedSpan span(trace, SpanKind::kScan);
+        if (pool == nullptr) {
+          STATDB_ASSIGN_OR_RETURN(out->column.values, reader(0, rows));
+          span.SetRowsPaged(out->column.values.size(),
+                            ColumnFile::kCellsPerPage);
+        } else {
+          ColumnScanSpec spec;
+          spec.want_counts = scan.want_counts;
+          spec.keep_values = !scan.mergeable || scan.arm;
+          spec.time_chunks = trace != nullptr;
+          STATDB_ASSIGN_OR_RETURN(
+              out->column, ParallelScanColumn(rows, ColumnFile::kCellsPerPage,
+                                              reader, spec, pool));
+          span.SetRowsPaged(out->column.desc.count,
+                            ColumnFile::kCellsPerPage);
+        }
+      }
+      if (trace != nullptr) {
+        for (size_t c = 0; c < out->column.chunk_stats.size(); ++c) {
+          const ChunkScanStat& cs = out->column.chunk_stats[c];
+          trace->Add(SpanKind::kScanChunk, cs.wall_ms, cs.rows,
+                     PagesOf(cs.rows), int32_t(c));
+        }
+      }
+      if (filter) {
+        std::erase_if(out->column.values, [&rp = *filter](double x) {
+          return !rp.Matches(x);
+        });
+      }
+      return Status::OK();
+    }
+    case QueryRoute::kPairs: {
+      // Row-aligned numeric pairs; a pair with either cell missing is
+      // dropped (pairwise deletion).
+      const std::string& a = head.attributes[0];
+      const std::string& b = head.attributes[1];
+      PairRangeReader reader = [&cv, &a, &b](uint64_t begin, uint64_t end,
+                                             std::vector<double>* xs,
+                                             std::vector<double>* ys) {
+        return cv.ReadNumericPairsRange(a, b, begin, end, xs, ys);
+      };
+      ScopedSpan span(trace, SpanKind::kScan);
+      if (pool != nullptr) {
+        STATDB_ASSIGN_OR_RETURN(
+            ComomentStats merged,
+            ParallelScanPairs(rows, ColumnFile::kCellsPerPage, reader, pool));
+        span.SetRows(merged.n);
+        out->comoments = merged;
+      } else {
+        STATDB_RETURN_IF_ERROR(reader(0, rows, &out->xs, &out->ys));
+        span.SetRows(out->xs.size());
+        if (scan.arm) out->comoments = ComputeComoments(out->xs, out->ys);
+      }
+      // Two columns read per row-pair: twice the pages of one column.
+      span.SetPages(2 * PagesOf(rows));
+      return Status::OK();
+    }
+    case QueryRoute::kValueColumns: {
+      ScopedSpan span(trace, SpanKind::kScan);
+      STATDB_ASSIGN_OR_RETURN(out->a, cv.ReadColumn(head.attributes[0]));
+      STATDB_ASSIGN_OR_RETURN(out->b, cv.ReadColumn(head.attributes[1]));
+      span.SetRowsPaged(2 * out->a.size(), ColumnFile::kCellsPerPage);
+      return Status::OK();
+    }
+  }
+  return InternalError("unplanned query route");
+}
+
+Result<SummaryResult> StatisticalDbms::FinishQuery(const PlannedQuery& query,
+                                                   const PlannedScan& scan,
+                                                   const ScanOutput& out,
+                                                   bool parallel,
+                                                   ScopedSpan* span) {
+  switch (scan.route) {
+    case QueryRoute::kCompressedRuns:
+      span->SetRows(out.column.desc.count);
+      return FinishMergeable(query.function, query.params, out.column);
+    case QueryRoute::kColumnChunks:
+      if (parallel && IsMergeable(query.function)) {
+        span->SetRows(out.column.desc.count);
+        return FinishMergeable(query.function, query.params, out.column);
+      }
+      // One worker, or an order-dependent / unregistered function: the
+      // registry on the gathered values, bit-identical to the serial read.
+      span->SetRows(out.column.values.size());
+      return mdb_.functions().Compute(query.function, out.column.values,
+                                      query.params);
+    case QueryRoute::kPairs:
+      if (parallel && out.comoments.has_value()) {
+        span->SetRows(out.comoments->n);
+        return FinishComoments(query.function, *out.comoments);
+      }
+      span->SetRows(out.xs.size());
+      return FinishPairs(query.function, out.xs, out.ys);
+    case QueryRoute::kValueColumns:
+      break;
+  }
+  if (query.group_codes) {
+    std::vector<double> group_a, group_b;
+    for (size_t i = 0; i < out.a.size(); ++i) {
+      if (out.a[i].is_null() || out.b[i].is_null()) continue;
+      Result<int64_t> code = out.b[i].ToInt();
+      Result<double> v = out.a[i].ToDouble();
+      if (!code.ok() || !v.ok()) continue;
+      if (*code == query.group_codes->first) group_a.push_back(*v);
+      if (*code == query.group_codes->second) group_b.push_back(*v);
+    }
+    span->SetRows(group_a.size() + group_b.size());
+    STATDB_ASSIGN_OR_RETURN(TestResult t, WelchTTest(group_a, group_b));
+    return SummaryResult::Vector({t.statistic, t.dof, t.p_value});
+  }
+  const std::string& attr_a = query.attributes[0];
+  const std::string& attr_b = query.attributes[1];
+  Table pair{Schema({Attribute::Category(attr_a, DataType::kInt64),
+                     Attribute::Category(attr_b, DataType::kInt64)})};
+  for (size_t i = 0; i < out.a.size(); ++i) {
+    // Category cells are int-coded in views; keep whatever they are.
+    if (!pair.AppendRow({out.a[i], out.b[i]}).ok()) {
+      return InvalidArgumentError(
+          "bivariate cross-tab needs integer-coded attributes");
+    }
+  }
+  span->SetRows(out.a.size());
+  STATDB_ASSIGN_OR_RETURN(CrossTab ct, BuildCrossTab(pair, attr_a, attr_b));
+  if (query.function == "crosstab") {
+    return SummaryResult::Contingency(std::move(ct));
+  }
+  STATDB_ASSIGN_OR_RETURN(TestResult t, ChiSquaredIndependence(ct));
+  return SummaryResult::Vector({t.statistic, t.dof, t.p_value});
 }
 
 Result<Value> StatisticalDbms::CoerceToAttribute(

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -239,8 +240,9 @@ class StatisticalDbms {
 
   /// Parallel bivariate statistics for "correlation", "covariance" and
   /// "regression": per-shard co-moment states (Chan et al.) merged at
-  /// the barrier. "crosstab"/"chi2_independence" fall back to the serial
-  /// path. Caching behaves exactly like QueryBivariate.
+  /// the barrier. "crosstab"/"chi2_independence" read the gathered
+  /// columns exactly like QueryBivariate. Caching behaves exactly like
+  /// QueryBivariate.
   Result<QueryAnswer> QueryBivariateParallel(const std::string& view,
                                              const std::string& function,
                                              const std::string& attr_a,
@@ -262,7 +264,8 @@ class StatisticalDbms {
 
   /// Compares `value_attr` between the rows where `category_attr`
   /// equals `code_a` vs `code_b` with Welch's t-test; the result vector
-  /// [t, dof, p] is cached under a multi-attribute key.
+  /// [t, dof, p] is cached under a multi-attribute key. Staleness
+  /// options apply as for QueryBivariate.
   Result<QueryAnswer> QueryGroupCompare(const std::string& view,
                                         const std::string& value_attr,
                                         const std::string& category_attr,
@@ -455,12 +458,11 @@ class StatisticalDbms {
   /// registry (thread-pool queue depth/task latency, query latency).
   std::string DumpMetrics();
 
-  /// Attaches a per-query trace sink: every Query / QueryParallel /
-  /// QueryMany / QueryBivariateParallel call emits a QueryTrace of its
-  /// phase spans. With no sink (the default) the query paths skip all
-  /// clock reads and allocate nothing for tracing. The sink must be
-  /// thread-safe if queries run concurrently, and must outlive its
-  /// attachment. nullptr detaches.
+  /// Attaches a per-query trace sink: every Query* call emits a
+  /// QueryTrace of its phase spans. With no sink (the default) the query
+  /// paths skip all clock reads and allocate nothing for tracing. The
+  /// sink must be thread-safe if queries run concurrently, and must
+  /// outlive its attachment. nullptr detaches.
   void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
   TraceSink* trace_sink() const { return trace_sink_; }
 
@@ -552,8 +554,8 @@ class StatisticalDbms {
   /// The session layer, or nullptr when EnableSessions was never called.
   session::SessionManager* sessions() { return sessions_.get(); }
 
-  /// The meta-data gate shared by Query/QueryMany and the session query
-  /// path: numeric only, and no order statistics of category codes
+  /// The meta-data gate shared by the univariate queries and the session
+  /// query path: numeric only, and no order statistics of category codes
   /// (§3.2). Public so Session can apply the identical rule to the
   /// schema entry at its pinned seq.
   static Status CheckQueryable(const Schema& schema,
@@ -629,20 +631,81 @@ class StatisticalDbms {
   /// structure to its on-device pages. Replaces all current state.
   Status ApplyManifest(const std::vector<uint8_t>& manifest);
 
-  /// Cache / staleness / inference consultation shared by Query and
-  /// QueryMany. Fills `*answer` and returns true when the request is
-  /// satisfied without computation; bumps the traffic counters it
-  /// consumes. `trace` (nullable) receives cache-probe / staleness-gate /
-  /// inference spans.
-  /// Exact serves flush the attribute's pending deltas first
+  // --- the query pipeline (DESIGN.md §9) ----------------------------------
+
+  /// One request of the pipeline; every public Query* entry point lowers
+  /// to a batch of these.
+  struct PlannedQuery {
+    std::string function;
+    /// One attribute (univariate) or two (bivariate, group compare).
+    std::vector<std::string> attributes;
+    FunctionParams params;
+    /// QueryFiltered's row filter. A filtered request neither consults
+    /// nor fills the Summary Database: no key carries the predicate.
+    std::optional<FilterPredicate> filter;
+    /// Group compare: attributes[1] == first vs == second.
+    std::optional<std::pair<int64_t, int64_t>> group_codes;
+
+    SummaryKey Key() const {
+      return {function, attributes, params.Encode()};
+    }
+    /// The meta-data gate for this request's attribute roles.
+    Status Gate(const Schema& schema) const;
+  };
+
+  /// How a planned scan reads the view.
+  enum class QueryRoute : uint8_t {
+    kCompressedRuns,  // one attribute, RLE sidecar, all mergeable, no arm
+    kColumnChunks,    // one attribute, ParallelScanColumn
+    kPairs,           // correlation/covariance/regression, numeric pairs
+    kValueColumns,    // crosstab/chi2_independence/welch_t, Value columns
+  };
+  struct PlannedScan;  // dbms.cc
+  struct ScanOutput;   // dbms.cc
+
+  /// The wrapper of every public Query* entry point: mints the causal
+  /// context, builds the `operation`-labeled trace, records per-request
+  /// begin/end flight events, the `query_class` SLO sample and outcome
+  /// counters, and commits the Summary inserts on success.
+  Result<std::vector<QueryAnswer>> RunQueries(
+      const std::string& operation, const std::string& query_class,
+      const std::string& view, const std::vector<PlannedQuery>& batch,
+      const QueryOptions& opts, size_t workers);
+
+  /// gate -> cache consult -> flush -> plan -> execute -> Summary insert.
+  /// Unfiltered univariate requests on one attribute share one scan;
+  /// duplicate keys are computed once. Fails on the first failing
+  /// request.
+  Result<std::vector<QueryAnswer>> RunPipeline(
+      const std::string& view, const std::vector<PlannedQuery>& batch,
+      const QueryOptions& opts, size_t workers, QueryTrace* trace);
+
+  /// Reads the view along `scan`'s route into `out`. `pool` is null at
+  /// one worker.
+  Status ExecuteScan(const ConcreteView& cv,
+                     const std::vector<PlannedQuery>& batch,
+                     const PlannedScan& scan, ThreadPool* pool,
+                     QueryTrace* trace, ScanOutput* out);
+
+  /// Computes one request's answer from its scan's output. `parallel`
+  /// finishes from merged partial states; otherwise the registry or
+  /// stats/ runs on the gathered values.
+  Result<SummaryResult> FinishQuery(const PlannedQuery& query,
+                                    const PlannedScan& scan,
+                                    const ScanOutput& out, bool parallel,
+                                    ScopedSpan* span);
+
+  /// Cache / staleness / inference consultation. Fills `*answer` and
+  /// returns true when the request is satisfied without computation;
+  /// bumps the traffic counters it consumes. `trace` (nullable) receives
+  /// cache-probe / staleness-gate / inference spans.
+  /// Exact serves flush the key's attributes' pending deltas first
   /// (flush-before-serve, §16); allow_stale accepts the un-flushed entry
   /// the way it accepts any stale one.
   Result<bool> TryAnswerWithoutComputing(const std::string& view,
                                          ViewState* state,
+                                         const PlannedQuery& query,
                                          const SummaryKey& key,
-                                         const std::string& function,
-                                         const std::string& attribute,
-                                         const FunctionParams& params,
                                          const QueryOptions& opts,
                                          QueryAnswer* answer,
                                          QueryTrace* trace);
@@ -657,49 +720,17 @@ class StatisticalDbms {
   Status FlushViewDeltas(const std::string& view_name, ViewState* state);
 
   /// Caches a computed result and arms an incremental maintainer when
-  /// the view's policy wants one — the common tail of the serial and
-  /// parallel compute paths. `data` is the full column (maintainer
-  /// initialization); ignored under other policies. `trace` (nullable)
-  /// receives summary-insert / maintainer-arm spans.
+  /// the view's policy wants one — the pipeline's tail. A univariate
+  /// maintainer initializes from `data` (the full column); a bivariate
+  /// comoment maintainer is seeded from `comoments` (nullable). Both are
+  /// ignored under other policies. `trace` (nullable) receives
+  /// summary-insert / maintainer-arm spans.
   Status CacheComputedResult(const std::string& view, ViewState* state,
                              const SummaryKey& key,
                              const SummaryResult& result,
                              const std::vector<double>& data,
+                             const ComomentStats* comoments,
                              QueryTrace* trace);
-
-  /// Bodies of the public query entry points, with tracing threaded
-  /// through. The public wrappers own trace construction, the total
-  /// timer, the latency histogram and sink emission.
-  Result<QueryAnswer> QueryImpl(const std::string& view,
-                                const std::string& function,
-                                const std::string& attribute,
-                                const FunctionParams& params,
-                                const QueryOptions& opts, QueryTrace* trace);
-  Result<std::vector<QueryAnswer>> QueryManyImpl(
-      const std::string& view, const std::vector<QueryRequest>& requests,
-      const QueryOptions& opts, size_t workers, QueryTrace* trace);
-  Result<QueryAnswer> QueryBivariateParallelImpl(
-      const std::string& view, const std::string& function,
-      const std::string& attr_a, const std::string& attr_b,
-      const QueryOptions& opts, size_t workers, QueryTrace* trace);
-  Result<QueryAnswer> QueryFilteredImpl(const std::string& view,
-                                        const std::string& function,
-                                        const std::string& attribute,
-                                        const FilterPredicate& pred,
-                                        const FunctionParams& params,
-                                        QueryTrace* trace);
-  Result<QueryAnswer> QueryBivariateImpl(const std::string& view,
-                                         const std::string& function,
-                                         const std::string& attr_a,
-                                         const std::string& attr_b,
-                                         const QueryOptions& opts,
-                                         QueryTrace* trace);
-  Result<QueryAnswer> QueryGroupCompareImpl(const std::string& view,
-                                            const std::string& value_attr,
-                                            const std::string& category_attr,
-                                            int64_t code_a, int64_t code_b,
-                                            const QueryOptions& opts,
-                                            QueryTrace* trace);
 
   /// Update/Rollback bodies; the public wrappers mint the mutation's
   /// causal context and record its SLO sample.
@@ -719,23 +750,6 @@ class StatisticalDbms {
     return trace_sink_ != nullptr || slow_log_.enabled();
   }
 
-  /// Records the query latency + outcome counters, the query class's
-  /// SLO sample, emits `trace` (if any) to the sink, and captures a
-  /// slow-log entry when the operation crossed the threshold — the
-  /// shared tail of every public query wrapper. Exactly one call per
-  /// wrapper invocation, success or error.
-  void EmitQueryObs(const TraceTimer& timer, QueryTrace* trace,
-                    TraceOutcome outcome, const std::string& query_class);
-
-  /// Feeds one finished request to the flight recorder (kQueryEnd,
-  /// stamped with `ctx`) and the workload profiler — called from the
-  /// public query wrappers with the exact view/function/attribute
-  /// strings.
-  void NoteQueryOutcome(const causal::TraceContext& ctx,
-                        const std::string& view, const std::string& function,
-                        const std::string& attribute, TraceOutcome outcome,
-                        double wall_ms);
-
   /// One named-scalar photograph of every counter the timeseries tracks:
   /// the registry snapshot plus the canonical summary.*/io.*/wal.* keys
   /// the rate derivation consumes.
@@ -744,16 +758,6 @@ class StatisticalDbms {
   /// Mutation-path hook: bumps the mutation sequence and auto-ticks the
   /// timeseries when EnableTimeseries armed a cadence.
   void MaybeTickTimeseries();
-
-  /// Folds a (quiescent) pool's counters into the registry after a
-  /// parallel query finishes with it.
-  void FoldPoolStats(const ThreadPool& pool);
-
-  /// Full computation of function(attribute) over the view column.
-  Result<SummaryResult> ComputeOnView(ViewState* state,
-                                      const std::string& function,
-                                      const std::string& attribute,
-                                      const FunctionParams& params);
 
   /// Summary-Database upkeep after `changes` landed on `attribute`.
   Status MaintainSummaries(const std::string& view_name, ViewState* state,

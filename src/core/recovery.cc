@@ -379,7 +379,7 @@ void StatisticalDbms::CommitAfterQuery(const std::string& attr_hint) {
 Status StatisticalDbms::Recover() {
   // The wrapper owns the "recover"-labeled trace so the body's early
   // returns cannot skip sink emission — the same split the query paths
-  // use (Query vs QueryImpl). It also mints the recovery's causal
+  // use (RunQueries vs RunPipeline). It also mints the recovery's causal
   // context: every kRecoveryStep and the fallback-invalidation commit's
   // kWalCommit land under one trace_id.
   causal::ScopedTraceContext scope(causal::Mint());

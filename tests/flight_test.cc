@@ -483,6 +483,33 @@ TEST_F(FlightDbmsTest, PoolRetriesRecordFromWorkerThreads) {
   EXPECT_NE(json.find("\"flight\""), std::string::npos);
 }
 
+TEST_F(FlightDbmsTest, MultiAttributeQueriesRecordCacheVerdicts) {
+  auto db = OpenDbms();
+  for (int i = 0; i < 2; ++i) {
+    STATDB_ASSERT_OK(db->QueryBivariate("v", "correlation", "AGE", "INCOME"));
+    STATDB_ASSERT_OK(db->QueryGroupCompare("v", "INCOME", "SEX", 0, 1));
+  }
+  STATDB_ASSERT_OK(db->Update("v", Raise()));
+  QueryOptions stale;
+  stale.allow_stale = true;
+  STATDB_ASSERT_OK(db->QueryGroupCompare("v", "INCOME", "SEX", 0, 1, stale));
+
+  std::vector<std::string> verdicts;
+  for (const FlightEvent& e : db->flight().SnapshotEvents()) {
+    if (e.kind == FlightEventKind::kCacheMiss ||
+        e.kind == FlightEventKind::kCacheHit ||
+        e.kind == FlightEventKind::kStaleServe) {
+      verdicts.push_back(std::string(FlightEventKindName(e.kind)) + " " +
+                         e.label);
+    }
+  }
+  const std::vector<std::string> want = {
+      "cache_miss correlation(AGE,INCOME)", "cache_miss welch_t(INCOME,SEX)",
+      "cache_hit correlation(AGE,INCOME)", "cache_hit welch_t(INCOME,SEX)",
+      "stale_serve welch_t(INCOME,SEX)"};
+  EXPECT_EQ(verdicts, want);
+}
+
 TEST_F(FlightDbmsTest, QueryManyTagsBatchIndices) {
   auto db = OpenDbms();
   std::vector<QueryRequest> batch = {{"mean", "AGE", {}},

@@ -529,6 +529,41 @@ TEST_F(ParallelQueryParityTest, BivariateParallelMatchesSerial) {
   EXPECT_EQ(again.value().source, AnswerSource::kCacheHit);
 }
 
+TEST_F(ParallelQueryParityTest, BivariateParallelAgreesWithBivariateOnOneView) {
+  // Same installation, uncached, with missing cells on both sides so the
+  // pairwise deletion is exercised: merged co-moments at 4 workers agree
+  // with the serial stats/ finish to rounding, and one worker is the
+  // serial finish itself.
+  UpdateSpec missing;
+  missing.column = "INCOME";
+  missing.predicate = Lt(Col("AGE"), Lit(int64_t{25}));
+  missing.value = nullptr;
+  missing.description = "mark young incomes missing";
+  STATDB_ASSERT_OK(parallel_->Update("v", missing).status());
+  missing.column = "HOURS_WORKED";
+  missing.predicate = Gt(Col("AGE"), Lit(int64_t{60}));
+  STATDB_ASSERT_OK(parallel_->Update("v", missing).status());
+
+  QueryOptions no_cache;
+  no_cache.cache_result = false;
+  for (const char* fn : {"correlation", "covariance", "regression"}) {
+    auto serial = parallel_->QueryBivariate("v", fn, "HOURS_WORKED",
+                                            "INCOME", no_cache);
+    auto four = parallel_->QueryBivariateParallel("v", fn, "HOURS_WORKED",
+                                                  "INCOME", no_cache, 4);
+    auto one = parallel_->QueryBivariateParallel("v", fn, "HOURS_WORKED",
+                                                 "INCOME", no_cache, 1);
+    STATDB_ASSERT_OK(serial);
+    STATDB_ASSERT_OK(four);
+    STATDB_ASSERT_OK(one);
+    EXPECT_TRUE(SummaryResultsApproxEqual(four.value().result,
+                                          serial.value().result, 1e-9, 1e-9))
+        << fn << ": parallel " << four.value().result.ToString()
+        << " vs serial " << serial.value().result.ToString();
+    EXPECT_EQ(one.value().result, serial.value().result) << fn;
+  }
+}
+
 TEST_F(ParallelQueryParityTest, IncrementalMaintainersArmLikeSerial) {
   // A parallel-computed entry must survive an update exactly like a
   // serial-computed one: the incremental maintainer refreshes it rather

@@ -7,6 +7,8 @@
 
 #include "core/dbms.h"
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -123,6 +125,71 @@ TEST_F(QueryOptionsMatrixTest, StalenessMatrixForMean) {
     STATDB_ASSERT_OK(parallel);
     EXPECT_EQ(SourceName(parallel.value().source), SourceName(c.expected));
     EXPECT_EQ(parallel.value().exact, c.expected_exact);
+  }
+}
+
+TEST_F(QueryOptionsMatrixTest, StalenessMatrixForBivariateAndGroupCompare) {
+  // The same matrix over the multi-attribute entry points: a correlation
+  // and a Welch t cached at v2, then two INCOME updates mark both stale
+  // with a lag of exactly 2. No inference rule derives them, so rows
+  // that would infer a mean recompute here instead.
+  STATDB_ASSERT_OK(
+      dbms_->QueryBivariate("v", "correlation", "AGE", "INCOME").status());
+  auto welch = dbms_->QueryGroupCompare("v", "INCOME", "SEX", 0, 1);
+  STATDB_ASSERT_OK(welch);
+  for (int i = 0; i < 2; ++i) {
+    UpdateSpec spec;
+    spec.column = "INCOME";
+    spec.predicate = Lt(Col("INCOME"), Lit(20000.0 + 5000.0 * i));
+    spec.value = Mul(Col("INCOME"), Lit(1.1));
+    STATDB_ASSERT_OK(dbms_->Update("v", spec).status());
+  }
+  ASSERT_EQ(dbms_->GetView("v").value()->version(), 4u);
+
+  const std::vector<MatrixCase> cases = {
+      {false, 0, false, false, AnswerSource::kComputed, true},
+      {true, 0, false, false, AnswerSource::kStaleCacheHit, false},
+      {true, 5, true, true, AnswerSource::kStaleCacheHit, false},
+      {false, 1, false, false, AnswerSource::kComputed, true},
+      {false, 2, false, false, AnswerSource::kStaleCacheHit, false},
+      {false, 3, false, false, AnswerSource::kStaleCacheHit, false},
+      {false, 1, true, false, AnswerSource::kComputed, true},
+      {false, 0, true, true, AnswerSource::kComputed, true},
+  };
+  for (const MatrixCase& c : cases) {
+    QueryOptions opts;
+    opts.allow_stale = c.allow_stale;
+    opts.max_version_lag = c.max_version_lag;
+    opts.allow_inference = c.allow_inference;
+    opts.allow_estimates = c.allow_estimates;
+    opts.cache_result = false;  // probes must not disturb the next row
+    SCOPED_TRACE(std::string("allow_stale=") +
+                 (c.allow_stale ? "1" : "0") + " lag=" +
+                 std::to_string(c.max_version_lag) + " inference=" +
+                 (c.allow_inference ? "1" : "0") + " estimates=" +
+                 (c.allow_estimates ? "1" : "0"));
+
+    std::vector<std::pair<std::string, Result<QueryAnswer>>> got;
+    got.emplace_back("bivariate", dbms_->QueryBivariate(
+                                      "v", "correlation", "AGE", "INCOME",
+                                      opts));
+    got.emplace_back("bivariate_parallel",
+                     dbms_->QueryBivariateParallel("v", "correlation", "AGE",
+                                                   "INCOME", opts, 4));
+    got.emplace_back("group_compare", dbms_->QueryGroupCompare(
+                                          "v", "INCOME", "SEX", 0, 1, opts));
+    for (const auto& [entry, answer] : got) {
+      STATDB_ASSERT_OK(answer);
+      EXPECT_EQ(SourceName(answer.value().source), SourceName(c.expected))
+          << entry;
+      EXPECT_EQ(answer.value().exact, c.expected_exact) << entry;
+    }
+    // A stale serve returns the value cached before the updates.
+    if (c.expected == AnswerSource::kStaleCacheHit) {
+      EXPECT_EQ(got[2].second.value().result, welch.value().result);
+    } else {
+      EXPECT_NE(got[2].second.value().result, welch.value().result);
+    }
   }
 }
 

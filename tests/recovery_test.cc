@@ -1,3 +1,4 @@
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -324,6 +325,44 @@ TEST_F(RecoveryE2ETest, CleanCrashRecoversEveryCommittedAnswer) {
   auto fresh = db2->QueryParallel("v", "mean", "INCOME", {}, nocache);
   STATDB_ASSERT_OK(fresh);
   EXPECT_TRUE(fresh.value().result == mean_after);
+}
+
+TEST_F(RecoveryE2ETest, EveryCachingEntryPointCommitsItsSummaryInsert) {
+  auto db = OpenDbms();
+  STATDB_ASSERT_OK(Populate(db.get()));
+  // Each call computes and caches a fresh key; the insert dirties a
+  // summary page, which the query's commit tail must log.
+  std::vector<std::pair<std::string, std::function<Status()>>> calls = {
+      {"Query", [&] { return db->Query("v", "mean", "INCOME").status(); }},
+      {"QueryParallel",
+       [&] {
+         return db->QueryParallel("v", "max", "INCOME", {}, {}, 2).status();
+       }},
+      {"QueryMany",
+       [&] {
+         return db->QueryMany("v", {{"min", "AGE", {}}}, {}, 2).status();
+       }},
+      {"QueryBivariate",
+       [&] {
+         return db->QueryBivariate("v", "covariance", "AGE", "INCOME")
+             .status();
+       }},
+      {"QueryBivariateParallel",
+       [&] {
+         return db->QueryBivariateParallel("v", "correlation", "AGE",
+                                           "INCOME", {}, 2)
+             .status();
+       }},
+      {"QueryGroupCompare",
+       [&] {
+         return db->QueryGroupCompare("v", "INCOME", "SEX", 0, 1).status();
+       }},
+  };
+  for (const auto& [name, call] : calls) {
+    const uint64_t before = db->last_committed_lsn();
+    STATDB_ASSERT_OK(call());
+    EXPECT_GT(db->last_committed_lsn(), before) << name;
+  }
 }
 
 TEST_F(RecoveryE2ETest, RecoverTwiceEqualsRecoverOnce) {

@@ -168,6 +168,52 @@ TEST_F(ReorganizeTest, GroupCompareInvalidatedByUpdates) {
   EXPECT_EQ(after->source, AnswerSource::kComputed);  // stale not served
 }
 
+TEST_F(ReorganizeTest, GroupCompareInvalidatedByBatchedUpdates) {
+  // Batched maintenance: an update below the flush threshold leaves its
+  // deltas pending and the cached Welch t unmarked, so the exact serve
+  // must flush first (and then recompute) instead of returning the
+  // pre-update t as a fresh hit.
+  delta::DeltaConfig config;
+  config.default_strategy = delta::MaintenanceStrategy::kDeltaBatched;
+  config.adaptive = false;
+  dbms_->set_delta_config(config);
+  // The post-update audit (on in audit builds) flushes the view, which
+  // would hide the pending state this test needs.
+  dbms_->set_audit_after_update(false);
+  auto before = dbms_->QueryGroupCompare("v", "INCOME", "SEX", 0, 1);
+  ASSERT_TRUE(before.ok());
+  UpdateSpec spec;
+  spec.predicate = Gt(Col("INCOME"), Lit(150000.0));
+  spec.column = "INCOME";
+  spec.value = Mul(Col("INCOME"), Lit(10.0));
+  auto changed = dbms_->Update("v", spec);
+  ASSERT_TRUE(changed.ok());
+  ASSERT_GT(changed.value(), 0u);
+  auto pending = dbms_->PendingDeltas("v");
+  ASSERT_TRUE(pending.ok());
+  ASSERT_GT(pending.value(), 0u);
+  ASSERT_LT(pending.value(), config.flush_threshold);
+
+  auto after = dbms_->QueryGroupCompare("v", "INCOME", "SEX", 0, 1);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->source, AnswerSource::kComputed);
+  EXPECT_TRUE(after->exact);
+  // The reference: Welch's t over the updated columns.
+  auto income = dbms_->GetView("v").value()->ReadColumn("INCOME").value();
+  auto sex = dbms_->GetView("v").value()->ReadColumn("SEX").value();
+  std::vector<double> men, women;
+  for (size_t i = 0; i < income.size(); ++i) {
+    if (income[i].is_null() || sex[i].is_null()) continue;
+    const int64_t code = sex[i].ToInt().value();
+    if (code == 0) men.push_back(income[i].ToDouble().value());
+    if (code == 1) women.push_back(income[i].ToDouble().value());
+  }
+  TestResult want = WelchTTest(men, women).value();
+  const std::vector<double>& got = *after->result.AsVector().value();
+  EXPECT_EQ(got[0], want.statistic);
+  EXPECT_NE(got[0], (*before->result.AsVector().value())[0]);
+}
+
 TEST_F(ReorganizeTest, GroupCompareDegenerateGroupFails) {
   EXPECT_FALSE(
       dbms_->QueryGroupCompare("v", "INCOME", "SEX", 0, 42).ok());

@@ -1,4 +1,4 @@
-// Causal-tracing overhead on the hot query path (DESIGN.md §17).
+// Causal-tracing overhead on the hot query path (DESIGN.md §10).
 //
 // PR 10 threads a TraceContext through every entry point: a mint (one
 // relaxed fetch_add) plus a thread_local install/restore per operation,
@@ -14,7 +14,7 @@
 //          to run the binary without it, which is the point: the gate
 //          asserts the whole leg is noise.
 //   full   flight enabled + slow log capturing at threshold 0 (every
-//          operation retained + flight-join on capture)
+//          operation retained; its events are joined on export)
 //   export the full configuration plus a Chrome-trace export per rep
 //          (prices the offline renderer, not the hot path)
 //

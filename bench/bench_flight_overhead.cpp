@@ -1,4 +1,4 @@
-// Flight-recorder overhead on the hot query path (DESIGN.md §12).
+// Flight-recorder overhead on the hot query path (DESIGN.md §10).
 //
 // The recorder's contract is "one relaxed load and a branch when
 // disabled, a handful of relaxed stores when enabled" — cheap enough to

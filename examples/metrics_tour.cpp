@@ -5,15 +5,15 @@
 // stdout carries ONLY the JSON (CI pipes it into a schema check); the
 // human narration, including one `explain`-style trace rendering, goes
 // to stderr. The optional argv[1] selects which document:
-//   metrics     (default)  DumpMetrics()      — the PR 3 registry export
-//   flight                 DumpFlightJson()   — the black-box event ring
-//   timeseries             DumpTimeseriesJson() — snapshot deltas + rates
-//   workload               WorkloadReport()   — the §4.3 heatmaps
-//   top                    WorkloadReportText() on stderr, workload JSON
-//                          on stdout (so the pipe check still works)
-//   slowlog                DumpSlowLogJson()  — traces + joined events
-//   slo                    DumpSloJson()      — per-class latency targets
-//   chrometrace            DumpChromeTrace()  — chrome://tracing JSON
+//   metrics     (default)  DumpMetrics()             — the registry export
+//   flight                 flight().DumpJson()       — the black box: event
+//                          ring + slow traces with their joined events
+//   timeseries             timeseries().DumpJson()   — deltas + rates
+//   workload               workload_profiler().ReportJson() — §4.3 heatmaps
+//   top                    ReportText() on stderr, workload JSON on
+//                          stdout (so the pipe check still works)
+//   slo                    slo().DumpJson()          — per-class targets
+//   chrometrace            DumpChromeTrace()         — chrome://tracing JSON
 
 #include <cstdio>
 #include <cstring>
@@ -38,7 +38,7 @@ Status Run(const char* mode) {
   // the timeseries ends with a baseline point and one delta.
   dbms.EnableTimeseries(1);
   // Slow-query capture at threshold 0: every operation qualifies, so the
-  // slowlog/chrometrace exports have material regardless of how fast the
+  // flight/chrometrace exports have slow traces regardless of how fast the
   // tour machine is.
   dbms.slow_query_log().set_threshold_ms(0.0);
   dbms.slow_query_log().set_enabled(true);
@@ -108,24 +108,21 @@ Status Run(const char* mode) {
 
   // stdout: the one-document export (validated by CI's schema check).
   if (std::strcmp(mode, "flight") == 0) {
-    std::cerr << "\nDumpFlightJson() follows on stdout.\n";
-    std::cout << dbms.DumpFlightJson("tour") << "\n";
+    std::cerr << "\nflight().DumpJson() follows on stdout.\n";
+    std::cout << dbms.flight().DumpJson("tour") << "\n";
   } else if (std::strcmp(mode, "timeseries") == 0) {
-    std::cerr << "\nDumpTimeseriesJson() follows on stdout.\n";
+    std::cerr << "\ntimeseries().DumpJson() follows on stdout.\n";
     std::cerr << dbms.ExposeText();  // Prometheus rendering, for humans
-    std::cout << dbms.DumpTimeseriesJson() << "\n";
+    std::cout << dbms.timeseries().DumpJson() << "\n";
   } else if (std::strcmp(mode, "workload") == 0) {
-    std::cerr << "\nWorkloadReport() follows on stdout.\n";
-    std::cout << dbms.WorkloadReport() << "\n";
+    std::cerr << "\nworkload_profiler().ReportJson() follows on stdout.\n";
+    std::cout << dbms.workload_profiler().ReportJson() << "\n";
   } else if (std::strcmp(mode, "top") == 0) {
-    std::cerr << "\n" << dbms.WorkloadReportText();
-    std::cout << dbms.WorkloadReport() << "\n";
-  } else if (std::strcmp(mode, "slowlog") == 0) {
-    std::cerr << "\nDumpSlowLogJson() follows on stdout.\n";
-    std::cout << dbms.DumpSlowLogJson("tour") << "\n";
+    std::cerr << "\n" << dbms.workload_profiler().ReportText();
+    std::cout << dbms.workload_profiler().ReportJson() << "\n";
   } else if (std::strcmp(mode, "slo") == 0) {
-    std::cerr << "\nDumpSloJson() follows on stdout.\n";
-    std::cout << dbms.DumpSloJson() << "\n";
+    std::cerr << "\nslo().DumpJson() follows on stdout.\n";
+    std::cout << dbms.slo().DumpJson() << "\n";
   } else if (std::strcmp(mode, "chrometrace") == 0) {
     std::cerr << "\nDumpChromeTrace() follows on stdout.\n";
     std::cout << dbms.DumpChromeTrace() << "\n";

@@ -358,7 +358,7 @@ class Shell {
 
   Status CmdTop(const std::vector<std::string>& t) {
     size_t n = t.size() > 1 ? std::stoull(t[1]) : 10;
-    std::cout << dbms_->WorkloadReportText(n);
+    std::cout << dbms_->workload_profiler().ReportText(n);
     return Status::OK();
   }
 
@@ -384,7 +384,7 @@ class Shell {
 
   Status CmdTimeseries() {
     dbms_->TickTimeseries();
-    std::cout << dbms_->DumpTimeseriesJson() << "\n";
+    std::cout << dbms_->timeseries().DumpJson() << "\n";
     return Status::OK();
   }
 
@@ -515,12 +515,14 @@ class Shell {
       std::cout << "slow-query capture off\n";
       return Status::OK();
     }
-    std::cout << dbms_->DumpSlowLogJson("shell") << "\n";
+    std::cout << dbms_->slow_query_log().ToJson(
+                     dbms_->flight().SnapshotEvents())
+              << "\n";
     return Status::OK();
   }
 
   Status CmdSlo() {
-    std::cout << dbms_->DumpSloJson() << "\n";
+    std::cout << dbms_->slo().DumpJson() << "\n";
     return Status::OK();
   }
 

@@ -4,16 +4,16 @@
 Tiny structural schema check used by CI's metrics smoke step. The kind of
 document is selected with --kind:
 
-  metrics     DumpMetrics()        — views/devices/registry  (default)
-  flight      DumpFlightJson()     — the flight-recorder event window
-  timeseries  DumpTimeseriesJson() — snapshot deltas + derived rates
-  workload    WorkloadReport()     — the §4.3 function/attribute heatmaps
-  slowlog     DumpSlowLogJson()    — slow queries + joined flight events
-  slo         DumpSloJson()        — per-query-class latency targets/burn
-  chrometrace DumpChromeTrace()    — Chrome trace-event (catapult) JSON
+  metrics     DumpMetrics()            — views/devices/registry (default)
+  flight      flight().DumpJson()      — the black box: event window plus
+                                         slow traces + joined events
+  timeseries  timeseries().DumpJson()  — snapshot deltas + derived rates
+  workload    workload_profiler().ReportJson() — the §4.3 heatmaps
+  slo         slo().DumpJson()         — per-query-class targets/burn
+  chrometrace DumpChromeTrace()        — Chrome trace-event (catapult) JSON
 
 Each document must parse as one JSON object and carry the signals
-DESIGN.md §10/§12 promise. Exits non-zero with a message on the first
+DESIGN.md §10 promises. Exits non-zero with a message on the first
 violation.
 """
 
@@ -93,9 +93,19 @@ KNOWN_EVENT_KINDS = {
     "delta_flush",
 }
 
-# Per-event keys shared by the flight dump and the slow log's joined
-# events ("trace" is the PR 10 causal join key).
+# Per-event keys shared by the flight window and the slow traces' joined
+# events ("trace" is the causal join key).
 EVENT_KEYS = ("seq", "t_ms", "kind", "label", "a", "b", "x", "trace")
+
+KNOWN_OUTCOMES = {"unknown", "cache_hit", "stale_cache_hit", "inferred",
+                  "computed", "error"}
+
+
+def check_event(ev: dict, where: str) -> None:
+    for key in EVENT_KEYS:
+        require(key in ev, f"{where} missing '{key}'")
+    require(ev["kind"] in KNOWN_EVENT_KINDS,
+            f"{where} has unknown kind '{ev['kind']}'")
 
 
 def check_flight(doc: dict) -> str:
@@ -103,7 +113,7 @@ def check_flight(doc: dict) -> str:
     flight = doc["flight"]
     require(isinstance(flight, dict), "'flight' is not an object")
     for key in ("reason", "enabled", "capacity", "recorded", "sampled_out",
-                "sample_every", "auto_dumps", "events"):
+                "sample_every", "auto_dumps", "events", "slow_traces"):
         require(key in flight, f"flight missing '{key}'")
     events = flight["events"]
     require(isinstance(events, list), "'events' is not an array")
@@ -111,15 +121,54 @@ def check_flight(doc: dict) -> str:
             "more events than ring capacity")
     last_seq = -1
     for i, ev in enumerate(events):
-        for key in EVENT_KEYS:
-            require(key in ev, f"event [{i}] missing '{key}'")
-        require(ev["kind"] in KNOWN_EVENT_KINDS,
-                f"event [{i}] has unknown kind '{ev['kind']}'")
+        check_event(ev, f"event [{i}]")
         require(ev["seq"] > last_seq,
                 f"event [{i}] seq {ev['seq']} not ascending")
         last_seq = ev["seq"]
+    window = {ev["seq"] for ev in events}
+    slow = check_slow_traces(flight["slow_traces"], window)
     return (f"reason '{flight['reason']}', {len(events)} event(s) of "
-            f"{flight['recorded']} recorded")
+            f"{flight['recorded']} recorded; {slow}")
+
+
+def check_slow_traces(log: dict, window: set) -> str:
+    require(isinstance(log, dict), "'slow_traces' is not an object")
+    for key in ("threshold_ms", "capacity", "captured", "dropped",
+                "entries"):
+        require(key in log, f"slow_traces missing '{key}'")
+    entries = log["entries"]
+    require(isinstance(entries, list), "'entries' is not an array")
+    require(len(entries) <= log["capacity"],
+            "more slow traces than the log's capacity")
+    require(log["captured"] >= len(entries) + log["dropped"],
+            "captured < retained + dropped")
+    for i, entry in enumerate(entries):
+        for key in ("trace_id", "wall_ms", "outcome", "trace",
+                    "flight_events"):
+            require(key in entry, f"slow trace [{i}] missing '{key}'")
+        require(entry["outcome"] in KNOWN_OUTCOMES,
+                f"slow trace [{i}] has unknown outcome '{entry['outcome']}'")
+        trace = entry["trace"]
+        for key in ("trace_id", "session_id", "query_seq", "operation",
+                    "outcome", "total_ms", "spans"):
+            require(key in trace, f"slow trace [{i}] trace missing '{key}'")
+        require(trace["trace_id"] == entry["trace_id"],
+                f"slow trace [{i}]: trace_id disagrees with its trace")
+        for j, span in enumerate(trace["spans"]):
+            for key in ("span", "start_ms", "wall_ms", "rows", "pages"):
+                require(key in span,
+                        f"slow trace [{i}] span [{j}] missing '{key}'")
+        for j, ev in enumerate(entry["flight_events"]):
+            check_event(ev, f"slow trace [{i}] event [{j}]")
+            # The join invariant: every joined event carries the entry's
+            # trace_id and comes from the same dump's event window.
+            require(ev["trace"] == entry["trace_id"],
+                    f"slow trace [{i}] event [{j}] trace {ev['trace']} != "
+                    f"entry trace_id {entry['trace_id']}")
+            require(ev["seq"] in window,
+                    f"slow trace [{i}] event [{j}] seq {ev['seq']} is not "
+                    "in the dump's event window")
+    return f"{len(entries)} slow trace(s) of {log['captured']} captured"
 
 
 def check_timeseries(doc: dict) -> str:
@@ -184,55 +233,6 @@ def check_workload(doc: dict) -> str:
     return (f"{wl['total_queries']} queries over "
             f"{len(wl['functions'])} function cell(s), "
             f"{len(wl['attributes'])} attribute row(s)")
-
-
-KNOWN_OUTCOMES = {"unknown", "cache_hit", "stale_cache_hit", "inferred",
-                  "computed", "error"}
-
-
-def check_slowlog(doc: dict) -> str:
-    require("slow_query_log" in doc,
-            "missing top-level 'slow_query_log' object")
-    log = doc["slow_query_log"]
-    require(isinstance(log, dict), "'slow_query_log' is not an object")
-    for key in ("reason", "threshold_ms", "capacity", "captured", "dropped",
-                "entries"):
-        require(key in log, f"slow_query_log missing '{key}'")
-    entries = log["entries"]
-    require(isinstance(entries, list), "'entries' is not an array")
-    require(len(entries) <= log["capacity"],
-            "more entries than the log's capacity")
-    require(log["captured"] >= len(entries) + log["dropped"],
-            "captured < retained + dropped")
-    for i, entry in enumerate(entries):
-        for key in ("trace_id", "wall_ms", "outcome", "trace",
-                    "flight_events"):
-            require(key in entry, f"entry [{i}] missing '{key}'")
-        require(entry["outcome"] in KNOWN_OUTCOMES,
-                f"entry [{i}] has unknown outcome '{entry['outcome']}'")
-        trace = entry["trace"]
-        for key in ("trace_id", "session_id", "query_seq", "operation",
-                    "outcome", "total_ms", "spans"):
-            require(key in trace, f"entry [{i}] trace missing '{key}'")
-        require(trace["trace_id"] == entry["trace_id"],
-                f"entry [{i}]: trace_id disagrees with its trace")
-        for j, span in enumerate(trace["spans"]):
-            for key in ("span", "start_ms", "wall_ms", "rows", "pages"):
-                require(key in span,
-                        f"entry [{i}] span [{j}] missing '{key}'")
-        for j, ev in enumerate(entry["flight_events"]):
-            for key in EVENT_KEYS:
-                require(key in ev,
-                        f"entry [{i}] event [{j}] missing '{key}'")
-            require(ev["kind"] in KNOWN_EVENT_KINDS,
-                    f"entry [{i}] event [{j}] unknown kind '{ev['kind']}'")
-            # The join invariant: every joined event carries the entry's
-            # trace_id — that is what made it part of this entry.
-            require(ev["trace"] == entry["trace_id"],
-                    f"entry [{i}] event [{j}] trace {ev['trace']} != "
-                    f"entry trace_id {entry['trace_id']}")
-    return (f"reason '{log['reason']}', {len(entries)} entr(ies) of "
-            f"{log['captured']} captured")
 
 
 def check_slo(doc: dict) -> str:
@@ -300,7 +300,6 @@ CHECKERS = {
     "flight": check_flight,
     "timeseries": check_timeseries,
     "workload": check_workload,
-    "slowlog": check_slowlog,
     "slo": check_slo,
     "chrometrace": check_chrometrace,
 }

@@ -7,7 +7,7 @@
 namespace statdb {
 namespace causal {
 
-/// statdb::causal — end-to-end causal tracing (DESIGN.md §17).
+/// statdb::causal — end-to-end causal tracing (DESIGN.md §10).
 ///
 /// A TraceContext identifies one top-level operation: every public entry
 /// point (Query*/Update/Rollback/Recover, session ops) mints one, and it

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -141,6 +142,10 @@ struct ViewOracle {
   std::function<Result<std::vector<double>>(const std::string&)> read_numeric;
   /// Raw cells of one attribute, nulls included (bivariate input).
   std::function<Result<std::vector<Value>>(const std::string&)> read_column;
+  /// Attributes with pending (unflushed) update deltas. Their entries
+  /// are skipped like stale-flagged ones: exact queries flush them
+  /// before serving, so their lag is declared, not silent.
+  std::set<std::string> pending_attributes;
 };
 
 struct AuditOptions {

@@ -20,6 +20,10 @@ Status DbAuditor::AuditView(const std::string& view, CheckReport* report) {
 
   ViewOracle oracle;
   oracle.view_version = concrete->version();
+  for (const std::string& attr :
+       dbms_->views_.at(view).deltas.PendingAttributes()) {
+    oracle.pending_attributes.insert(attr);
+  }
   oracle.read_numeric =
       [concrete](const std::string& attr) -> Result<std::vector<double>> {
     return concrete->ReadNumericColumn(attr);

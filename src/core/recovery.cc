@@ -112,7 +112,6 @@ void StatisticalDbms::EnterDegraded(const std::string& reason) {
   // for: record it and (if armed) ship the event window to disk.
   flight_.Record(causal::Current(), FlightEventKind::kDegraded, reason);
   flight_.AutoDumpOnce("degraded");
-  slow_log_.AutoDumpOnce("degraded");
 }
 
 Status StatisticalDbms::EnableDurability(const std::string& wal_device) {
@@ -385,24 +384,11 @@ Status StatisticalDbms::Recover() {
   causal::ScopedTraceContext scope(causal::Mint());
   TraceTimer timer;
   std::optional<QueryTrace> trace;
-  if (WantTrace()) {
-    trace.emplace();
-    trace->SetLabel("recover", "", "", "");
-    trace->SetContext(scope.ctx().trace_id, scope.ctx().session_id,
-                      scope.ctx().query_seq);
-  }
-  QueryTrace* tr = trace ? &*trace : nullptr;
+  QueryTrace* tr = BeginTrace(&trace, scope.ctx(), "recover");
   Status s = RecoverImpl(tr);
-  double ms = timer.ElapsedMs();
-  slo_.Record("recover", ms, !s.ok());
-  if (tr != nullptr) {
-    tr->SetOutcome(s.ok() ? TraceOutcome::kComputed : TraceOutcome::kError);
-    tr->SetTotalMs(ms);
-    if (trace_sink_ != nullptr) trace_sink_->OnQueryTrace(*tr);
-    if (slow_log_.enabled() && slow_log_.ShouldCapture(ms)) {
-      slow_log_.Capture(*tr, ms, &flight_);
-    }
-  }
+  FinishOperation(OpClass::kRecover, timer,
+                  s.ok() ? TraceOutcome::kComputed : TraceOutcome::kError,
+                  tr);
   return s;
 }
 

@@ -49,7 +49,7 @@ struct FlushEnv {
   /// Causal context of the operation that triggered this flush (the
   /// querying/updating caller, not the buffered writers) — stamped on
   /// every kMaintainerFire / kDeltaFlush event so a flush joins its
-  /// trigger's trace (DESIGN.md §17).
+  /// trigger's trace (DESIGN.md §10).
   causal::TraceContext ctx;
 };
 

@@ -101,7 +101,7 @@ Result<QueryAnswer> Session::Query(const std::string& view,
   // The session is the one entry point that knows which analyst is
   // asking: mint the causal context here, with the session id stamped,
   // so every downstream flight event (I/O retries, faults) joins this
-  // query's trace (DESIGN.md §17).
+  // query's trace (DESIGN.md §10).
   causal::ScopedTraceContext scope(causal::Mint(id_));
   TraceTimer timer;
   BumpQueries();
@@ -506,6 +506,10 @@ void SessionManager::EndMutation(const std::string& view, ConcreteView* live,
   timeline_.CloseView(view, prev);
   mutations_.fetch_add(1, std::memory_order_relaxed);
   MutexLock lock(admission_mu_);
+  // BeginMutation captured with no lock held, so the last reader's Close
+  // may have trimmed before this capture landed in `retired`; trim again
+  // (same admission_mu_ -> registry order as Close).
+  registry_.TrimRetired(MinPinnedSeqLocked());
   mutation_in_flight_ = false;
   admission_cv_.NotifyAll();
 }

@@ -115,7 +115,7 @@ class Session {
   std::atomic<uint64_t> pages_{0};
   std::atomic<uint64_t> flushes_{0};
 
-  /// Per-session metric scope (DESIGN.md §17): each bump site increments
+  /// Per-session metric scope (DESIGN.md §10): each bump site increments
   /// the session atomic, the per-label instrument and the manager's
   /// global "sessions.*" mirror in the same statement — that is the
   /// attribution invariant the stress test asserts (sum over sessions of

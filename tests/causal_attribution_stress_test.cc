@@ -1,4 +1,4 @@
-// Per-session metric attribution under contention (DESIGN.md §17).
+// Per-session metric attribution under contention (DESIGN.md §10).
 //
 // The invariant: every per-session instrument family sums EXACTLY to
 // its global mirror — session.<label>.queries over all labels equals

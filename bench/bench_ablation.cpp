@@ -97,8 +97,9 @@ int main() {
 
   pool->ResetStats();
   disk->ResetStats();
-  CheckOk(raw.Scan(
-      [](uint64_t, std::optional<int64_t>) { return Status::OK(); }));
+  CheckOk(raw.ScanPages(0, raw.size(), [](uint64_t, const ColumnPageView&) {
+    return Status::OK();
+  }));
   std::printf("  raw column       : %4zu pages, scan %5llu reads,"
               " %7.0f ms\n",
               raw.page_count(),

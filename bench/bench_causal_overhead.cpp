@@ -97,12 +97,12 @@ int main(int argc, char** argv) {
       {"export", true, true, true},
   };
 
-  dbms.slow_query_log().set_threshold_ms(0.0);
+  dbms.flight().slow_log().set_threshold_ms(0.0);
 
   for (int rep = 0; rep < kReps; ++rep) {
     for (Phase& p : phases) {
       dbms.flight().set_enabled(p.flight);
-      dbms.slow_query_log().set_enabled(p.slow_log);
+      dbms.flight().slow_log().set_enabled(p.slow_log);
       double io_before = SimulatedIoMs(sm.get());
       WallTimer t;
       Unwrap(dbms.QueryMany("v", battery, no_cache, kWorkers));
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
     }
   }
   dbms.flight().set_enabled(true);
-  dbms.slow_query_log().set_enabled(false);
+  dbms.flight().slow_log().set_enabled(false);
 
   const double off_ms = phases[0].min_ms;
   std::printf("\n%10s %12s %12s %14s %12s\n", "phase", "min ms",
@@ -166,8 +166,8 @@ int main(int argc, char** argv) {
               "(%.4f%% of one tracing-off query)\n",
               ctx_ns, overhead_ctx_pct);
   std::printf("slow log captured %llu entries (%llu dropped)\n",
-              (unsigned long long)dbms.slow_query_log().captured(),
-              (unsigned long long)dbms.slow_query_log().dropped());
+              (unsigned long long)dbms.flight().slow_log().captured(),
+              (unsigned long long)dbms.flight().slow_log().dropped());
 
   WriteBenchJson(
       "causal_overhead",
@@ -188,8 +188,8 @@ int main(int argc, char** argv) {
           .Num("overhead_export_pct",
                off_ms > 0 ? (phases[2].min_ms / off_ms - 1.0) * 100.0 : 0)
           .Num("simulated_io_ms", phases[0].io_ms)
-          .Int("slow_entries_captured", dbms.slow_query_log().captured())
-          .Int("slow_entries_dropped", dbms.slow_query_log().dropped())
+          .Int("slow_entries_captured", dbms.flight().slow_log().captured())
+          .Int("slow_entries_dropped", dbms.flight().slow_log().dropped())
           .Raw("phases", JsonArray(phase_rows))
           .Build());
   return 0;

@@ -127,10 +127,13 @@ void BM_ColumnScan(benchmark::State& state) {
   }
   for (auto _ : state) {
     int64_t sum = 0;
-    (void)col.Scan([&sum](uint64_t, std::optional<int64_t> v) {
-      if (v.has_value()) sum += *v;
-      return Status::OK();
-    });
+    (void)col.ScanPages(0, col.size(),
+                        [&sum](uint64_t, const ColumnPageView& page) {
+                          for (size_t i = 0; i < page.size(); ++i) {
+                            if (page.valid(i)) sum += page.raw(i);
+                          }
+                          return Status::OK();
+                        });
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -40,8 +40,8 @@ Status Run(const char* mode) {
   // Slow-query capture at threshold 0: every operation qualifies, so the
   // flight/chrometrace exports have slow traces regardless of how fast the
   // tour machine is.
-  dbms.slow_query_log().set_threshold_ms(0.0);
-  dbms.slow_query_log().set_enabled(true);
+  dbms.flight().slow_log().set_threshold_ms(0.0);
+  dbms.flight().slow_log().set_enabled(true);
 
   CensusOptions gen;
   gen.rows = 20000;

@@ -503,19 +503,19 @@ class Shell {
   Status CmdSlow(const std::vector<std::string>& t) {
     if (t.size() > 1 && t[1] == "on") {
       if (t.size() > 2) {
-        dbms_->slow_query_log().set_threshold_ms(std::stod(t[2]));
+        dbms_->flight().slow_log().set_threshold_ms(std::stod(t[2]));
       }
-      dbms_->slow_query_log().set_enabled(true);
+      dbms_->flight().slow_log().set_enabled(true);
       std::cout << "slow-query capture on (threshold "
-                << dbms_->slow_query_log().threshold_ms() << " ms)\n";
+                << dbms_->flight().slow_log().threshold_ms() << " ms)\n";
       return Status::OK();
     }
     if (t.size() > 1 && t[1] == "off") {
-      dbms_->slow_query_log().set_enabled(false);
+      dbms_->flight().slow_log().set_enabled(false);
       std::cout << "slow-query capture off\n";
       return Status::OK();
     }
-    std::cout << dbms_->slow_query_log().ToJson(
+    std::cout << dbms_->flight().slow_log().ToJson(
                      dbms_->flight().SnapshotEvents())
               << "\n";
     return Status::OK();

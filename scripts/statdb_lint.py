@@ -33,7 +33,10 @@ CI next to the thread-safety lane:
                             under src/simd/. A callback per cell defeats
                             the whole point of the batch kernels
                             (DESIGN.md §14) and sneaks an indirect call
-                            into the inner loop.
+                            into the inner loop. The same holds for
+                            src/storage/column_file.h: its one scan,
+                            ScanPages, hands the caller a page of cells
+                            at a time; no std::function there.
   R6 readpath-latch         Snapshot-reader code (src/session/, src/exec/)
                             never calls the BufferPool's latched entry
                             points (FetchPage / NewPage / UnpinPage /
@@ -380,29 +383,31 @@ def check_loop_mutation(path, text):
     return findings
 
 
-# --- R5: simd kernels take spans/runs, not per-row callbacks -----------------
+# --- R5: simd kernels and the column scan take batches, not per-row callbacks -
 
 SIMD_DIR_RE = re.compile(r"^src/simd/")
+COLUMN_FILE_H = "src/storage/column_file.h"
 STD_FUNCTION_RE = re.compile(r"\bstd\s*::\s*function\s*<")
 
 
 def check_simd_span_inputs(path, text):
-    if not SIMD_DIR_RE.match(path.replace(os.sep, "/")):
+    rel = path.replace(os.sep, "/")
+    if SIMD_DIR_RE.match(rel):
+        why = ("std::function in src/simd/ — kernels take contiguous "
+               "spans or RleRun/MatchedRun arrays (pointer + length); "
+               "a per-row callback defeats the batch contract "
+               "(DESIGN.md §14)")
+    elif rel == COLUMN_FILE_H:
+        why = ("std::function in column_file.h — columns are scanned "
+               "through ScanPages, one call per pinned page with a "
+               "ColumnPageView; a per-cell callback puts an indirect "
+               "call on every cell of every scan (DESIGN.md §9)")
+    else:
         return []
     findings = []
     for lineno, line in enumerate(strip_comments(text).splitlines(), 1):
         if STD_FUNCTION_RE.search(line):
-            findings.append(
-                Finding(
-                    "simd-span-inputs",
-                    path,
-                    lineno,
-                    "std::function in src/simd/ — kernels take contiguous "
-                    "spans or RleRun/MatchedRun arrays (pointer + length); "
-                    "a per-row callback defeats the batch contract "
-                    "(DESIGN.md §14)",
-                )
-            )
+            findings.append(Finding("simd-span-inputs", path, lineno, why))
     return findings
 
 
@@ -553,26 +558,32 @@ def load_repo():
     return files
 
 
-# One injected violation per rule; --self-test must see every one fire.
-SELF_TEST_SNIPPETS = {
-    "naked-sync-primitive": (
+# Injected violations, at least one per rule; --self-test must see every
+# one fire.
+SELF_TEST_SNIPPETS = [
+    (
+        "naked-sync-primitive",
         "src/core/injected_r1.h",
         "class Bad {\n  std::mutex mu_;\n};\n",
     ),
-    "nodiscard-status": (
+    (
+        "nodiscard-status",
         # Replaces the real header in the synthetic corpus: nodiscard gone.
         "src/common/status.h",
         "class Status {\n public:\n  bool ok() const;\n};\n",
     ),
-    "flight-relaxed-atomics": (
+    (
+        "flight-relaxed-atomics",
         "src/flight/flight_recorder.cc",
         "void f(std::atomic<uint64_t>& a) {\n  a.store(1);\n}\n",
     ),
-    "double-keyed-map": (
+    (
+        "double-keyed-map",
         "src/summary/injected_r4a.h",
         "#include <map>\nstd::map<double, int> cache_;\n",
     ),
-    "loop-invalidating-mutation": (
+    (
+        "loop-invalidating-mutation",
         "src/core/injected_r4b.cc",
         "void f(std::vector<int>& xs) {\n"
         "  for (int x : xs) {\n"
@@ -580,19 +591,35 @@ SELF_TEST_SNIPPETS = {
         "  }\n"
         "}\n",
     ),
-    "simd-span-inputs": (
+    (
+        "simd-span-inputs",
         "src/simd/injected_r5.h",
         "#include <functional>\n"
         "void DescribeCells(\n"
         "    const std::function<void(double)>& per_row);\n",
     ),
-    "readpath-latch": (
+    (
+        "simd-span-inputs",
+        # Replaces the real header in the synthetic corpus: a per-cell
+        # scan callback back beside ScanPages.
+        "src/storage/column_file.h",
+        "class ColumnFile {\n"
+        " public:\n"
+        "  Status ScanRange(uint64_t begin, uint64_t end,\n"
+        "      const std::function<Status(uint64_t,\n"
+        "                                 std::optional<int64_t>)>& fn)\n"
+        "      const;\n"
+        "};\n",
+    ),
+    (
+        "readpath-latch",
         "src/session/injected_r6.cc",
         "void ReadCells(BufferPool* pool, PageId id) {\n"
         "  auto page = pool->FetchPage(id);\n"
         "}\n",
     ),
-    "delta-routed-maintenance": (
+    (
+        "delta-routed-maintenance",
         # Replaces the real dbms.cc in the synthetic corpus: a mutation
         # path draining a maintainer by hand instead of via the buffer.
         "src/core/dbms.cc",
@@ -601,7 +628,8 @@ SELF_TEST_SNIPPETS = {
         "  return Status::Ok();\n"
         "}\n",
     ),
-    "causal-traced-events": (
+    (
+        "causal-traced-events",
         # A context-aware layer dropping the join key: the wrapped bare
         # call must fire even though Record( and FlightEventKind:: sit on
         # different lines.
@@ -611,13 +639,13 @@ SELF_TEST_SNIPPETS = {
         "      FlightEventKind::kDegraded, \"oops\");\n"
         "}\n",
     ),
-}
+]
 
 
 def self_test():
     ok = True
     # Each rule must fire on its injected violation...
-    for rule, (path, snippet) in SELF_TEST_SNIPPETS.items():
+    for rule, path, snippet in SELF_TEST_SNIPPETS:
         corpus = {path: snippet}
         if rule == "nodiscard-status":
             # Provide a well-formed result.h so only the Status side trips.

@@ -47,4 +47,13 @@ Result<std::string> ByteReader::GetString() {
   return s;
 }
 
+Result<uint32_t> ByteReader::GetCount(size_t min_elem_bytes) {
+  STATDB_ASSIGN_OR_RETURN(uint32_t n, GetU32());
+  if (uint64_t{n} * min_elem_bytes > remaining()) {
+    return DataLossError("element count " + std::to_string(n) +
+                         " exceeds the bytes that follow");
+  }
+  return n;
+}
+
 }  // namespace statdb

@@ -56,6 +56,12 @@ class ByteReader {
   Result<double> GetDouble();
   Result<std::string> GetString();
 
+  /// Reads a u32 element count for a sequence whose elements encode to
+  /// at least `min_elem_bytes` each. DATA_LOSS when that many elements
+  /// cannot fit in the bytes that remain, so a decoder may size a
+  /// container by the count without trusting the bytes it came from.
+  Result<uint32_t> GetCount(size_t min_elem_bytes);
+
   /// Borrows `n` raw bytes (valid while the underlying buffer lives) and
   /// advances past them.
   Result<const uint8_t*> GetRaw(size_t n) {

@@ -483,12 +483,6 @@ class StatisticalDbms {
   /// entry writes the incident document there (once).
   FlightRecorder& flight() { return flight_; }
 
-  /// Bounded log of threshold-exceeding operations, kept beside the
-  /// flight ring: each retained QueryTrace is joined with the ring events
-  /// carrying its trace_id when read. Disabled by default (capturing
-  /// needs traces built on every query).
-  SlowQueryLog& slow_query_log() { return flight_.slow_log(); }
-
   /// Chrome trace-event (catapult) export of the slow-query log's
   /// captured traces laid against the flight window — open the result
   /// in chrome://tracing or Perfetto. `trace_id_filter` != 0 restricts

@@ -63,7 +63,8 @@ Status ReadHistory(ByteReader* r, UpdateHistory* history) {
     UpdateLogEntry e;
     STATDB_ASSIGN_OR_RETURN(e.version, r->GetU64());
     STATDB_ASSIGN_OR_RETURN(e.description, r->GetString());
-    STATDB_ASSIGN_OR_RETURN(uint32_t nchanges, r->GetU32());
+    // Each change: row, column name, two value tags at least.
+    STATDB_ASSIGN_OR_RETURN(uint32_t nchanges, r->GetCount(8 + 4 + 1 + 1));
     e.changes.reserve(nchanges);
     for (uint32_t c = 0; c < nchanges; ++c) {
       CellChange ch;

@@ -53,7 +53,8 @@ void WriteSchema(ByteWriter* w, const Schema& schema) {
 }
 
 Result<Schema> ReadSchema(ByteReader* r) {
-  STATDB_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
+  // Each attribute: name, type, kind, code table, summarizable.
+  STATDB_ASSIGN_OR_RETURN(uint32_t n, r->GetCount(4 + 1 + 1 + 4 + 1));
   std::vector<Attribute> attrs;
   attrs.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -77,7 +78,7 @@ void WritePageIds(ByteWriter* w, const std::vector<PageId>& ids) {
 }
 
 Result<std::vector<PageId>> ReadPageIds(ByteReader* r) {
-  STATDB_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
+  STATDB_ASSIGN_OR_RETURN(uint32_t n, r->GetCount(sizeof(PageId)));
   std::vector<PageId> ids;
   ids.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -268,14 +269,15 @@ Status StatisticalDbms::ApplyManifest(const std::vector<uint8_t>& manifest) {
     STATDB_ASSIGN_OR_RETURN(Schema schema, ReadSchema(&r));
     STATDB_ASSIGN_OR_RETURN(uint64_t view_version, r.GetU64());
     STATDB_ASSIGN_OR_RETURN(uint64_t num_rows, r.GetU64());
-    STATDB_ASSIGN_OR_RETURN(uint32_t ncols, r.GetU32());
+    // Each column: page-id count, cell count, label count.
+    STATDB_ASSIGN_OR_RETURN(uint32_t ncols, r.GetCount(4 + 8 + 4));
     std::vector<TransposedTable::ColumnState> columns;
     columns.reserve(ncols);
     for (uint32_t c = 0; c < ncols; ++c) {
       TransposedTable::ColumnState col;
       STATDB_ASSIGN_OR_RETURN(col.pages, ReadPageIds(&r));
       STATDB_ASSIGN_OR_RETURN(col.count, r.GetU64());
-      STATDB_ASSIGN_OR_RETURN(uint32_t nlabels, r.GetU32());
+      STATDB_ASSIGN_OR_RETURN(uint32_t nlabels, r.GetCount(4));
       col.labels.reserve(nlabels);
       for (uint32_t l = 0; l < nlabels; ++l) {
         STATDB_ASSIGN_OR_RETURN(std::string label, r.GetString());

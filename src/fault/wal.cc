@@ -61,7 +61,9 @@ Result<WalRecord> RedoLog::ParseBody(const std::vector<uint8_t>& body) {
   WalRecord rec;
   STATDB_ASSIGN_OR_RETURN(rec.lsn, r.GetU64());
   STATDB_ASSIGN_OR_RETURN(rec.attr_hint, r.GetString());
-  STATDB_ASSIGN_OR_RETURN(uint32_t npages, r.GetU32());
+  // Each page image: pid, checksum, flags, lsn, data.
+  constexpr size_t kPageImageBytes = 8 + 4 + 4 + 8 + kPageSize;
+  STATDB_ASSIGN_OR_RETURN(uint32_t npages, r.GetCount(kPageImageBytes));
   rec.pages.reserve(npages);
   for (uint32_t i = 0; i < npages; ++i) {
     STATDB_ASSIGN_OR_RETURN(PageId pid, r.GetU64());

@@ -218,7 +218,8 @@ class FlightRecorder {
   /// Slots a writer is mid-stamp on are skipped, not blocked on.
   std::vector<FlightEvent> SnapshotEvents() const;
 
-  /// The slow-query log kept beside the ring.
+  /// The slow-query log kept beside the ring. Disabled by default:
+  /// capturing needs a trace built on every query.
   SlowQueryLog& slow_log() { return slow_log_; }
   const SlowQueryLog& slow_log() const { return slow_log_; }
 

@@ -1,8 +1,19 @@
 #include "relational/stored_table.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 
 namespace statdb {
+namespace {
+
+// A numeric cell's value: int64 cells convert, double cells are stored as
+// their bit pattern.
+double DecodeNumeric(bool is_int, int64_t raw) {
+  return is_int ? static_cast<double>(raw) : std::bit_cast<double>(raw);
+}
+
+}  // namespace
 
 Status StoredRowTable::Append(const Row& row) {
   if (row.size() != schema_.size()) {
@@ -187,9 +198,14 @@ Result<std::vector<Value>> TransposedTable::ReadColumn(
   STATDB_ASSIGN_OR_RETURN(size_t col, schema_.IndexOf(name));
   std::vector<Value> out;
   out.reserve(num_rows_);
-  STATDB_RETURN_IF_ERROR(columns_[col].file->Scan(
-      [this, col, &out](uint64_t, std::optional<int64_t> raw) -> Status {
-        out.push_back(DecodeCell(col, raw));
+  STATDB_RETURN_IF_ERROR(columns_[col].file->ScanPages(
+      0, num_rows_,
+      [this, col, &out](uint64_t, const ColumnPageView& page) -> Status {
+        for (size_t i = 0; i < page.size(); ++i) {
+          out.push_back(DecodeCell(col, page.valid(i)
+                                            ? std::optional(page.raw(i))
+                                            : std::nullopt));
+        }
         return Status::OK();
       }));
   return out;
@@ -197,23 +213,7 @@ Result<std::vector<Value>> TransposedTable::ReadColumn(
 
 Result<std::vector<double>> TransposedTable::ReadNumericColumn(
     const std::string& name) const {
-  STATDB_ASSIGN_OR_RETURN(size_t col, schema_.IndexOf(name));
-  DataType t = schema_.attr(col).type;
-  if (t != DataType::kInt64 && t != DataType::kDouble) {
-    return InvalidArgumentError("column is not numeric: " + name);
-  }
-  std::vector<double> out;
-  out.reserve(num_rows_);
-  STATDB_RETURN_IF_ERROR(columns_[col].file->Scan(
-      [t, &out](uint64_t, std::optional<int64_t> raw) -> Status {
-        if (raw.has_value()) {
-          out.push_back(t == DataType::kInt64
-                            ? static_cast<double>(*raw)
-                            : std::bit_cast<double>(*raw));
-        }
-        return Status::OK();
-      }));
-  return out;
+  return ReadNumericRange(name, 0, num_rows_);
 }
 
 Result<std::vector<double>> TransposedTable::ReadNumericRange(
@@ -223,15 +223,15 @@ Result<std::vector<double>> TransposedTable::ReadNumericRange(
   if (t != DataType::kInt64 && t != DataType::kDouble) {
     return InvalidArgumentError("column is not numeric: " + name);
   }
+  end = std::min(end, num_rows_);
   std::vector<double> out;
   if (end > begin) out.reserve(end - begin);
-  STATDB_RETURN_IF_ERROR(columns_[col].file->ScanRange(
+  const bool is_int = t == DataType::kInt64;
+  STATDB_RETURN_IF_ERROR(columns_[col].file->ScanPages(
       begin, end,
-      [t, &out](uint64_t, std::optional<int64_t> raw) -> Status {
-        if (raw.has_value()) {
-          out.push_back(t == DataType::kInt64
-                            ? static_cast<double>(*raw)
-                            : std::bit_cast<double>(*raw));
+      [is_int, &out](uint64_t, const ColumnPageView& page) -> Status {
+        for (size_t i = 0; i < page.size(); ++i) {
+          if (page.valid(i)) out.push_back(DecodeNumeric(is_int, page.raw(i)));
         }
         return Status::OK();
       }));
@@ -251,34 +251,38 @@ Status TransposedTable::ReadNumericPairsRange(
   // number, so a non-numeric column yields zero pairs, not an error.
   if (!numeric(col_a) || !numeric(col_b)) return Status::OK();
   end = std::min(end, num_rows_);
-  if (begin >= end) return Status::OK();
+  const bool int_a = schema_.attr(col_a).type == DataType::kInt64;
+  const bool int_b = schema_.attr(col_b).type == DataType::kInt64;
 
-  // Gather both ranges (nulls preserved as nullopt), then zip.
-  auto gather = [this, begin, end](size_t col)
-      -> Result<std::vector<std::optional<int64_t>>> {
-    std::vector<std::optional<int64_t>> raw;
-    raw.reserve(end - begin);
-    STATDB_RETURN_IF_ERROR(columns_[col].file->ScanRange(
-        begin, end,
-        [&raw](uint64_t, std::optional<int64_t> cell) -> Status {
-          raw.push_back(cell);
+  // Zip page by page: both columns keep row r on page r / kCellsPerPage.
+  // One page of column a is copied to the stack and its pin released
+  // before column b's page is pinned, so no scan holds two pins.
+  constexpr size_t kCells = ColumnFile::kCellsPerPage;
+  std::array<int64_t, kCells> a_raw;
+  std::array<bool, kCells> a_valid;
+  for (uint64_t lo = begin; lo < end;) {
+    const uint64_t hi = std::min<uint64_t>(end, (lo / kCells + 1) * kCells);
+    size_t a_size = 0;
+    STATDB_RETURN_IF_ERROR(columns_[col_a].file->ScanPages(
+        lo, hi, [&](uint64_t, const ColumnPageView& page) -> Status {
+          a_size = page.size();
+          for (size_t i = 0; i < a_size; ++i) {
+            a_valid[i] = page.valid(i);
+            a_raw[i] = page.raw(i);
+          }
           return Status::OK();
         }));
-    return raw;
-  };
-  STATDB_ASSIGN_OR_RETURN(std::vector<std::optional<int64_t>> raw_a,
-                          gather(col_a));
-  STATDB_ASSIGN_OR_RETURN(std::vector<std::optional<int64_t>> raw_b,
-                          gather(col_b));
-  auto decode = [this](size_t col, int64_t raw) {
-    return schema_.attr(col).type == DataType::kInt64
-               ? static_cast<double>(raw)
-               : std::bit_cast<double>(raw);
-  };
-  for (size_t i = 0; i < raw_a.size(); ++i) {
-    if (!raw_a[i].has_value() || !raw_b[i].has_value()) continue;
-    xs->push_back(decode(col_a, *raw_a[i]));
-    ys->push_back(decode(col_b, *raw_b[i]));
+    STATDB_RETURN_IF_ERROR(columns_[col_b].file->ScanPages(
+        lo, hi, [&](uint64_t, const ColumnPageView& page) -> Status {
+          const size_t n = std::min(a_size, page.size());
+          for (size_t i = 0; i < n; ++i) {
+            if (!a_valid[i] || !page.valid(i)) continue;
+            xs->push_back(DecodeNumeric(int_a, a_raw[i]));
+            ys->push_back(DecodeNumeric(int_b, page.raw(i)));
+          }
+          return Status::OK();
+        }));
+    lo = hi;
   }
   return Status::OK();
 }
@@ -354,14 +358,10 @@ Status TransposedTable::CompressColumns(double min_ratio) {
     // Gather the raw cells and count runs BEFORE allocating any device
     // page: the device has no free list, so a speculative sidecar that
     // turns out not to compress would leak its pages forever.
-    std::vector<std::optional<int64_t>> cells;
-    cells.reserve(store.file->size());
-    Status gathered = store.file->Scan(
-        [&cells](uint64_t, std::optional<int64_t> cell) -> Status {
-          cells.push_back(cell);
-          return Status::OK();
-        });
+    Result<std::vector<std::optional<int64_t>>> gathered =
+        store.file->ReadAll();
     if (!gathered.ok()) continue;  // best-effort: keep no sidecar
+    const std::vector<std::optional<int64_t>>& cells = *gathered;
     size_t runs = RleEncode(cells).size();
     size_t est_pages = (runs + CompressedColumnFile::kRunsPerPage - 1) /
                        CompressedColumnFile::kRunsPerPage;

@@ -124,7 +124,7 @@ std::vector<uint8_t> SerializeRow(const Row& row) {
 
 Result<Row> DeserializeRow(const uint8_t* data, size_t size) {
   ByteReader r(data, size);
-  STATDB_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
+  STATDB_ASSIGN_OR_RETURN(uint32_t n, r.GetCount(1));  // a tag per cell
   Row row;
   row.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

@@ -91,49 +91,15 @@ Status ColumnFile::SetDouble(uint64_t index, std::optional<double> cell) {
   return Set(index, std::bit_cast<int64_t>(*cell));
 }
 
-Status ColumnFile::Scan(
-    const std::function<Status(uint64_t, std::optional<int64_t>)>& fn) const {
-  return ScanRange(0, count_, fn);
-}
-
-Status ColumnFile::ScanRange(
-    uint64_t begin, uint64_t end,
-    const std::function<Status(uint64_t, std::optional<int64_t>)>& fn) const {
-  end = std::min(end, count_);
-  if (begin >= end) return Status::OK();
-  for (size_t p = begin / kCellsPerPage; p * kCellsPerPage < end; ++p) {
-    uint64_t page_first = p * kCellsPerPage;
-    // One read-only pin per page, released before the next page is
-    // fetched — a fast-pin holder must never block on the pool latch
-    // while pinned (the eviction path relies on fast pins being
-    // transient; see BufferPool's class comment).
-    STATDB_ASSIGN_OR_RETURN(ReadPin pin, pool_->FetchReadOnly(pages_[p]));
-    const Page* page = pin.get();
-    Status s = Status::OK();
-    size_t c_begin = begin > page_first ? size_t(begin - page_first) : 0;
-    size_t c_end = size_t(std::min<uint64_t>(kCellsPerPage, end - page_first));
-    for (size_t c = c_begin; c < c_end; ++c) {
-      std::optional<int64_t> cell;
-      if (TestBit(*page, c)) {
-        int64_t raw;
-        std::memcpy(&raw, page->bytes() + kCellsOff + c * 8, 8);
-        cell = raw;
-      }
-      s = fn(page_first + c, cell);
-      if (!s.ok()) break;
-    }
-    pin.Release();
-    STATDB_RETURN_IF_ERROR(s);
-  }
-  return Status::OK();
-}
-
 Result<std::vector<std::optional<int64_t>>> ColumnFile::ReadAll() const {
   std::vector<std::optional<int64_t>> out;
   out.reserve(count_);
   STATDB_RETURN_IF_ERROR(
-      Scan([&out](uint64_t, std::optional<int64_t> cell) {
-        out.push_back(cell);
+      ScanPages(0, count_, [&out](uint64_t, const ColumnPageView& page) {
+        for (size_t i = 0; i < page.size(); ++i) {
+          out.push_back(page.valid(i) ? std::optional<int64_t>(page.raw(i))
+                                      : std::nullopt);
+        }
         return Status::OK();
       }));
   return out;

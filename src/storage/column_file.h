@@ -1,8 +1,9 @@
 #ifndef STATDB_STORAGE_COLUMN_FILE_H_
 #define STATDB_STORAGE_COLUMN_FILE_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -11,6 +12,42 @@
 #include "storage/buffer_pool.h"
 
 namespace statdb {
+
+/// One pinned column page's share of a `ColumnFile::ScanPages` call:
+/// cells [0, size()) are consecutive rows starting at the `first_row`
+/// handed to the callback. Borrowed — valid only inside that callback,
+/// whose return releases the page's pin.
+class ColumnPageView {
+ public:
+  size_t size() const { return size_; }
+
+  /// False for a missing value.
+  bool valid(size_t i) const {
+    const size_t slot = first_slot_ + i;
+    return ((bitmap_[slot / 8] >> (slot % 8)) & 1) != 0;
+  }
+
+  /// The raw 8-byte cell: an int64, or the bit pattern of a double.
+  int64_t raw(size_t i) const {
+    int64_t v;
+    std::memcpy(&v, cells_ + (first_slot_ + i) * 8, sizeof(v));
+    return v;
+  }
+
+ private:
+  friend class ColumnFile;
+  ColumnPageView(const uint8_t* bitmap, const uint8_t* cells,
+                 size_t first_slot, size_t size)
+      : bitmap_(bitmap),
+        cells_(cells),
+        first_slot_(first_slot),
+        size_(size) {}
+
+  const uint8_t* bitmap_;
+  const uint8_t* cells_;
+  size_t first_slot_;
+  size_t size_;
+};
 
 /// One column of a transposed ("fully inverted", DSM) file — the storage
 /// structure the paper recommends for statistical data sets (§2.6,
@@ -47,20 +84,36 @@ class ColumnFile {
   Status Set(uint64_t index, std::optional<int64_t> cell);
   Status SetDouble(uint64_t index, std::optional<double> cell);
 
-  /// Calls `fn(index, cell)` for every cell in order, touching each page
-  /// exactly once — the access pattern transposed files optimize for.
-  Status Scan(const std::function<Status(uint64_t, std::optional<int64_t>)>&
-                  fn) const;
-
-  /// Scan restricted to cells [begin, min(end, size())). Touches only the
-  /// pages covering that range, so page-aligned ranges from concurrent
-  /// callers never share a page. Safe to call from multiple threads (the
-  /// buffer pool is internally synchronized and this object is not
-  /// mutated).
-  Status ScanRange(uint64_t begin, uint64_t end,
-                   const std::function<Status(uint64_t,
-                                              std::optional<int64_t>)>& fn)
-      const;
+  /// The column scan — the access pattern transposed files optimize for
+  /// (§2.6). Calls `fn(first_row, const ColumnPageView&) -> Status` once
+  /// per page covering cells [begin, min(end, size())), in order, with
+  /// that page's cells in the range. Each page is read-pinned once and
+  /// released before the next is fetched: a fast-pin holder must never
+  /// block on the pool latch while pinned (the eviction path relies on
+  /// fast pins being transient; see BufferPool's class comment), so `fn`
+  /// must not pin another page. A non-OK status from `fn` stops the scan
+  /// and is returned. Touches only the pages covering the range, so
+  /// page-aligned ranges from concurrent callers never share a page; safe
+  /// to call from multiple threads (the buffer pool is internally
+  /// synchronized and this object is not mutated).
+  template <typename Fn>
+  Status ScanPages(uint64_t begin, uint64_t end, Fn&& fn) const {
+    end = std::min(end, count_);
+    for (uint64_t row = begin; row < end;) {
+      const size_t slot = size_t(row % kCellsPerPage);
+      const size_t n =
+          size_t(std::min<uint64_t>(kCellsPerPage - slot, end - row));
+      const PageId pid = pages_[row / kCellsPerPage];
+      STATDB_ASSIGN_OR_RETURN(ReadPin pin, pool_->FetchReadOnly(pid));
+      const uint8_t* bytes = pin.get()->bytes();
+      Status s = fn(row, ColumnPageView(bytes + kBitmapOff, bytes + kCellsOff,
+                                        slot, n));
+      pin.Release();
+      STATDB_RETURN_IF_ERROR(s);
+      row += n;
+    }
+    return Status::OK();
+  }
 
   /// Bulk-reads the whole column (missing as nullopt).
   Result<std::vector<std::optional<int64_t>>> ReadAll() const;

@@ -57,7 +57,8 @@ std::vector<uint8_t> SerializeRuns(const std::vector<RleRun>& runs) {
 Result<std::vector<RleRun>> DeserializeRuns(
     const std::vector<uint8_t>& bytes) {
   ByteReader r(bytes);
-  STATDB_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
+  // Each run: value, length, present flag.
+  STATDB_ASSIGN_OR_RETURN(uint32_t n, r.GetCount(8 + 4 + 1));
   std::vector<RleRun> runs;
   runs.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

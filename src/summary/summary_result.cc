@@ -148,7 +148,7 @@ Result<SummaryResult> SummaryResult::Deserialize(
       break;
     }
     case SummaryResultKind::kVector: {
-      STATDB_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
+      STATDB_ASSIGN_OR_RETURN(uint32_t n, r.GetCount(sizeof(double)));
       out.vector_.reserve(n);
       for (uint32_t i = 0; i < n; ++i) {
         STATDB_ASSIGN_OR_RETURN(double d, r.GetDouble());
@@ -157,13 +157,13 @@ Result<SummaryResult> SummaryResult::Deserialize(
       break;
     }
     case SummaryResultKind::kHistogram: {
-      STATDB_ASSIGN_OR_RETURN(uint32_t ne, r.GetU32());
+      STATDB_ASSIGN_OR_RETURN(uint32_t ne, r.GetCount(sizeof(double)));
       out.histogram_.edges.reserve(ne);
       for (uint32_t i = 0; i < ne; ++i) {
         STATDB_ASSIGN_OR_RETURN(double d, r.GetDouble());
         out.histogram_.edges.push_back(d);
       }
-      STATDB_ASSIGN_OR_RETURN(uint32_t nc, r.GetU32());
+      STATDB_ASSIGN_OR_RETURN(uint32_t nc, r.GetCount(sizeof(uint64_t)));
       out.histogram_.counts.reserve(nc);
       for (uint32_t i = 0; i < nc; ++i) {
         STATDB_ASSIGN_OR_RETURN(uint64_t c, r.GetU64());
@@ -183,7 +183,7 @@ Result<SummaryResult> SummaryResult::Deserialize(
       break;
     }
     case SummaryResultKind::kCrossTab: {
-      STATDB_ASSIGN_OR_RETURN(uint32_t rlen, r.GetU32());
+      STATDB_ASSIGN_OR_RETURN(uint32_t rlen, r.GetCount(1));
       std::vector<uint8_t> rbytes;
       rbytes.reserve(rlen);
       for (uint32_t i = 0; i < rlen; ++i) {
@@ -192,7 +192,7 @@ Result<SummaryResult> SummaryResult::Deserialize(
       }
       STATDB_ASSIGN_OR_RETURN(out.crosstab_.row_labels,
                               DeserializeRow(rbytes.data(), rbytes.size()));
-      STATDB_ASSIGN_OR_RETURN(uint32_t clen, r.GetU32());
+      STATDB_ASSIGN_OR_RETURN(uint32_t clen, r.GetCount(1));
       std::vector<uint8_t> cbytes;
       cbytes.reserve(clen);
       for (uint32_t i = 0; i < clen; ++i) {

@@ -438,8 +438,8 @@ TEST_F(CausalDbmsTest, OneTraceIdJoinsAllFourTelemetryStreams) {
 
   CollectingTraceSink sink;
   dbms_->set_trace_sink(&sink);
-  dbms_->slow_query_log().set_threshold_ms(0.0);
-  dbms_->slow_query_log().set_enabled(true);
+  dbms_->flight().slow_log().set_threshold_ms(0.0);
+  dbms_->flight().slow_log().set_enabled(true);
   dbms_->flight().Clear();
   // Flush-before-serve: this query drains the pending deltas, serves
   // the maintained entry, and its commit tail flushes dirty pages.
@@ -470,7 +470,7 @@ TEST_F(CausalDbmsTest, OneTraceIdJoinsAllFourTelemetryStreams) {
 
   // The slow log captured the same story (threshold 0 retains all)...
   std::vector<SlowQueryLog::Entry> entries =
-      dbms_->slow_query_log().Snapshot();
+      dbms_->flight().slow_log().Snapshot();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].trace.trace_id(), id);
   for (const FlightEvent& e : entries[0].events) EXPECT_EQ(e.trace, id);

@@ -1,5 +1,9 @@
 #include "storage/column_file.h"
 
+#include <utility>
+#include <vector>
+
+#include "check/check_access.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -62,21 +66,52 @@ TEST(ColumnFileTest, SpansManyPages) {
   }
 }
 
+// Every (row, cell) a ScanPages call hands out, with the number of
+// callback invocations (one per page touched).
+struct Scanned {
+  std::vector<std::pair<uint64_t, std::optional<int64_t>>> cells;
+  size_t calls = 0;
+};
+
+Result<Scanned> ScanAll(const ColumnFile& col, uint64_t begin, uint64_t end) {
+  Scanned out;
+  STATDB_RETURN_IF_ERROR(col.ScanPages(
+      begin, end, [&out](uint64_t first_row, const ColumnPageView& page) {
+        ++out.calls;
+        for (size_t i = 0; i < page.size(); ++i) {
+          out.cells.emplace_back(first_row + i,
+                                 page.valid(i) ? std::optional(page.raw(i))
+                                               : std::nullopt);
+        }
+        return Status::OK();
+      }));
+  return out;
+}
+
+// Latched and lock-free pins currently held on any frame of `pool`.
+uint64_t PinsHeld(const BufferPool& pool) {
+  MutexLock lock(CheckAccess::PoolMutex(pool));
+  uint64_t pins = 0;
+  for (const auto& frame : CheckAccess::Frames(pool)) {
+    pins += uint64_t(frame.pin_count) + frame.fast_pins.load();
+  }
+  return pins;
+}
+
 TEST(ColumnFileTest, ScanVisitsEverythingInOrder) {
   TestStorage ts(64);
   ColumnFile col(&ts.pool);
   for (int i = 0; i < 1200; ++i) {
     STATDB_ASSERT_OK(col.Append(i));
   }
-  uint64_t expected = 0;
-  STATDB_ASSERT_OK(
-      col.Scan([&expected](uint64_t idx, std::optional<int64_t> v) -> Status {
-        EXPECT_EQ(idx, expected);
-        EXPECT_EQ(v.value(), static_cast<int64_t>(expected));
-        ++expected;
-        return Status::OK();
-      }));
-  EXPECT_EQ(expected, 1200u);
+  auto scanned = ScanAll(col, 0, col.size());
+  STATDB_ASSERT_OK(scanned);
+  ASSERT_EQ(scanned->cells.size(), 1200u);
+  for (uint64_t i = 0; i < 1200; ++i) {
+    EXPECT_EQ(scanned->cells[i].first, i);
+    EXPECT_EQ(scanned->cells[i].second.value(), static_cast<int64_t>(i));
+  }
+  EXPECT_EQ(scanned->calls, col.page_count());
 }
 
 TEST(ColumnFileTest, ScanTouchesEachPageOnce) {
@@ -88,11 +123,98 @@ TEST(ColumnFileTest, ScanTouchesEachPageOnce) {
   STATDB_ASSERT_OK(ts.pool.FlushAll());
   STATDB_ASSERT_OK(ts.pool.Reset());
   ts.pool.ResetStats();
-  STATDB_ASSERT_OK(col.Scan([](uint64_t, std::optional<int64_t>) -> Status {
-    return Status::OK();
-  }));
+  STATDB_ASSERT_OK(col.ScanPages(
+      0, col.size(),
+      [](uint64_t, const ColumnPageView&) { return Status::OK(); }));
   EXPECT_EQ(ts.pool.stats().misses, col.page_count());
   EXPECT_EQ(ts.pool.stats().hits, 0u);
+}
+
+TEST(ColumnFileTest, ScanPagesRangeStartsAndEndsMidPage) {
+  TestStorage ts(64);
+  ColumnFile col(&ts.pool);
+  for (int i = 0; i < 1600; ++i) {
+    STATDB_ASSERT_OK(col.Append(i * 7));
+  }
+  STATDB_ASSERT_OK(ts.pool.FlushAll());
+  STATDB_ASSERT_OK(ts.pool.Reset());
+  ts.pool.ResetStats();
+  // [250, 1270) covers the back half of page 0, all of page 1 and the
+  // front of page 2: three calls, three misses.
+  auto scanned = ScanAll(col, 250, 1270);
+  STATDB_ASSERT_OK(scanned);
+  EXPECT_EQ(scanned->calls, 3u);
+  EXPECT_EQ(ts.pool.stats().misses, 3u);
+  ASSERT_EQ(scanned->cells.size(), 1020u);
+  for (size_t k = 0; k < scanned->cells.size(); ++k) {
+    EXPECT_EQ(scanned->cells[k].first, 250 + k);
+    EXPECT_EQ(scanned->cells[k].second.value(), int64_t(250 + k) * 7);
+  }
+  // A range inside one page, a range past the end, and an empty range.
+  auto inner = ScanAll(col, 510, 520);
+  STATDB_ASSERT_OK(inner);
+  EXPECT_EQ(inner->calls, 1u);
+  ASSERT_EQ(inner->cells.size(), 10u);
+  EXPECT_EQ(inner->cells.front().first, 510u);
+  auto tail = ScanAll(col, 1590, 1'000'000);
+  STATDB_ASSERT_OK(tail);
+  ASSERT_EQ(tail->cells.size(), 10u);
+  EXPECT_EQ(tail->cells.back().first, 1599u);
+  auto empty = ScanAll(col, 700, 700);
+  STATDB_ASSERT_OK(empty);
+  EXPECT_EQ(empty->calls, 0u);
+}
+
+TEST(ColumnFileTest, ScanPagesNullsOnFirstAndLastCellOfAPage) {
+  TestStorage ts(64);
+  ColumnFile col(&ts.pool);
+  constexpr uint64_t kPage = ColumnFile::kCellsPerPage;
+  auto is_null = [](uint64_t i) {
+    return i % kPage == 0 || i % kPage == kPage - 1;
+  };
+  for (uint64_t i = 0; i < 3 * kPage; ++i) {
+    STATDB_ASSERT_OK(col.Append(is_null(i) ? std::nullopt
+                                           : std::optional(int64_t(i))));
+  }
+  // Cell slots 0 and 499 land on bitmap bits 0 and 7 of bytes 0 and 62;
+  // a mid-page start shifts every view index off the slot number.
+  for (uint64_t begin : {uint64_t{0}, kPage - 1, kPage + 3}) {
+    auto scanned = ScanAll(col, begin, col.size());
+    STATDB_ASSERT_OK(scanned);
+    ASSERT_EQ(scanned->cells.size(), col.size() - begin);
+    for (const auto& [row, cell] : scanned->cells) {
+      if (is_null(row)) {
+        EXPECT_FALSE(cell.has_value()) << "row " << row;
+      } else {
+        EXPECT_EQ(cell, std::optional(int64_t(row))) << "row " << row;
+      }
+    }
+  }
+}
+
+TEST(ColumnFileTest, ScanPagesErrorStopsTheScanWithNoPinHeld) {
+  TestStorage ts(64);
+  ColumnFile col(&ts.pool);
+  for (int i = 0; i < 2000; ++i) {
+    STATDB_ASSERT_OK(col.Append(i));
+  }
+  STATDB_ASSERT_OK(ts.pool.FlushAll());
+  // Cold pool (latched pins on misses), then warm (lock-free pins).
+  STATDB_ASSERT_OK(ts.pool.Reset());
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<uint64_t> firsts;
+    Status s = col.ScanPages(
+        0, col.size(), [&firsts](uint64_t first_row, const ColumnPageView&) {
+          firsts.push_back(first_row);
+          return firsts.size() == 2 ? InternalError("stop here")
+                                    : Status::OK();
+        });
+    EXPECT_EQ(s.code(), StatusCode::kInternal) << "pass " << pass;
+    EXPECT_EQ(s.message(), "stop here");
+    EXPECT_EQ(firsts, (std::vector<uint64_t>{0, ColumnFile::kCellsPerPage}));
+    EXPECT_EQ(PinsHeld(ts.pool), 0u) << "pass " << pass;
+  }
+  STATDB_ASSERT_OK(ts.pool.Reset());
 }
 
 TEST(ColumnFileTest, ReadAllMatches) {

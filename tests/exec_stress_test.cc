@@ -299,13 +299,15 @@ TEST(ExecStressTest, ConcurrentScanRangesReproduceTheColumn) {
   std::vector<std::function<Status()>> tasks;
   for (size_t c = 0; c < chunks.size(); ++c) {
     tasks.push_back([&file, &chunks, &sums, &nulls, c]() -> Status {
-      return file.ScanRange(
+      return file.ScanPages(
           chunks[c].begin, chunks[c].end,
-          [&sums, &nulls, c](uint64_t, std::optional<int64_t> cell) {
-            if (cell.has_value()) {
-              sums[c] += uint64_t(*cell);
-            } else {
-              ++nulls[c];
+          [&sums, &nulls, c](uint64_t, const ColumnPageView& page) {
+            for (size_t i = 0; i < page.size(); ++i) {
+              if (page.valid(i)) {
+                sums[c] += uint64_t(page.raw(i));
+              } else {
+                ++nulls[c];
+              }
             }
             return Status::OK();
           });

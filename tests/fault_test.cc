@@ -1,9 +1,14 @@
 #include "fault/fault.h"
 
 #include <cstring>
+#include <vector>
 
+#include "common/bytes.h"
 #include "common/checksum.h"
+#include "core/dbms.h"
+#include "fault/wal.h"
 #include "gtest/gtest.h"
+#include "storage/storage_manager.h"
 #include "tests/test_util.h"
 
 namespace statdb {
@@ -190,6 +195,8 @@ TEST(ChecksumTest, Crc32cKnownVectorsAndSensitivity) {
   uint8_t ones[32];
   std::memset(ones, 0xFF, sizeof(ones));
   EXPECT_EQ(Crc32c(ones, sizeof(ones)), 0x62A8AB43u);
+  // The standard CRC-32C check value.
+  EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
   // Every single-bit flip of a page changes the CRC (spot-checked here;
   // the exhaustive guarantee is exercised by the recovery test).
   Page p = MakePage(0x5C);
@@ -198,6 +205,135 @@ TEST(ChecksumTest, Crc32cKnownVectorsAndSensitivity) {
     p.data[bit / 8] ^= uint8_t(1u << (bit % 8));
     EXPECT_NE(Crc32c(p.data.data(), kPageSize), base) << "bit " << bit;
     p.data[bit / 8] ^= uint8_t(1u << (bit % 8));
+  }
+}
+
+TEST(ChecksumTest, DispatchedCrcMatchesPortableReference) {
+  // Bytes with no period shorter than the buffer, and 8 bytes of slack
+  // so every start offset mod 8 can cover lengths up to 4200.
+  std::vector<uint8_t> buf(4200 + 8);
+  uint32_t x = 0x9E3779B9u;
+  for (uint8_t& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = uint8_t(x);
+  }
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; len <= 4200; ++len) {
+      const uint8_t* p = buf.data() + start;
+      ASSERT_EQ(Crc32cExtend(kCrc32cInit, p, len),
+                Crc32cExtendPortable(kCrc32cInit, p, len))
+          << "start " << start << " len " << len;
+    }
+  }
+  // Chained extends over any split equal the one-shot CRC.
+  const uint8_t* p = buf.data() + 3;
+  const size_t len = kPageSize + 13;
+  const uint32_t whole = Crc32c(p, len);
+  for (size_t cut : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                     size_t{2047}, size_t{4096}, len}) {
+    uint32_t state = Crc32cExtend(kCrc32cInit, p, cut);
+    state = Crc32cExtend(state, p + cut, len - cut);
+    EXPECT_EQ(state ^ kCrc32cXorOut, whole) << "cut " << cut;
+    uint32_t mixed = Crc32cExtendPortable(kCrc32cInit, p, cut);
+    mixed = Crc32cExtend(mixed, p + cut, len - cut);
+    EXPECT_EQ(mixed ^ kCrc32cXorOut, whole) << "cut " << cut;
+  }
+}
+
+// --- decoders size nothing by an untrusted count ----------------------------
+
+TEST(DecodeBoundsTest, WalBodyWithHugePageCountIsDataLoss) {
+  // 20 bytes: magic, lsn, empty attr hint, npages = 0xFFFFFFFF.
+  WalRecord empty;
+  empty.lsn = 1;
+  std::vector<uint8_t> body = RedoLog::SerializeBody(empty);
+  body.resize(20);
+  std::memset(body.data() + 16, 0xFF, 4);
+  auto rec = RedoLog::ParseBody(body);
+  EXPECT_EQ(rec.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(rec.status().message().find("element count 4294967295"),
+            std::string::npos);
+}
+
+// Logs one commit record carrying `manifest` on a fresh installation and
+// recovers from it.
+Status RecoverFromManifest(std::vector<uint8_t> manifest) {
+  StorageManager storage;
+  STATDB_RETURN_IF_ERROR(
+      storage.AddDevice("tape", DeviceCostModel::Memory(), 16).status());
+  STATDB_RETURN_IF_ERROR(
+      storage.AddDevice("disk", DeviceCostModel::Memory(), 16).status());
+  STATDB_ASSIGN_OR_RETURN(
+      SimulatedDevice * wal_dev,
+      storage.AddDevice("wal", DeviceCostModel::Memory(), 8));
+  {
+    RedoLog log(wal_dev);
+    STATDB_RETURN_IF_ERROR(log.Open().status());
+    WalRecord rec;
+    rec.lsn = 1;
+    rec.manifest = std::move(manifest);
+    STATDB_RETURN_IF_ERROR(log.Append(rec));
+  }
+  StatisticalDbms db(&storage);
+  STATDB_RETURN_IF_ERROR(db.EnableDurability("wal"));
+  return db.Recover();
+}
+
+TEST(DecodeBoundsTest, ManifestWithHugeCountsIsDataLoss) {
+  constexpr uint32_t kHuge = 0xFFFFFFFFu;
+  auto header = [](ByteWriter* w) {
+    w->PutU32(0x4D414E49);  // "MANI"
+    w->PutU32(2);
+  };
+  // Data set whose schema claims kHuge attributes.
+  ByteWriter schema;
+  header(&schema);
+  schema.PutU32(1);
+  schema.PutString("census");
+  schema.PutU32(kHuge);
+  // Raw table with an empty schema whose page list claims kHuge ids.
+  ByteWriter page_ids;
+  header(&page_ids);
+  page_ids.PutU32(0);
+  page_ids.PutU32(1);
+  page_ids.PutString("census");
+  page_ids.PutU32(0);
+  page_ids.PutU32(kHuge);
+  // View claiming kHuge columns.
+  ByteWriter columns;
+  header(&columns);
+  columns.PutU32(0);
+  columns.PutU32(0);
+  columns.PutU32(1);
+  columns.PutString("v");
+  columns.PutU32(0);  // schema
+  columns.PutU64(1);  // view version
+  columns.PutU64(0);  // rows
+  columns.PutU32(kHuge);
+  // View with one column claiming kHuge labels.
+  ByteWriter labels;
+  header(&labels);
+  labels.PutU32(0);
+  labels.PutU32(0);
+  labels.PutU32(1);
+  labels.PutString("v");
+  labels.PutU32(0);
+  labels.PutU64(1);
+  labels.PutU64(0);
+  labels.PutU32(1);  // one column
+  labels.PutU32(0);  // no pages
+  labels.PutU64(0);  // no cells
+  labels.PutU32(kHuge);
+  for (ByteWriter* w : {&schema, &page_ids, &columns, &labels}) {
+    // Enough trailing bytes that the count, not a short read, is what
+    // a decoder has to reject.
+    for (int i = 0; i < 64; ++i) w->PutU8(0);
+    Status s = RecoverFromManifest(w->Take());
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss);
+    EXPECT_NE(s.message().find("element count 4294967295"), std::string::npos)
+        << s.ToString();
   }
 }
 

@@ -1,5 +1,7 @@
 #include "storage/rle.h"
 
+#include <cstring>
+
 #include "common/rng.h"
 #include "gtest/gtest.h"
 
@@ -71,6 +73,10 @@ TEST(RleTest, DeserializeTruncatedFails) {
   auto bytes = SerializeRuns(RleEncode({1, 2, 3}));
   bytes.resize(bytes.size() / 2);
   EXPECT_FALSE(DeserializeRuns(bytes).ok());
+  // A run count the bytes cannot hold fails before anything is sized.
+  auto huge = SerializeRuns(RleEncode({1, 2, 3}));
+  std::memset(huge.data(), 0xFF, 4);
+  EXPECT_EQ(DeserializeRuns(huge).status().code(), StatusCode::kDataLoss);
 }
 
 class RleRoundTripTest : public ::testing::TestWithParam<int> {};

@@ -1,6 +1,8 @@
 #include "relational/schema.h"
 #include "relational/table.h"
 
+#include <cstring>
+
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -121,6 +123,10 @@ TEST(TableTest, RowSerializationRoundTrip) {
 TEST(TableTest, RowDeserializeTruncatedFails) {
   auto bytes = SerializeRow({Value::Int(1), Value::Str("abc")});
   EXPECT_FALSE(DeserializeRow(bytes.data(), bytes.size() - 2).ok());
+  // A cell count the bytes cannot hold fails before anything is sized.
+  std::memset(bytes.data(), 0xFF, 4);
+  EXPECT_EQ(DeserializeRow(bytes.data(), bytes.size()).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(TableTest, ToStringShowsHeaderAndRows) {

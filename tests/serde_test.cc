@@ -225,5 +225,28 @@ TEST(ManagementSerdeTest, CorruptBytesFail) {
   EXPECT_FALSE(RestoreManagementState(truncated, &restored2).ok());
 }
 
+TEST(ManagementSerdeTest, HugeChangeCountIsDataLoss) {
+  // One view with one history entry claiming 0xFFFFFFFF cell changes.
+  ByteWriter w;
+  w.PutU32(0x5344424d);  // "SDBM"
+  w.PutU32(1);
+  w.PutU32(1);  // views
+  w.PutString("v");
+  w.PutString("");
+  w.PutU64(1);  // view version
+  w.PutU8(0);   // policy
+  w.PutU32(0);  // derived columns
+  w.PutU32(1);  // history entries
+  w.PutU64(1);
+  w.PutString("edit");
+  w.PutU32(0xFFFFFFFFu);
+  for (int i = 0; i < 64; ++i) w.PutU8(0);
+  ManagementDatabase restored;
+  Status s = RestoreManagementState(w.bytes(), &restored);
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss);
+  EXPECT_NE(s.message().find("element count 4294967295"), std::string::npos)
+      << s.ToString();
+}
+
 }  // namespace
 }  // namespace statdb

@@ -1,6 +1,8 @@
 #include "summary/summary_key.h"
 #include "summary/summary_result.h"
 
+#include <cstring>
+
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -118,6 +120,11 @@ TEST(SummaryResultTest, TruncatedBytesFail) {
   auto bytes = SummaryResult::Vector({1, 2, 3}).Serialize();
   bytes.resize(bytes.size() - 4);
   EXPECT_FALSE(SummaryResult::Deserialize(bytes).ok());
+  // A vector length the bytes cannot hold fails before anything is sized.
+  auto huge = SummaryResult::Vector({1, 2, 3}).Serialize();
+  std::memset(huge.data() + 1, 0xFF, 4);
+  EXPECT_EQ(SummaryResult::Deserialize(huge).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(SummaryResultTest, EqualityIsStructural) {

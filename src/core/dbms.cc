@@ -170,10 +170,13 @@ Result<SummaryResult> FinishComoments(const std::string& function,
   return SummaryResult::Model(fit);
 }
 
-/// Finishes a pair function with stats/ on the gathered pairs.
-Result<SummaryResult> FinishPairs(const std::string& function,
-                                  const std::vector<double>& xs,
-                                  const std::vector<double>& ys) {
+/// Finishes a pair-route function with stats/ on the gathered pairs:
+/// correlation/covariance/regression on (x, y); welch_t splits x by the
+/// group code in y; crosstab/chi2_independence count (x, y) code pairs.
+Result<SummaryResult> FinishPairs(
+    const std::string& function,
+    const std::optional<std::pair<int64_t, int64_t>>& group_codes,
+    const std::vector<double>& xs, const std::vector<double>& ys) {
   if (function == "correlation") {
     STATDB_ASSIGN_OR_RETURN(double r, PearsonR(xs, ys));
     return SummaryResult::Scalar(r);
@@ -182,8 +185,31 @@ Result<SummaryResult> FinishPairs(const std::string& function,
     STATDB_ASSIGN_OR_RETURN(double c, Covariance(xs, ys));
     return SummaryResult::Scalar(c);
   }
-  STATDB_ASSIGN_OR_RETURN(LinearFit fit, FitLinear(xs, ys));
-  return SummaryResult::Model(fit);
+  if (function == "regression") {
+    STATDB_ASSIGN_OR_RETURN(LinearFit fit, FitLinear(xs, ys));
+    return SummaryResult::Model(fit);
+  }
+  if (group_codes) {
+    std::vector<double> group_a, group_b;
+    for (size_t i = 0; i < xs.size(); ++i) {
+      if (!IsExactCode(ys[i])) {
+        return InvalidArgumentError(
+            "category code outside double's exact integer range");
+      }
+      // Truncates like Value::ToInt.
+      const int64_t code = static_cast<int64_t>(ys[i]);
+      if (code == group_codes->first) group_a.push_back(xs[i]);
+      if (code == group_codes->second) group_b.push_back(xs[i]);
+    }
+    STATDB_ASSIGN_OR_RETURN(TestResult t, WelchTTest(group_a, group_b));
+    return SummaryResult::Vector({t.statistic, t.dof, t.p_value});
+  }
+  STATDB_ASSIGN_OR_RETURN(CrossTab ct, CountCodePairs(xs, ys));
+  if (function == "crosstab") {
+    return SummaryResult::Contingency(std::move(ct));
+  }
+  STATDB_ASSIGN_OR_RETURN(TestResult t, ChiSquaredIndependence(ct));
+  return SummaryResult::Vector({t.statistic, t.dof, t.p_value});
 }
 
 /// Finishes one mergeable statistic from the merged scan state,
@@ -559,7 +585,9 @@ struct StatisticalDbms::PlannedScan {
   QueryRoute route = QueryRoute::kColumnChunks;
   std::vector<size_t> members;
   bool arm = false;
-  bool mergeable = true;     // every member finishes from partial states
+  /// Every member finishes from partial states: mergeable univariate
+  /// statistics, or co-moments for correlation/covariance/regression.
+  bool mergeable = true;
   bool want_counts = false;  // some member needs ValueCounts
   /// The RLE sidecar of a univariate scan's attribute, if attached.
   std::shared_ptr<const CompressedColumnFile> sidecar;
@@ -568,25 +596,31 @@ struct StatisticalDbms::PlannedScan {
 /// What a route's scan leaves for FinishQuery.
 struct StatisticalDbms::ScanOutput {
   ColumnScanResult column;  // compressed runs / column chunks
-  std::vector<double> xs;   // pairs at one worker
+  std::vector<double> xs;   // gathered pairs
   std::vector<double> ys;
   std::optional<ComomentStats> comoments;  // merged, or the arming seed
-  std::vector<Value> a;  // gathered Value columns
-  std::vector<Value> b;
 };
 
 Status StatisticalDbms::PlannedQuery::Gate(const Schema& schema) const {
   // The meta-data gate, by attribute role: a summarized attribute must be
   // queryable (§3.2); pair and group requests keep their historical
   // acceptance — a cross-tab of category codes is the point — and need
-  // only a known function.
+  // only a known function. A cross-tab counts integer codes, so both of
+  // its attributes must be stored as integers.
   if (attributes.size() == 1) {
     return CheckQueryable(schema, function, attributes.front());
   }
-  if (group_codes || IsPairFunction(function) || function == "crosstab" ||
-      function == "chi2_independence") {
+  if (function == "crosstab" || function == "chi2_independence") {
+    for (const std::string& attr : attributes) {
+      STATDB_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(attr));
+      if (schema.attr(idx).type != DataType::kInt64) {
+        return InvalidArgumentError(
+            "bivariate cross-tab needs integer-coded attributes");
+      }
+    }
     return Status::OK();
   }
+  if (group_codes || IsPairFunction(function)) return Status::OK();
   return InvalidArgumentError("unknown bivariate function " + function);
 }
 
@@ -887,9 +921,8 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
     scan.arm = opts.cache_result && !head.filter &&
                rec->policy == MaintenancePolicy::kIncremental;
     if (head.attributes.size() == 2) {
-      scan.route = !head.group_codes && IsPairFunction(head.function)
-                       ? QueryRoute::kPairs
-                       : QueryRoute::kValueColumns;
+      scan.route = QueryRoute::kPairs;
+      scan.mergeable = IsPairFunction(head.function);
     } else {
       // Shared ref, not the raw pointer: a concurrent WriteCell/Append
       // detaches the sidecar, and this scan's reference must keep the
@@ -905,7 +938,8 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
                        ? QueryRoute::kCompressedRuns
                        : QueryRoute::kColumnChunks;
     }
-    needs_pool = needs_pool || scan.route != QueryRoute::kValueColumns;
+    needs_pool = needs_pool || scan.route != QueryRoute::kPairs ||
+                 scan.mergeable;
   }
   std::optional<ThreadPool> pool;
   if (parallel && needs_pool) {
@@ -1047,7 +1081,8 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
     }
     case QueryRoute::kPairs: {
       // Row-aligned numeric pairs; a pair with either cell missing is
-      // dropped (pairwise deletion).
+      // dropped (pairwise deletion). Only co-moment functions merge
+      // across workers; the others gather their pairs.
       const std::string& a = head.attributes[0];
       const std::string& b = head.attributes[1];
       PairRangeReader reader = [&cv, &a, &b](uint64_t begin, uint64_t end,
@@ -1056,7 +1091,7 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
         return cv.ReadNumericPairsRange(a, b, begin, end, xs, ys);
       };
       ScopedSpan span(trace, SpanKind::kScan);
-      if (pool != nullptr) {
+      if (pool != nullptr && scan.mergeable) {
         STATDB_ASSIGN_OR_RETURN(
             ComomentStats merged,
             ParallelScanPairs(rows, ColumnFile::kCellsPerPage, reader, pool));
@@ -1065,17 +1100,12 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
       } else {
         STATDB_RETURN_IF_ERROR(reader(0, rows, &out->xs, &out->ys));
         span.SetRows(out->xs.size());
-        if (scan.arm) out->comoments = ComputeComoments(out->xs, out->ys);
+        if (scan.arm && scan.mergeable) {
+          out->comoments = ComputeComoments(out->xs, out->ys);
+        }
       }
       // Two columns read per row-pair: twice the pages of one column.
       span.SetPages(2 * PagesOf(rows));
-      return Status::OK();
-    }
-    case QueryRoute::kValueColumns: {
-      ScopedSpan span(trace, SpanKind::kScan);
-      STATDB_ASSIGN_OR_RETURN(out->a, cv.ReadColumn(head.attributes[0]));
-      STATDB_ASSIGN_OR_RETURN(out->b, cv.ReadColumn(head.attributes[1]));
-      span.SetRowsPaged(2 * out->a.size(), ColumnFile::kCellsPerPage);
       return Status::OK();
     }
   }
@@ -1107,42 +1137,9 @@ Result<SummaryResult> StatisticalDbms::FinishQuery(const PlannedQuery& query,
         return FinishComoments(query.function, *out.comoments);
       }
       span->SetRows(out.xs.size());
-      return FinishPairs(query.function, out.xs, out.ys);
-    case QueryRoute::kValueColumns:
-      break;
+      return FinishPairs(query.function, query.group_codes, out.xs, out.ys);
   }
-  if (query.group_codes) {
-    std::vector<double> group_a, group_b;
-    for (size_t i = 0; i < out.a.size(); ++i) {
-      if (out.a[i].is_null() || out.b[i].is_null()) continue;
-      Result<int64_t> code = out.b[i].ToInt();
-      Result<double> v = out.a[i].ToDouble();
-      if (!code.ok() || !v.ok()) continue;
-      if (*code == query.group_codes->first) group_a.push_back(*v);
-      if (*code == query.group_codes->second) group_b.push_back(*v);
-    }
-    span->SetRows(group_a.size() + group_b.size());
-    STATDB_ASSIGN_OR_RETURN(TestResult t, WelchTTest(group_a, group_b));
-    return SummaryResult::Vector({t.statistic, t.dof, t.p_value});
-  }
-  const std::string& attr_a = query.attributes[0];
-  const std::string& attr_b = query.attributes[1];
-  Table pair{Schema({Attribute::Category(attr_a, DataType::kInt64),
-                     Attribute::Category(attr_b, DataType::kInt64)})};
-  for (size_t i = 0; i < out.a.size(); ++i) {
-    // Category cells are int-coded in views; keep whatever they are.
-    if (!pair.AppendRow({out.a[i], out.b[i]}).ok()) {
-      return InvalidArgumentError(
-          "bivariate cross-tab needs integer-coded attributes");
-    }
-  }
-  span->SetRows(out.a.size());
-  STATDB_ASSIGN_OR_RETURN(CrossTab ct, BuildCrossTab(pair, attr_a, attr_b));
-  if (query.function == "crosstab") {
-    return SummaryResult::Contingency(std::move(ct));
-  }
-  STATDB_ASSIGN_OR_RETURN(TestResult t, ChiSquaredIndependence(ct));
-  return SummaryResult::Vector({t.statistic, t.dof, t.p_value});
+  return InternalError("unplanned query route");
 }
 
 Result<FilterPredicate> StatisticalDbms::CoerceFilter(

@@ -644,8 +644,7 @@ class StatisticalDbms {
   enum class QueryRoute : uint8_t {
     kCompressedRuns,  // one attribute, RLE sidecar, all mergeable, no arm
     kColumnChunks,    // one attribute, ParallelScanColumn
-    kPairs,           // correlation/covariance/regression, numeric pairs
-    kValueColumns,    // crosstab/chi2_independence/welch_t, Value columns
+    kPairs,           // two attributes, row-aligned numeric pairs
   };
   struct PlannedScan;  // dbms.cc
   struct ScanOutput;   // dbms.cc

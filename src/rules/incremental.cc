@@ -257,15 +257,21 @@ class OrderStatWindowMaintainer : public IncrementalMaintainer {
         return Current();
       }
     }
-    // Full path: sort and carve a centered window.
-    std::vector<double> sorted = data;
-    std::sort(sorted.begin(), sorted.end());
-    uint64_t n = sorted.size();
+    // Full path: carve a centered window by selection. After the two
+    // nth_element calls [start, end) holds exactly the values a full
+    // sort would put at those ranks; only the window itself is sorted.
+    std::vector<double> v = data;
+    uint64_t n = v.size();
     auto [lo_rank, hi_rank] = TargetRanks(n);
     uint64_t half = window_cap_ / 2;
     uint64_t start = lo_rank > half ? lo_rank - half : 0;
     uint64_t end = std::min<uint64_t>(n, hi_rank + half + 1);
-    window_.assign(sorted.begin() + start, sorted.begin() + end);
+    std::nth_element(v.begin(), v.begin() + start, v.end());
+    if (end < n) {
+      std::nth_element(v.begin() + start + 1, v.begin() + end, v.end());
+    }
+    std::sort(v.begin() + start, v.begin() + end);
+    window_.assign(v.begin() + start, v.begin() + end);
     below_ = start;
     above_ = n - end;
     initialized_ = true;

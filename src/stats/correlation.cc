@@ -7,28 +7,48 @@
 
 namespace statdb {
 
-Result<double> Covariance(const std::vector<double>& x,
-                          const std::vector<double>& y) {
+namespace {
+
+/// Covariance given each column's descriptive statistics, so PearsonR
+/// shares one Welford pass per column between the means and the
+/// standard deviations.
+double CovarianceWith(const std::vector<double>& x,
+                      const std::vector<double>& y,
+                      const DescriptiveStats& dx, const DescriptiveStats& dy) {
+  double acc = 0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    acc += (x[i] - dx.mean) * (y[i] - dy.mean);
+  }
+  return acc / double(x.size() - 1);
+}
+
+Status CheckPairedInput(const std::vector<double>& x,
+                        const std::vector<double>& y) {
   if (x.size() != y.size()) {
     return InvalidArgumentError("covariance inputs differ in length");
   }
   if (x.size() < 2) {
     return InvalidArgumentError("covariance needs at least 2 points");
   }
-  double mx = ComputeDescriptive(x).mean;
-  double my = ComputeDescriptive(y).mean;
-  double acc = 0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    acc += (x[i] - mx) * (y[i] - my);
-  }
-  return acc / double(x.size() - 1);
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<double> Covariance(const std::vector<double>& x,
+                          const std::vector<double>& y) {
+  STATDB_RETURN_IF_ERROR(CheckPairedInput(x, y));
+  return CovarianceWith(x, y, ComputeDescriptive(x), ComputeDescriptive(y));
 }
 
 Result<double> PearsonR(const std::vector<double>& x,
                         const std::vector<double>& y) {
-  STATDB_ASSIGN_OR_RETURN(double cov, Covariance(x, y));
-  double sx = ComputeDescriptive(x).StdDev();
-  double sy = ComputeDescriptive(y).StdDev();
+  STATDB_RETURN_IF_ERROR(CheckPairedInput(x, y));
+  const DescriptiveStats dx = ComputeDescriptive(x);
+  const DescriptiveStats dy = ComputeDescriptive(y);
+  double cov = CovarianceWith(x, y, dx, dy);
+  double sx = dx.StdDev();
+  double sy = dy.StdDev();
   if (sx == 0.0 || sy == 0.0) {
     return InvalidArgumentError("correlation with a constant column");
   }

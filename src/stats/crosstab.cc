@@ -1,7 +1,7 @@
 #include "stats/crosstab.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 #include <sstream>
 
 namespace statdb {
@@ -43,36 +43,112 @@ std::string CrossTab::ToString() const {
   return os.str();
 }
 
+namespace {
+
+/// The table of `grid` (row-major, one row per row code and one column
+/// per column code, codes ascending), keeping only the rows and columns
+/// that counted at least one pair.
+CrossTab Compact(const std::vector<uint64_t>& grid,
+                 const std::vector<int64_t>& row_codes,
+                 const std::vector<int64_t>& col_codes) {
+  const size_t cols = col_codes.size();
+  std::vector<uint64_t> row_total(row_codes.size(), 0);
+  std::vector<uint64_t> col_total(cols, 0);
+  for (size_t i = 0; i < row_codes.size(); ++i) {
+    for (size_t j = 0; j < cols; ++j) {
+      row_total[i] += grid[i * cols + j];
+      col_total[j] += grid[i * cols + j];
+    }
+  }
+  CrossTab ct;
+  std::vector<size_t> kept_cols;
+  for (size_t j = 0; j < cols; ++j) {
+    if (col_total[j] == 0) continue;
+    kept_cols.push_back(j);
+    ct.col_labels.push_back(Value::Int(col_codes[j]));
+  }
+  for (size_t i = 0; i < row_codes.size(); ++i) {
+    if (row_total[i] == 0) continue;
+    ct.row_labels.push_back(Value::Int(row_codes[i]));
+    std::vector<uint64_t>& row = ct.counts.emplace_back();
+    for (size_t j : kept_cols) row.push_back(grid[i * cols + j]);
+  }
+  return ct;
+}
+
+/// The distinct codes of `codes`, ascending.
+std::vector<int64_t> DistinctCodes(const std::vector<double>& codes) {
+  std::vector<int64_t> out;
+  out.reserve(codes.size());
+  for (double x : codes) out.push_back(static_cast<int64_t>(x));
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+size_t PositionOf(const std::vector<int64_t>& sorted, double x) {
+  return size_t(std::lower_bound(sorted.begin(), sorted.end(),
+                                 static_cast<int64_t>(x)) -
+                sorted.begin());
+}
+
+}  // namespace
+
+Result<CrossTab> CountCodePairs(const std::vector<double>& a,
+                                const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return InvalidArgumentError("cross-tab inputs differ in length");
+  }
+  // Small non-negative codes, the usual category coding, count straight
+  // into a grid indexed by the codes themselves, in one pass.
+  constexpr size_t kSmall = 64;
+  std::vector<uint64_t> grid(kSmall * kSmall, 0);
+  size_t i = 0;
+  for (; i < a.size(); ++i) {
+    const double x = a[i];
+    const double y = b[i];
+    if (!(x >= 0 && x < double(kSmall) && y >= 0 && y < double(kSmall))) {
+      break;
+    }
+    ++grid[static_cast<size_t>(x) * kSmall + static_cast<size_t>(y)];
+  }
+  if (i == a.size()) {
+    std::vector<int64_t> codes(kSmall);
+    std::iota(codes.begin(), codes.end(), int64_t{0});
+    return Compact(grid, codes, codes);
+  }
+  // Any other codes: rank each side among its sorted distinct codes.
+  for (size_t k = 0; k < a.size(); ++k) {
+    if (!IsExactCode(a[k]) || !IsExactCode(b[k])) {
+      return InvalidArgumentError(
+          "category code outside double's exact integer range");
+    }
+  }
+  const std::vector<int64_t> rows = DistinctCodes(a);
+  const std::vector<int64_t> cols = DistinctCodes(b);
+  grid.assign(rows.size() * cols.size(), 0);
+  for (size_t k = 0; k < a.size(); ++k) {
+    ++grid[PositionOf(rows, a[k]) * cols.size() + PositionOf(cols, b[k])];
+  }
+  return Compact(grid, rows, cols);
+}
+
 Result<CrossTab> BuildCrossTab(const Table& t, const std::string& attr_a,
                                const std::string& attr_b) {
   STATDB_ASSIGN_OR_RETURN(size_t ia, t.schema().IndexOf(attr_a));
   STATDB_ASSIGN_OR_RETURN(size_t ib, t.schema().IndexOf(attr_b));
-  std::map<Value, size_t> rows, cols;  // sorted label -> index
+  std::vector<double> a, b;
   for (size_t r = 0; r < t.num_rows(); ++r) {
-    const Value& a = t.At(r, ia);
-    const Value& b = t.At(r, ib);
-    if (a.is_null() || b.is_null()) continue;
-    rows.emplace(a, 0);
-    cols.emplace(b, 0);
+    const Value& va = t.At(r, ia);
+    const Value& vb = t.At(r, ib);
+    if (va.is_null() || vb.is_null()) continue;
+    if (va.type() != DataType::kInt64 || vb.type() != DataType::kInt64) {
+      return InvalidArgumentError("cross-tab needs integer-coded attributes");
+    }
+    a.push_back(double(va.AsInt()));
+    b.push_back(double(vb.AsInt()));
   }
-  CrossTab ct;
-  for (auto& [label, idx] : rows) {
-    idx = ct.row_labels.size();
-    ct.row_labels.push_back(label);
-  }
-  for (auto& [label, idx] : cols) {
-    idx = ct.col_labels.size();
-    ct.col_labels.push_back(label);
-  }
-  ct.counts.assign(ct.row_labels.size(),
-                   std::vector<uint64_t>(ct.col_labels.size(), 0));
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    const Value& a = t.At(r, ia);
-    const Value& b = t.At(r, ib);
-    if (a.is_null() || b.is_null()) continue;
-    ++ct.counts[rows[a]][cols[b]];
-  }
-  return ct;
+  return CountCodePairs(a, b);
 }
 
 }  // namespace statdb

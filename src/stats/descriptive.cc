@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 
 namespace statdb {
 
@@ -126,17 +125,21 @@ double Sum(const std::vector<double>& data) {
 
 Result<double> Mode(const std::vector<double>& data) {
   STATDB_RETURN_IF_ERROR(RequireNonEmpty(data));
-  // statdb-lint: allow(double-keyed-map) — exact-value frequency table
-  // for mode; keys are the column's own doubles by design.
-  std::map<double, uint64_t> freq;
-  for (double x : data) ++freq[x];
-  double best = data[0];
-  uint64_t best_count = 0;
-  for (const auto& [value, count] : freq) {
-    if (count > best_count) {
-      best = value;
-      best_count = count;
+  // One scan over the runs of a sorted copy. Runs come in ascending
+  // order and only a strictly longer run replaces the best, so ties keep
+  // the smallest value.
+  std::vector<double> sorted = data;
+  std::sort(sorted.begin(), sorted.end());
+  double best = sorted[0];
+  size_t best_count = 0;
+  for (size_t i = 0; i < sorted.size();) {
+    size_t j = i + 1;
+    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+    if (j - i > best_count) {
+      best = sorted[i];
+      best_count = j - i;
     }
+    i = j;
   }
   return best;
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <numeric>
 
 namespace statdb {
 
@@ -10,7 +12,7 @@ namespace {
 
 /// Probability validation shared by Quantile and Quantiles. Rejects NaN
 /// explicitly: `p < 0.0 || p > 1.0` is false for NaN, and a NaN that
-/// slips through turns into a garbage index in QuantileOfSorted.
+/// slips through turns into a garbage rank in SelectQuantiles.
 Status ValidateProbability(double p) {
   if (std::isnan(p) || p < 0.0 || p > 1.0) {
     char buf[64];
@@ -21,14 +23,50 @@ Status ValidateProbability(double p) {
   return Status::OK();
 }
 
-double QuantileOfSorted(const std::vector<double>& sorted, double p) {
-  size_t n = sorted.size();
-  if (n == 1) return sorted[0];
-  double h = p * double(n - 1);
-  size_t lo = static_cast<size_t>(std::floor(h));
-  size_t hi = std::min(lo + 1, n - 1);
-  double frac = h - double(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+/// R type-7 quantiles of `data` at validated probabilities `ps`, by
+/// selection. The data is copied once, NaN cells dropped (they have no
+/// rank); each probability needs the order statistics at ranks lo and
+/// lo + 1. Ranks are visited in ascending order, and each nth_element
+/// runs on the suffix the previous one left, so the suffix already holds
+/// every value not below the last selected rank. The upper neighbour at
+/// lo + 1 is the minimum of that suffix. The interpolation is the
+/// sort-based expression on the same two values, so the answers equal a
+/// full sort's. All-NaN input yields NaN for every p.
+std::vector<double> SelectQuantiles(const std::vector<double>& data,
+                                    const std::vector<double>& ps) {
+  std::vector<double> v;
+  v.reserve(data.size());
+  for (double x : data) {
+    if (!std::isnan(x)) v.push_back(x);
+  }
+  std::vector<double> out(ps.size(),
+                          std::numeric_limits<double>::quiet_NaN());
+  const size_t n = v.size();
+  if (n == 0) return out;
+  if (n == 1) {
+    std::fill(out.begin(), out.end(), v[0]);
+    return out;
+  }
+  std::vector<size_t> order(ps.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&ps](size_t a, size_t b) { return ps[a] < ps[b]; });
+  size_t from = 0;  // v[from, n) holds the values at ranks >= from
+  for (size_t i : order) {
+    const double h = ps[i] * double(n - 1);
+    const size_t lo = static_cast<size_t>(std::floor(h));
+    const size_t hi = std::min(lo + 1, n - 1);
+    if (lo >= from) {
+      std::nth_element(v.begin() + from, v.begin() + lo, v.end());
+      from = lo + 1;
+    }
+    const double vlo = v[lo];
+    const double vhi =
+        hi == lo ? vlo : *std::min_element(v.begin() + hi, v.end());
+    const double frac = h - double(lo);
+    out[i] = vlo + frac * (vhi - vlo);
+  }
+  return out;
 }
 
 }  // namespace
@@ -38,13 +76,8 @@ Result<double> Median(const std::vector<double>& data) {
 }
 
 Result<double> Quantile(const std::vector<double>& data, double p) {
-  if (data.empty()) {
-    return InvalidArgumentError("quantile of an empty column");
-  }
-  STATDB_RETURN_IF_ERROR(ValidateProbability(p));
-  std::vector<double> sorted = data;
-  std::sort(sorted.begin(), sorted.end());
-  return QuantileOfSorted(sorted, p);
+  STATDB_ASSIGN_OR_RETURN(std::vector<double> q, Quantiles(data, {p}));
+  return q.front();
 }
 
 Result<std::vector<double>> Quantiles(const std::vector<double>& data,
@@ -52,19 +85,12 @@ Result<std::vector<double>> Quantiles(const std::vector<double>& data,
   if (data.empty()) {
     return InvalidArgumentError("quantile of an empty column");
   }
-  // Validate the whole probability list before the O(n log n) sort, so a
+  // Validate the whole probability list before copying the data, so a
   // bad p costs nothing and never errors mid-result.
   for (double p : ps) {
     STATDB_RETURN_IF_ERROR(ValidateProbability(p));
   }
-  std::vector<double> sorted = data;
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<double> out;
-  out.reserve(ps.size());
-  for (double p : ps) {
-    out.push_back(QuantileOfSorted(sorted, p));
-  }
-  return out;
+  return SelectQuantiles(data, ps);
 }
 
 Result<double> TrimmedMean(const std::vector<double>& data, double lo,
@@ -74,6 +100,8 @@ Result<double> TrimmedMean(const std::vector<double>& data, double lo,
   }
   STATDB_ASSIGN_OR_RETURN(std::vector<double> bounds,
                           Quantiles(data, {lo, hi}));
+  // The original data in its original order: the sum is the one a
+  // sort-based bound would give, bit for bit. NaN fails both compares.
   double sum = 0;
   size_t count = 0;
   for (double x : data) {
@@ -83,6 +111,10 @@ Result<double> TrimmedMean(const std::vector<double>& data, double lo,
     }
   }
   if (count == 0) {
+    if (std::all_of(data.begin(), data.end(),
+                    [](double x) { return std::isnan(x); })) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
     return InvalidArgumentError("trim bounds exclude all data");
   }
   return sum / double(count);

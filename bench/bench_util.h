@@ -7,12 +7,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "relational/datagen.h"
@@ -73,57 +70,6 @@ inline Table MakeCensus(uint64_t rows, uint64_t seed = 42,
 
 inline void Header(const std::string& id, const std::string& claim) {
   std::printf("\n=== %s ===\n%s\n\n", id.c_str(), claim.c_str());
-}
-
-/// Tiny machine-readable results emitter: builds one flat JSON object
-/// field by field. Values print with enough digits to round-trip.
-class JsonObject {
- public:
-  JsonObject& Num(const std::string& key, double v) {
-    std::ostringstream os;
-    os.precision(12);
-    os << v;
-    return Raw(key, os.str());
-  }
-  JsonObject& Int(const std::string& key, uint64_t v) {
-    return Raw(key, std::to_string(v));
-  }
-  JsonObject& Str(const std::string& key, const std::string& v) {
-    return Raw(key, "\"" + v + "\"");
-  }
-  /// `raw` is already-serialized JSON (a nested object or array).
-  JsonObject& Raw(const std::string& key, const std::string& raw) {
-    fields_.push_back("\"" + key + "\": " + raw);
-    return *this;
-  }
-  std::string Build() const {
-    std::string out = "{";
-    for (size_t i = 0; i < fields_.size(); ++i) {
-      out += (i > 0 ? ", " : "") + fields_[i];
-    }
-    return out + "}";
-  }
-
- private:
-  std::vector<std::string> fields_;
-};
-
-inline std::string JsonArray(const std::vector<std::string>& items) {
-  std::string out = "[";
-  for (size_t i = 0; i < items.size(); ++i) {
-    out += (i > 0 ? ", " : "") + items[i];
-  }
-  return out + "]";
-}
-
-/// Writes `object` to BENCH_<name>.json in the working directory, so CI
-/// and scripts can scrape bench results without parsing the table.
-inline void WriteBenchJson(const std::string& name,
-                           const std::string& object) {
-  std::string path = "BENCH_" + name + ".json";
-  std::ofstream out(path);
-  out << object << "\n";
-  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace bench

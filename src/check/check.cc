@@ -1,7 +1,7 @@
 #include "check/check.h"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -686,20 +686,17 @@ Status CheckSummaryDb(SummaryDatabase* db, CheckReport* report) {
     size_t ref_pos = key.find(SummaryDatabase::kRefSep);
     if (chunk_pos != std::string::npos) {
       std::string primary = key.substr(0, chunk_pos);
-      std::string suffix = key.substr(chunk_pos + 1);
-      bool numeric = !suffix.empty() &&
-                     std::all_of(suffix.begin(), suffix.end(),
-                                 [](unsigned char c) {
-                                   return std::isdigit(c) != 0;
-                                 });
-      if (!numeric) {
+      const char* first = key.data() + chunk_pos + 1;
+      const char* last = key.data() + key.size();
+      uint32_t index = 0;
+      auto [ptr, ec] = std::from_chars(first, last, index);
+      if (ec != std::errc() || ptr != last) {
         report->Add(CheckSeverity::kError, kSub, "chunk-key",
-                    "continuation record with non-numeric index: " +
+                    "continuation record index is not a 32-bit decimal: " +
                         primary);
         continue;
       }
-      chunks.emplace_back(primary,
-                          static_cast<uint32_t>(std::stoul(suffix)));
+      chunks.emplace_back(primary, index);
       chunk_payloads[key] = value;
     } else if (ref_pos != std::string::npos) {
       refs.emplace_back(key.substr(0, ref_pos), key.substr(ref_pos + 1));

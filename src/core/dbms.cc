@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "check/db_auditor.h"
+#include "delta/comoment.h"
 #include "delta/maintenance.h"
 #include "exec/chunked_scanner.h"
 #include "exec/compressed_scan.h"
@@ -88,12 +89,6 @@ std::string QueryLabel(const std::string& view, const std::string& function,
   return view + "." + function + "(" + attribute + ")";
 }
 
-/// Bivariate functions that finish from co-moment partial states.
-bool IsPairFunction(const std::string& function) {
-  return function == "correlation" || function == "covariance" ||
-         function == "regression";
-}
-
 /// SLO class names, indexed by StatisticalDbms::OpClass.
 constexpr const char* kOpClassNames[] = {
     "query",         "query_parallel", "query_filtered",
@@ -153,21 +148,6 @@ std::optional<double> NumberOf(const Value& v) {
 Result<QueryAnswer> SingleAnswer(Result<std::vector<QueryAnswer>> answers) {
   if (!answers.ok()) return std::move(answers).status();
   return std::move(answers.value().front());
-}
-
-/// Finishes a pair function from merged co-moments (Chan et al.).
-Result<SummaryResult> FinishComoments(const std::string& function,
-                                      const ComomentStats& cs) {
-  if (function == "correlation") {
-    STATDB_ASSIGN_OR_RETURN(double r, cs.PearsonR());
-    return SummaryResult::Scalar(r);
-  }
-  if (function == "covariance") {
-    STATDB_ASSIGN_OR_RETURN(double c, cs.Covariance());
-    return SummaryResult::Scalar(c);
-  }
-  STATDB_ASSIGN_OR_RETURN(LinearFit fit, cs.Fit());
-  return SummaryResult::Model(fit);
 }
 
 /// Finishes a pair-route function with stats/ on the gathered pairs:
@@ -620,7 +600,7 @@ Status StatisticalDbms::PlannedQuery::Gate(const Schema& schema) const {
     }
     return Status::OK();
   }
-  if (group_codes || IsPairFunction(function)) return Status::OK();
+  if (group_codes || delta::IsComomentFunction(function)) return Status::OK();
   return InvalidArgumentError("unknown bivariate function " + function);
 }
 
@@ -922,7 +902,7 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
                rec->policy == MaintenancePolicy::kIncremental;
     if (head.attributes.size() == 2) {
       scan.route = QueryRoute::kPairs;
-      scan.mergeable = IsPairFunction(head.function);
+      scan.mergeable = delta::IsComomentFunction(head.function);
     } else {
       // Shared ref, not the raw pointer: a concurrent WriteCell/Append
       // detaches the sidecar, and this scan's reference must keep the
@@ -1134,7 +1114,7 @@ Result<SummaryResult> StatisticalDbms::FinishQuery(const PlannedQuery& query,
     case QueryRoute::kPairs:
       if (parallel && out.comoments.has_value()) {
         span->SetRows(out.comoments->n);
-        return FinishComoments(query.function, *out.comoments);
+        return delta::FinishComoments(query.function, *out.comoments);
       }
       span->SetRows(out.xs.size());
       return FinishPairs(query.function, query.group_codes, out.xs, out.ys);

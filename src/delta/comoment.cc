@@ -2,6 +2,29 @@
 
 namespace statdb::delta {
 
+bool IsComomentFunction(const std::string& function) {
+  return function == "correlation" || function == "covariance" ||
+         function == "regression";
+}
+
+Result<SummaryResult> FinishComoments(const std::string& function,
+                                      const ComomentStats& cs) {
+  if (function == "correlation") {
+    STATDB_ASSIGN_OR_RETURN(double r, cs.PearsonR());
+    return SummaryResult::Scalar(r);
+  }
+  if (function == "covariance") {
+    STATDB_ASSIGN_OR_RETURN(double c, cs.Covariance());
+    return SummaryResult::Scalar(c);
+  }
+  if (function == "regression") {
+    STATDB_ASSIGN_OR_RETURN(LinearFit fit, cs.Fit());
+    return SummaryResult::Model(fit);
+  }
+  return InternalError("co-moment finish for non-co-moment function " +
+                       function);
+}
+
 Status ComomentMaintainer::Apply(const std::string& attr, const RowDelta& d,
                                  double co_value) {
   // A pair participates in the co-moment only when both cells are
@@ -44,23 +67,6 @@ Status ComomentMaintainer::Remove(double x, double y) {
   cs_.mean_y = my_prev;
   --cs_.n;
   return Status::OK();
-}
-
-Result<SummaryResult> ComomentMaintainer::Render() const {
-  if (function_ == "correlation") {
-    STATDB_ASSIGN_OR_RETURN(double r, cs_.PearsonR());
-    return SummaryResult::Scalar(r);
-  }
-  if (function_ == "covariance") {
-    STATDB_ASSIGN_OR_RETURN(double c, cs_.Covariance());
-    return SummaryResult::Scalar(c);
-  }
-  if (function_ == "regression") {
-    STATDB_ASSIGN_OR_RETURN(LinearFit fit, cs_.Fit());
-    return SummaryResult::Model(fit);
-  }
-  return InternalError("comoment maintainer for non-comoment function " +
-                       function_);
 }
 
 }  // namespace statdb::delta

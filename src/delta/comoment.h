@@ -12,6 +12,16 @@
 
 namespace statdb::delta {
 
+/// The bivariate functions that finish from co-moment partial states:
+/// "correlation", "covariance" and "regression".
+bool IsComomentFunction(const std::string& function);
+
+/// Finishes a co-moment function from merged (or maintained) state with
+/// ComomentStats' own finishers and their exact domain errors. INTERNAL
+/// for any other function.
+Result<SummaryResult> FinishComoments(const std::string& function,
+                                      const ComomentStats& cs);
+
 /// Incremental maintainer for the bivariate summary entries
 /// ("correlation", "covariance", "regression") backed by ComomentStats —
 /// the mergeable partial the parallel scan already produces. Insertions
@@ -52,10 +62,10 @@ class ComomentMaintainer {
   /// from an empty state): the entry must be recomputed.
   Status Apply(const std::string& attr, const RowDelta& d, double co_value);
 
-  /// Renders the entry's cached form for this maintainer's function,
-  /// using ComomentStats' own finishers (the parallel path's formulas,
-  /// with their exact domain errors).
-  Result<SummaryResult> Render() const;
+  /// Renders the entry's cached form for this maintainer's function.
+  Result<SummaryResult> Render() const {
+    return FinishComoments(function_, cs_);
+  }
 
   const ComomentStats& state() const { return cs_; }
   uint64_t applies() const { return applies_; }

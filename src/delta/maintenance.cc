@@ -185,9 +185,7 @@ bool ArmComomentMaintainer(
     const SummaryKey& key, const ComomentStats& seed,
     std::map<std::string, std::unique_ptr<ComomentMaintainer>>*
         comaintainers) {
-  if (key.attributes.size() != 2) return false;
-  if (key.function != "correlation" && key.function != "covariance" &&
-      key.function != "regression") {
+  if (key.attributes.size() != 2 || !IsComomentFunction(key.function)) {
     return false;
   }
   (*comaintainers)[key.Encode()] = std::make_unique<ComomentMaintainer>(

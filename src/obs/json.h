@@ -10,10 +10,9 @@
 namespace statdb {
 namespace obs {
 
-/// Minimal ordered JSON object builder for metrics/trace export. Unlike
-/// bench/bench_util.h's emitter (which lives with the experiment
-/// harnesses and never escapes), this one escapes string values, so
-/// attribute names and error text are safe to embed.
+/// Minimal ordered JSON object builder for metrics/trace export. It
+/// escapes string values, so attribute names and error text are safe to
+/// embed.
 std::string JsonEscape(const std::string& s);
 
 /// Objects nest either as Raw() JSON or with Open()/Close(). The second

@@ -1,6 +1,9 @@
 #include "rules/function_registry.h"
 
+#include <charconv>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "stats/descriptive.h"
 #include "stats/histogram.h"
@@ -22,13 +25,41 @@ double FunctionParams::GetOr(const std::string& name, double fallback) const {
   return it == params_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// The double a whole token spells; nullopt when any byte is left over
+/// or the value is out of range.
+std::optional<double> ParseDouble(std::string_view text) {
+  double v = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
+/// The 6-significant-digit text stored keys have always used, wherever
+/// it parses back to `v`; otherwise the shortest text that does, so
+/// distinct values never share a key.
+std::string EncodeValue(double v) {
+  std::ostringstream os;
+  os << v;
+  std::string text = os.str();
+  std::optional<double> back = ParseDouble(text);
+  if (back && *back == v) return text;
+  char buf[32];
+  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, ptr);
+}
+
+}  // namespace
+
 std::string FunctionParams::Encode() const {
   std::ostringstream os;
   bool first = true;
   for (const auto& [name, value] : params_) {
     if (!first) os << ",";
     first = false;
-    os << name << "=" << value;
+    os << name << "=" << EncodeValue(value);
   }
   return os.str();
 }
@@ -38,14 +69,17 @@ Result<FunctionParams> FunctionParams::Decode(const std::string& encoded) {
   size_t start = 0;
   while (start < encoded.size()) {
     size_t comma = encoded.find(',', start);
-    std::string item = encoded.substr(
+    std::string_view item = std::string_view(encoded).substr(
         start, comma == std::string::npos ? std::string::npos
                                           : comma - start);
     size_t eq = item.find('=');
-    if (eq == std::string::npos) {
+    std::optional<double> value =
+        eq == std::string_view::npos ? std::nullopt
+                                     : ParseDouble(item.substr(eq + 1));
+    if (!value) {
       return DataLossError("malformed function params: " + encoded);
     }
-    out.Set(item.substr(0, eq), std::stod(item.substr(eq + 1)));
+    out.Set(std::string(item.substr(0, eq)), *value);
     if (comma == std::string::npos) break;
     start = comma + 1;
   }

@@ -285,6 +285,22 @@ TEST_F(CheckSummaryDbTest, DetectsOrphanedChunk) {
   EXPECT_TRUE(report.HasError("orphan-chunk")) << report.ToString();
 }
 
+TEST_F(CheckSummaryDbTest, ReportsChunkIndexOutOfRange) {
+  SummaryKey key = SummaryKey::Of("quantiles", "INCOME");
+  STATDB_ASSERT_OK(db_->Insert(key, BigVector(), 0));
+  // 2^32 must not wrap onto chunk 0; past ULONG_MAX must not throw.
+  for (const char* index : {"4294967296", "99999999999999999999999"}) {
+    STATDB_ASSERT_OK(db_->index()->Put(
+        key.Encode() + SummaryDatabase::kChunkSep + index, "junk"));
+    CheckReport report;
+    STATDB_ASSERT_OK(CheckSummaryDb(db_.get(), &report));
+    EXPECT_TRUE(report.HasError("chunk-key")) << index << "\n"
+                                              << report.ToString();
+    STATDB_ASSERT_OK(db_->index()->Delete(
+        key.Encode() + SummaryDatabase::kChunkSep + index));
+  }
+}
+
 TEST_F(CheckSummaryDbTest, DetectsEntryCountDesync) {
   STATDB_ASSERT_OK(db_->Insert(SummaryKey::Of("mean", "INCOME"),
                                SummaryResult::Scalar(1), 0));
@@ -412,6 +428,16 @@ TEST_F(OracleTest, FlagsEntryFromTheFuture) {
       db_->Insert(SummaryKey::Of("mean", "INCOME"), TrueMean(), 7));
   CheckReport report = Audit();
   EXPECT_TRUE(report.HasError("future-version")) << report.ToString();
+}
+
+TEST_F(OracleTest, UndecodableParamsAreReportedNotThrown) {
+  for (const char* params : {"p=abc", "p=", "p=1e999", "p=0.5x"}) {
+    STATDB_ASSERT_OK(db_->Insert(SummaryKey{"quantile", {"INCOME"}, params},
+                                 SummaryResult::Scalar(15.5), 0));
+  }
+  CheckReport report = Audit();
+  EXPECT_EQ(report.FindInvariant("params-corrupt").size(), 4u)
+      << report.ToString();
 }
 
 TEST_F(OracleTest, UnknownFunctionIsInfoNotError) {

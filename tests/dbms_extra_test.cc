@@ -9,6 +9,7 @@
 #include "core/dbms.h"
 #include "gtest/gtest.h"
 #include "relational/datagen.h"
+#include "stats/order.h"
 #include "tests/test_util.h"
 
 namespace statdb {
@@ -163,6 +164,35 @@ TEST_F(DbmsExtraTest, DerivedColumnWithSqrt) {
     if (incomes[i].is_null()) continue;
     EXPECT_NEAR((*col)[i].AsReal(),
                 std::sqrt(incomes[i].ToDouble().value()), 1e-9);
+  }
+}
+
+// Parameters that print alike at six significant digits are still
+// distinct Summary Database keys: a quantile cached for one p is never
+// served as an exact hit for another.
+TEST(SummaryParamKeyTest, NearbyQuantilesDoNotShareACacheEntry) {
+  auto storage = MakeTapeDiskStorage();
+  StatisticalDbms dbms(storage.get());
+  Table t(Schema({Attribute::Numeric("X", DataType::kDouble)}));
+  std::vector<double> xs;
+  for (int i = 0; i < 1000; ++i) {
+    xs.push_back(i * 1000.0);
+    STATDB_ASSERT_OK(t.AppendRow({Value::Real(xs.back())}));
+  }
+  STATDB_ASSERT_OK(dbms.LoadRawDataSet("raw", t));
+  ViewDefinition def;
+  def.source = "raw";
+  STATDB_ASSERT_OK(
+      dbms.CreateView("v", def, MaintenancePolicy::kIncremental).status());
+
+  for (double p : {0.5000001, 0.5000004, 0.5}) {
+    FunctionParams params;
+    params.Set("p", p);
+    Result<QueryAnswer> a = dbms.Query("v", "quantile", "X", params);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    EXPECT_EQ(a->source, AnswerSource::kComputed) << "p=" << p;
+    EXPECT_EQ(a->result.AsScalar().value(), Quantile(xs, p).value())
+        << "p=" << p;
   }
 }
 

@@ -1,0 +1,285 @@
+// Exact device I/O counts behind the access-pattern claims of
+// EXPERIMENTS.md E16, E17/E21, E18 and E20. Every figure here is a block
+// count read off the simulated devices' IoStats at small scale: no clock,
+// no cost-model milliseconds, so each assertion is exact and
+// machine-independent.
+//
+//   E16  one QueryMany battery reads its column once; the same
+//        statistics asked one Query at a time read it once each.
+//   E18  the compressed route reads the RLE sidecar, not the column; the
+//        column in turn reads fewer blocks than the row file.
+//   E20  delta-batched maintenance at batch 64 writes >= 3x fewer disk
+//        blocks than eager maintenance, over the same WAL commits.
+//   E17/E21  the flight recorder (on or sampled), slow-trace capture at
+//        threshold 0 and the Chrome export leave device I/O unchanged.
+
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/dbms.h"
+#include "delta/policy.h"
+#include "gtest/gtest.h"
+#include "relational/expr.h"
+#include "relational/stored_table.h"
+#include "tests/test_util.h"
+
+namespace statdb {
+namespace {
+
+/// The mergeable battery of E16/E18: every statistic finishes from the
+/// partial states of one pass.
+const std::vector<std::string> kBattery = {
+    "count", "sum",   "mean", "variance", "stddev",   "min",
+    "max",   "range", "mode", "distinct", "histogram"};
+
+/// A disk pool far smaller than any scanned column, so each pass over a
+/// column misses on every one of its pages: block reads count passes.
+constexpr size_t kSmallDiskPool = 8;
+
+/// Every query first probes the view's Summary Database, whose one-page
+/// tree the previous scan evicted from the small pool: one block read.
+constexpr uint64_t kProbeReads = 1;
+
+/// Deterministic incompressible microdata: ID = i, X = a multiplicative
+/// hash of i (no RNG, so every page-touch sequence is fixed).
+Table MakeStream(uint64_t rows) {
+  Table t(Schema({Attribute::Numeric("ID", DataType::kInt64),
+                  Attribute::Numeric("X", DataType::kDouble)}));
+  for (uint64_t i = 0; i < rows; ++i) {
+    EXPECT_TRUE(t.AppendRow({Value::Int(int64_t(i)),
+                             Value::Real(std::fmod(double(i) * 2654435761.0,
+                                                   1e5))})
+                    .ok());
+  }
+  return t;
+}
+
+/// Sorted single-attribute microdata in runs of `run` equal values, so
+/// the RLE sidecar is a page where the column is dozens.
+Table MakeRuns(uint64_t rows, uint64_t run) {
+  Table t(Schema({Attribute::Numeric("CAT", DataType::kInt64)}));
+  for (uint64_t i = 0; i < rows; ++i) {
+    EXPECT_TRUE(t.AppendRow({Value::Int(int64_t(i / run))}).ok());
+  }
+  return t;
+}
+
+/// Device I/O that `fn` causes on `dev`.
+IoStats IoOf(SimulatedDevice* dev, const std::function<void()>& fn) {
+  const IoStats before = dev->stats();
+  fn();
+  const IoStats after = dev->stats();
+  IoStats d;
+  d.block_reads = after.block_reads - before.block_reads;
+  d.block_writes = after.block_writes - before.block_writes;
+  d.seeks = after.seeks - before.seeks;
+  return d;
+}
+
+size_t ColumnPages(StatisticalDbms* db, const std::string& view,
+                   size_t column) {
+  Result<ConcreteView*> v = db->GetView(view);
+  EXPECT_TRUE(v.ok());
+  return v.ok() ? v.value()->ExportColumns()[column].pages.size() : 0;
+}
+
+class IoCountTest : public ::testing::Test {
+ protected:
+  /// One view "v" over `data` on a tape + small-disk installation.
+  void Load(const Table& data, size_t disk_pool = kSmallDiskPool) {
+    storage_ = MakeTapeDiskStorage(/*tape_pool=*/256, disk_pool);
+    disk_ = storage_->GetDevice("disk").value();
+    db_ = std::make_unique<StatisticalDbms>(storage_.get());
+    STATDB_ASSERT_OK(db_->LoadRawDataSet("raw", data));
+    ViewDefinition def;
+    def.source = "raw";
+    STATDB_ASSERT_OK(
+        db_->CreateView("v", def, MaintenancePolicy::kInvalidate).status());
+    no_cache_.cache_result = false;
+  }
+
+  void SerialBattery(const std::string& attr) {
+    for (const std::string& fn : kBattery) {
+      STATDB_ASSERT_OK(db_->Query("v", fn, attr, {}, no_cache_).status());
+    }
+  }
+
+  void SharedBattery(const std::string& attr, size_t workers) {
+    std::vector<QueryRequest> requests;
+    for (const std::string& fn : kBattery) requests.push_back({fn, attr, {}});
+    STATDB_ASSERT_OK(
+        db_->QueryMany("v", requests, no_cache_, workers).status());
+  }
+
+  std::unique_ptr<StorageManager> storage_;
+  SimulatedDevice* disk_ = nullptr;
+  std::unique_ptr<StatisticalDbms> db_;
+  QueryOptions no_cache_;
+};
+
+// E16: the shared battery pays one column read for all eleven
+// statistics; serial Query calls pay it eleven times.
+TEST_F(IoCountTest, SharedBatteryReadsTheColumnOnce) {
+  Load(MakeStream(20'000));
+  const uint64_t pages = ColumnPages(db_.get(), "v", 1);
+  ASSERT_GT(pages, 4 * kSmallDiskPool);
+  SerialBattery("X");  // settle the pool into its steady state
+
+  const IoStats one = IoOf(disk_, [&] {
+    STATDB_ASSERT_OK(db_->Query("v", "mean", "X", {}, no_cache_).status());
+  });
+  const IoStats serial = IoOf(disk_, [&] { SerialBattery("X"); });
+  const IoStats shared = IoOf(disk_, [&] { SharedBattery("X", 1); });
+
+  EXPECT_EQ(one.block_reads, pages + kProbeReads);
+  EXPECT_EQ(serial.block_reads, kBattery.size() * one.block_reads);
+  EXPECT_EQ(shared.block_reads, one.block_reads);
+}
+
+// E18: sorted runs. The compressed route reads the sidecar's pages once
+// for the whole battery; the materialized route reads the column once
+// per statistic; the row file reads every heap page per statistic.
+TEST_F(IoCountTest, CompressedRouteReadsFewerBlocksThanColumnAndRowFile) {
+  const Table data = MakeRuns(20'000, 1000);
+  Load(data);
+  const CompressedColumnFile* sidecar =
+      db_->GetView("v").value()->CompressedSidecar("CAT");
+  ASSERT_NE(sidecar, nullptr);
+  const uint64_t column_pages = ColumnPages(db_.get(), "v", 0);
+
+  db_->set_compressed_scan_enabled(false);
+  SerialBattery("CAT");
+  const IoStats materialized = IoOf(disk_, [&] { SerialBattery("CAT"); });
+  db_->set_compressed_scan_enabled(true);
+  const IoStats compressed = IoOf(disk_, [&] { SerialBattery("CAT"); });
+
+  BufferPool* pool = storage_->GetPool("disk").value();
+  StoredRowTable heap(data.schema(), pool);
+  STATDB_ASSERT_OK(heap.LoadFrom(data));
+  STATDB_ASSERT_OK(pool->FlushAll());
+  const IoStats row_file = IoOf(disk_, [&] {
+    for (size_t s = 0; s < kBattery.size(); ++s) {
+      STATDB_ASSERT_OK(
+          heap.Scan([](const Row&) { return Status::OK(); }));
+    }
+  });
+
+  EXPECT_EQ(materialized.block_reads,
+            kBattery.size() * (column_pages + kProbeReads));
+  EXPECT_EQ(compressed.block_reads, sidecar->page_count() + kProbeReads);
+  EXPECT_EQ(row_file.block_reads, kBattery.size() * heap.page_count());
+  EXPECT_GE(materialized.block_reads, 3 * compressed.block_reads);
+  EXPECT_LT(materialized.block_reads, row_file.block_reads);
+}
+
+struct MaintenanceIo {
+  uint64_t disk_writes = 0;
+  uint64_t commits = 0;
+};
+
+/// E20's update stream: `updates` single-row contractions of X with
+/// durability on and twenty armed summary entries on X (nine scalars,
+/// eleven wide histograms), under one fixed maintenance strategy.
+MaintenanceIo RunUpdateStream(delta::MaintenanceStrategy strategy,
+                              size_t flush_threshold, int updates) {
+  auto storage = MakeTapeDiskStorage(/*tape_pool=*/256, /*disk_pool=*/4096);
+  EXPECT_TRUE(storage->AddDevice("wal", DeviceCostModel::Disk(), 8).ok());
+  SimulatedDevice* disk = storage->GetDevice("disk").value();
+  StatisticalDbms db(storage.get());
+  EXPECT_TRUE(db.EnableDurability("wal").ok());
+  EXPECT_TRUE(db.LoadRawDataSet("raw", MakeStream(4096)).ok());
+  ViewDefinition def;
+  def.source = "raw";
+  EXPECT_TRUE(
+      db.CreateView("v", def, MaintenancePolicy::kIncremental).ok());
+  delta::DeltaConfig cfg;
+  cfg.adaptive = false;
+  cfg.default_strategy = strategy;
+  cfg.flush_threshold = flush_threshold;
+  db.set_delta_config(cfg);
+  for (const char* fn : {"count", "sum", "mean", "variance", "stddev", "min",
+                         "max", "mode", "distinct"}) {
+    EXPECT_TRUE(db.Query("v", fn, "X").ok());
+  }
+  // A many-bucket histogram fills most of a B-tree leaf, so each one
+  // puts another summary page in the per-commit write set.
+  for (double buckets = 8; buckets <= 88; buckets += 8) {
+    FunctionParams hp;
+    hp.Set("buckets", buckets);
+    EXPECT_TRUE(db.Query("v", "histogram", "X", hp).ok());
+  }
+
+  const uint64_t lsn0 = db.redo_log()->last_lsn();
+  const IoStats io = IoOf(disk, [&] {
+    for (int u = 0; u < updates; ++u) {
+      UpdateSpec spec;
+      spec.predicate = Eq(Col("ID"), Lit(int64_t(u)));
+      spec.column = "X";
+      // Contracts into [2e4, 6e4]: no histogram spill.
+      spec.value = Add(Mul(Col("X"), Lit(0.4)), Lit(2e4));
+      spec.description = "contraction";
+      EXPECT_TRUE(db.Update("v", spec).ok());
+    }
+    EXPECT_TRUE(db.FlushDeltas("v").ok());
+  });
+  return {io.block_writes, db.redo_log()->last_lsn() - lsn0};
+}
+
+TEST(IoCountMaintenanceTest, BatchOf64WritesThreeTimesFewerBlocksThanEager) {
+  constexpr int kUpdates = 128;
+  const MaintenanceIo eager = RunUpdateStream(
+      delta::MaintenanceStrategy::kEagerIncremental, 1, kUpdates);
+  const MaintenanceIo batched = RunUpdateStream(
+      delta::MaintenanceStrategy::kDeltaBatched, 64, kUpdates);
+  EXPECT_GT(batched.disk_writes, 0u);
+  EXPECT_GE(eager.disk_writes, 3 * batched.disk_writes);
+  EXPECT_EQ(eager.commits, uint64_t(kUpdates));
+  EXPECT_EQ(batched.commits, eager.commits);
+}
+
+// E17/E21: observation must not change the physical plan. Each
+// configuration runs the same uncached battery and must cause exactly
+// the device I/O of the configuration with every consumer off.
+TEST_F(IoCountTest, ObservationLeavesDeviceIoUnchanged) {
+  Load(MakeStream(20'000));
+  FlightRecorder& flight = db_->flight();
+  SlowQueryLog& slow = flight.slow_log();
+  slow.set_threshold_ms(0.0);
+  auto battery_io = [&](bool on, uint64_t sample_every, bool capture,
+                        bool export_trace) {
+    flight.set_enabled(on);
+    flight.set_sample_every(sample_every);
+    slow.set_enabled(capture);
+    return IoOf(disk_, [&] {
+      SharedBattery("X", 1);
+      if (export_trace) {
+        EXPECT_FALSE(db_->DumpChromeTrace().empty());
+      }
+    });
+  };
+
+  battery_io(false, 1, false, false);  // settle the pool
+  const IoStats off = battery_io(false, 1, false, false);
+  const IoStats on = battery_io(true, 1, false, false);
+  const IoStats sampled = battery_io(true, 16, false, false);
+  const IoStats captured = battery_io(true, 1, true, false);
+  const IoStats exported = battery_io(true, 1, true, true);
+
+  ASSERT_GT(off.block_reads, 0u);
+  for (const IoStats* io : {&on, &sampled, &captured, &exported}) {
+    EXPECT_EQ(io->block_reads, off.block_reads);
+    EXPECT_EQ(io->block_writes, off.block_writes);
+    EXPECT_EQ(io->seeks, off.seeks);
+  }
+  // Each configuration really observed something.
+  EXPECT_GT(flight.recorded(), 0u);
+  EXPECT_GT(flight.sampled_out(), 0u);
+  EXPECT_GT(slow.captured(), 0u);
+}
+
+}  // namespace
+}  // namespace statdb

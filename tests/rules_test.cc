@@ -28,6 +28,39 @@ TEST(FunctionParamsTest, DecodeInvertsEncode) {
   EXPECT_FALSE(FunctionParams::Decode("garbage").ok());
 }
 
+TEST(FunctionParamsTest, EncodeKeepsShortTextWhereItRoundTrips) {
+  // Keys already stored in Summary Databases stay byte-identical.
+  FunctionParams p;
+  p.Set("p", 0.05).Set("buckets", 10).Set("big", 1e6).Set("w", 0.1);
+  EXPECT_EQ(p.Encode(), "big=1e+06,buckets=10,p=0.05,w=0.1");
+}
+
+TEST(FunctionParamsTest, DistinctValuesEncodeToDistinctKeys) {
+  // Six significant digits print all three as "0.5".
+  FunctionParams a, b, c;
+  a.Set("p", 0.5);
+  b.Set("p", 0.5000001);
+  c.Set("p", 0.5000004);
+  EXPECT_EQ(a.Encode(), "p=0.5");
+  EXPECT_NE(b.Encode(), a.Encode());
+  EXPECT_NE(c.Encode(), b.Encode());
+  for (const FunctionParams* fp : {&a, &b, &c}) {
+    Result<FunctionParams> back = FunctionParams::Decode(fp->Encode());
+    ASSERT_TRUE(back.ok()) << fp->Encode();
+    EXPECT_EQ(back->Get("p").value(), fp->Get("p").value());
+    EXPECT_EQ(back->Encode(), fp->Encode());
+  }
+}
+
+TEST(FunctionParamsTest, DecodeRejectsMalformedValuesAsDataLoss) {
+  for (const char* bad : {"p=abc", "p=", "p=1e999", "p=0.5x", "p=0.5,q",
+                          "p= 0.5"}) {
+    Result<FunctionParams> r = FunctionParams::Decode(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << bad;
+  }
+}
+
 TEST(FunctionParamsTest, GetOrFallsBack) {
   FunctionParams p;
   p.Set("p", 0.25);

@@ -1499,20 +1499,18 @@ Status StatisticalDbms::MaintainDerivedColumns(
   STATDB_ASSIGN_OR_RETURN(
       std::vector<DerivedColumnDef*> affected,
       mdb_.DerivedColumnsOn(view_name, attribute));
+  std::vector<uint64_t> rows;  // the touched rows, ascending
   for (DerivedColumnDef* def : affected) {
     if (def->kind == DerivedRuleKind::kLocal) {
       // "Local" rule: recompute exactly the touched rows (§3.2).
-      for (const CellChange& ch : changes) {
-        STATDB_ASSIGN_OR_RETURN(Row row, state->view->ReadRow(ch.row));
-        STATDB_ASSIGN_OR_RETURN(
-            Value fresh, def->row_expr->Eval(row, state->view->schema()));
-        STATDB_ASSIGN_OR_RETURN(Value old,
-                                state->view->ReadCell(ch.row, def->name));
-        if (old == fresh) continue;
-        STATDB_RETURN_IF_ERROR(
-            state->view->WriteCell(ch.row, def->name, fresh));
-        extra_changes->push_back(CellChange{ch.row, def->name, old, fresh});
+      if (rows.empty()) {
+        for (const CellChange& ch : changes) rows.push_back(ch.row);
       }
+      STATDB_ASSIGN_OR_RETURN(
+          std::vector<CellChange> fixed,
+          state->view->Recompute(def->name, *def->row_expr, &rows));
+      extra_changes->insert(extra_changes->end(), fixed.begin(),
+                            fixed.end());
     } else {
       // Whole-vector rule: mark out of date; regenerate on next read.
       def->out_of_date = true;
@@ -1542,26 +1540,39 @@ Result<uint64_t> StatisticalDbms::Update(const std::string& view,
   // all stamp this trace_id.
   causal::ScopedTraceContext causal_scope(causal::Mint());
   TraceTimer timer;
-  Result<uint64_t> r = UpdateUnderContext(view, spec);
+  std::optional<QueryTrace> trace;
+  QueryTrace* tr = BeginTrace(&trace, causal_scope.ctx(), "update", view,
+                              /*function=*/"", spec.column);
+  Result<uint64_t> r = UpdateUnderContext(view, spec, tr);
   FinishOperation(OpClass::kUpdate, timer,
                   r.ok() ? TraceOutcome::kComputed : TraceOutcome::kError,
-                  /*trace=*/nullptr);
+                  tr);
   return r;
 }
 
 Result<uint64_t> StatisticalDbms::UpdateUnderContext(const std::string& view,
-                                                     const UpdateSpec& spec) {
+                                                     const UpdateSpec& spec,
+                                                     QueryTrace* trace) {
   STATDB_RETURN_IF_ERROR(GuardMutable());
   STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
   // Session protocol: capture pre-images and wait out pinned readers on
   // the live route before any byte changes; every exit below publishes a
   // new commit seq (the scope's destructor covers the error paths).
-  session::MutationScope scope(sessions_.get(),
-                               session::MutationScope::Kind::kMutate, view,
-                               state->view.get());
-  if (!scope.ok()) return scope.status();
-  STATDB_ASSIGN_OR_RETURN(std::vector<CellChange> changes,
-                          state->view->ApplyUpdate(spec));
+  std::optional<session::MutationScope> scope;
+  {
+    ScopedSpan span(trace, SpanKind::kSnapshotCapture);
+    scope.emplace(sessions_.get(), session::MutationScope::Kind::kMutate,
+                  view, state->view.get());
+  }
+  if (!scope->ok()) return scope->status();
+  std::vector<CellChange> changes;
+  {
+    ScopedSpan span(trace, SpanKind::kPredicateScan);
+    uint64_t pages = 0;
+    STATDB_ASSIGN_OR_RETURN(changes, state->view->ApplyUpdate(spec, &pages));
+    span.SetRows(state->view->num_rows());
+    span.SetPages(pages);
+  }
   if (changes.empty()) return 0;
   ++state->traffic.updates;
   state->traffic.cells_changed += changes.size();
@@ -1572,40 +1583,46 @@ Result<uint64_t> StatisticalDbms::UpdateUnderContext(const std::string& view,
     }
   }
 
-  STATDB_RETURN_IF_ERROR(MaintainIndexes(state, spec.column, changes));
-
   std::vector<CellChange> derived_changes;
-  STATDB_RETURN_IF_ERROR(MaintainDerivedColumns(view, state, spec.column,
-                                                changes, &derived_changes));
-
-  // Log the whole logical update (including derived fixes) as one entry.
-  STATDB_ASSIGN_OR_RETURN(ViewRecord * rec, mdb_.GetView(view));
-  UpdateLogEntry entry;
-  entry.version = state->view->version();
-  entry.description = spec.description.empty()
-                          ? ("update " + spec.column)
-                          : spec.description;
-  entry.changes = changes;
-  entry.changes.insert(entry.changes.end(), derived_changes.begin(),
-                       derived_changes.end());
-  STATDB_RETURN_IF_ERROR(rec->history.Append(std::move(entry)));
-  rec->version = state->view->version();
-
-  STATDB_RETURN_IF_ERROR(
-      MaintainSummaries(view, state, spec.column, changes));
-  // Changes to kLocal derived columns also touch their cached summaries.
   std::map<std::string, std::vector<CellChange>> by_column;
-  for (const CellChange& ch : derived_changes) {
-    by_column[ch.column].push_back(ch);
-  }
-  for (const auto& [column, column_changes] : by_column) {
-    STATDB_RETURN_IF_ERROR(MaintainIndexes(state, column, column_changes));
+  {
+    ScopedSpan span(trace, SpanKind::kMaintenance);
+    span.SetRows(changes.size());
+    STATDB_RETURN_IF_ERROR(MaintainIndexes(state, spec.column, changes));
+    STATDB_RETURN_IF_ERROR(MaintainDerivedColumns(view, state, spec.column,
+                                                  changes, &derived_changes));
+
+    // Log the whole logical update (including derived fixes) as one entry.
+    STATDB_ASSIGN_OR_RETURN(ViewRecord * rec, mdb_.GetView(view));
+    UpdateLogEntry entry;
+    entry.version = state->view->version();
+    entry.description = spec.description.empty()
+                            ? ("update " + spec.column)
+                            : spec.description;
+    entry.changes = changes;
+    entry.changes.insert(entry.changes.end(), derived_changes.begin(),
+                         derived_changes.end());
+    STATDB_RETURN_IF_ERROR(rec->history.Append(std::move(entry)));
+    rec->version = state->view->version();
+
     STATDB_RETURN_IF_ERROR(
-        MaintainSummaries(view, state, column, column_changes));
+        MaintainSummaries(view, state, spec.column, changes));
+    // Changes to kLocal derived columns also touch their cached summaries.
+    for (const CellChange& ch : derived_changes) {
+      by_column[ch.column].push_back(ch);
+    }
+    for (const auto& [column, column_changes] : by_column) {
+      STATDB_RETURN_IF_ERROR(MaintainIndexes(state, column, column_changes));
+      STATDB_RETURN_IF_ERROR(
+          MaintainSummaries(view, state, column, column_changes));
+    }
+    STATDB_RETURN_IF_ERROR(MaybeAuditAfterUpdate(view));
   }
-  STATDB_RETURN_IF_ERROR(MaybeAuditAfterUpdate(view));
-  STATDB_RETURN_IF_ERROR(
-      CommitDurable(/*attr_hint=*/spec.column, /*force=*/true));
+  {
+    ScopedSpan span(trace, SpanKind::kWalCommit);
+    STATDB_RETURN_IF_ERROR(
+        CommitDurable(/*attr_hint=*/spec.column, /*force=*/true));
+  }
   uint64_t total_cells = changes.size() + derived_changes.size();
   if (flight_.enabled()) {
     flight_.Record(causal::Current(), FlightEventKind::kUpdate,
@@ -1624,15 +1641,18 @@ Status StatisticalDbms::Rollback(const std::string& view,
                                  uint64_t target_version) {
   causal::ScopedTraceContext causal_scope(causal::Mint());
   TraceTimer timer;
-  Status s = RollbackUnderContext(view, target_version);
+  std::optional<QueryTrace> trace;
+  QueryTrace* tr = BeginTrace(&trace, causal_scope.ctx(), "rollback", view);
+  Status s = RollbackUnderContext(view, target_version, tr);
   FinishOperation(OpClass::kRollback, timer,
                   s.ok() ? TraceOutcome::kComputed : TraceOutcome::kError,
-                  /*trace=*/nullptr);
+                  tr);
   return s;
 }
 
 Status StatisticalDbms::RollbackUnderContext(const std::string& view,
-                                             uint64_t target_version) {
+                                             uint64_t target_version,
+                                             QueryTrace* trace) {
   STATDB_RETURN_IF_ERROR(GuardMutable());
   STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
   STATDB_ASSIGN_OR_RETURN(ViewRecord * rec, mdb_.GetView(view));
@@ -1642,59 +1662,68 @@ Status StatisticalDbms::RollbackUnderContext(const std::string& view,
   // they resolve against the capture installed here and against the
   // session timeline (keyed by monotone commit seqs, immune to version
   // reuse after rollback).
-  session::MutationScope scope(sessions_.get(),
-                               session::MutationScope::Kind::kMutate, view,
-                               state->view.get());
-  if (!scope.ok()) return scope.status();
+  std::optional<session::MutationScope> scope;
+  {
+    ScopedSpan span(trace, SpanKind::kSnapshotCapture);
+    scope.emplace(sessions_.get(), session::MutationScope::Kind::kMutate,
+                  view, state->view.get());
+  }
+  if (!scope->ok()) return scope->status();
   // Attributes touched by the updates being undone.
   std::vector<std::string> affected;
-  for (const UpdateLogEntry* e : rec->history.EntriesSince(target_version)) {
-    for (const CellChange& ch : e->changes) {
-      if (std::find(affected.begin(), affected.end(), ch.column) ==
-          affected.end()) {
-        affected.push_back(ch.column);
+  {
+    ScopedSpan span(trace, SpanKind::kMaintenance);
+   for (const UpdateLogEntry* e : rec->history.EntriesSince(target_version)) {
+      for (const CellChange& ch : e->changes) {
+        if (std::find(affected.begin(), affected.end(), ch.column) ==
+            affected.end()) {
+          affected.push_back(ch.column);
+        }
       }
     }
+    STATDB_RETURN_IF_ERROR(rec->history.Rollback(
+        target_version, [state](const CellChange& ch) -> Status {
+          STATDB_RETURN_IF_ERROR(
+              state->view->WriteCell(ch.row, ch.column, ch.old_value));
+          // Keep any secondary index in step with the restored cell.
+          auto it = state->indexes.find(ch.column);
+          if (it != state->indexes.end()) {
+            STATDB_RETURN_IF_ERROR(it->second->ApplyChange(
+                ch.row, ch.new_value, ch.old_value));
+          }
+          return Status::OK();
+        }));
+    state->view->SetVersion(target_version);
+    rec->version = target_version;
+    for (const std::string& attr : affected) {
+      STATDB_ASSIGN_OR_RETURN(uint64_t n,
+                              state->summary->InvalidateAttribute(attr));
+      (void)n;
+    }
+    // Entries on unaffected attributes are still valid, but none may keep a
+    // version stamp from the undone timeline: re-advanced version numbers
+    // would collide with it and poison max_version_lag staleness checks.
+    STATDB_ASSIGN_OR_RETURN(uint64_t capped,
+                            state->summary->ClampVersions(target_version));
+    (void)capped;
+    // Maintainer state reflects the rolled-back data; drop it all and let
+    // queries re-arm on demand. Buffered deltas describe undone mutations:
+    // discard them and stamp their attributes stale (they may not be in
+    // `affected` when the pending update predates the rollback window).
+    state->maintainers.clear();
+    state->comaintainers.clear();
+    for (const std::string& attr : state->deltas.PendingAttributes()) {
+      state->deltas.Discard(attr);
+      STATDB_ASSIGN_OR_RETURN(uint64_t dropped,
+                              state->summary->InvalidateAttribute(attr));
+      (void)dropped;
+    }
+    STATDB_RETURN_IF_ERROR(MaybeAuditAfterUpdate(view));
   }
-  STATDB_RETURN_IF_ERROR(rec->history.Rollback(
-      target_version, [state](const CellChange& ch) -> Status {
-        STATDB_RETURN_IF_ERROR(
-            state->view->WriteCell(ch.row, ch.column, ch.old_value));
-        // Keep any secondary index in step with the restored cell.
-        auto it = state->indexes.find(ch.column);
-        if (it != state->indexes.end()) {
-          STATDB_RETURN_IF_ERROR(it->second->ApplyChange(
-              ch.row, ch.new_value, ch.old_value));
-        }
-        return Status::OK();
-      }));
-  state->view->SetVersion(target_version);
-  rec->version = target_version;
-  for (const std::string& attr : affected) {
-    STATDB_ASSIGN_OR_RETURN(uint64_t n,
-                            state->summary->InvalidateAttribute(attr));
-    (void)n;
+  {
+    ScopedSpan span(trace, SpanKind::kWalCommit);
+    STATDB_RETURN_IF_ERROR(CommitDurable(/*attr_hint=*/"", /*force=*/true));
   }
-  // Entries on unaffected attributes are still valid, but none may keep a
-  // version stamp from the undone timeline: re-advanced version numbers
-  // would collide with it and poison max_version_lag staleness checks.
-  STATDB_ASSIGN_OR_RETURN(uint64_t capped,
-                          state->summary->ClampVersions(target_version));
-  (void)capped;
-  // Maintainer state reflects the rolled-back data; drop it all and let
-  // queries re-arm on demand. Buffered deltas describe undone mutations:
-  // discard them and stamp their attributes stale (they may not be in
-  // `affected` when the pending update predates the rollback window).
-  state->maintainers.clear();
-  state->comaintainers.clear();
-  for (const std::string& attr : state->deltas.PendingAttributes()) {
-    state->deltas.Discard(attr);
-    STATDB_ASSIGN_OR_RETURN(uint64_t dropped,
-                            state->summary->InvalidateAttribute(attr));
-    (void)dropped;
-  }
-  STATDB_RETURN_IF_ERROR(MaybeAuditAfterUpdate(view));
-  STATDB_RETURN_IF_ERROR(CommitDurable(/*attr_hint=*/"", /*force=*/true));
   flight_.Record(causal::Current(), FlightEventKind::kRollback, view,
                  int64_t(target_version), int64_t(affected.size()));
   MaybeTickTimeseries();
@@ -1721,13 +1750,10 @@ Status StatisticalDbms::AddDerivedColumn(const std::string& view,
     STATDB_RETURN_IF_ERROR(mdb_.AddDerivedColumn(view, std::move(def)));
     if (kind == DerivedRuleKind::kLocal) {
       // Fill every row from the expression.
-      uint64_t n = state->view->num_rows();
-      for (uint64_t r = 0; r < n; ++r) {
-        STATDB_ASSIGN_OR_RETURN(Row row, state->view->ReadRow(r));
-        STATDB_ASSIGN_OR_RETURN(Value v,
-                                expr->Eval(row, state->view->schema()));
-        STATDB_RETURN_IF_ERROR(state->view->WriteCell(r, name, v));
-      }
+      STATDB_ASSIGN_OR_RETURN(
+          std::vector<CellChange> filled,
+          state->view->Recompute(name, *expr, /*rows=*/nullptr));
+      (void)filled;
       return CommitDurable(/*attr_hint=*/name, /*force=*/true);
     }
   }

@@ -750,10 +750,12 @@ class StatisticalDbms {
 
   /// Update/Rollback bodies; the public wrappers mint the mutation's
   /// causal context and finish through FinishOperation.
+  /// `trace` (nullable) receives the mutation's phase spans.
   Result<uint64_t> UpdateUnderContext(const std::string& view,
-                                      const UpdateSpec& spec);
+                                      const UpdateSpec& spec,
+                                      QueryTrace* trace);
   Status RollbackUnderContext(const std::string& view,
-                              uint64_t target_version);
+                              uint64_t target_version, QueryTrace* trace);
 
   /// Recover() body; the public wrapper owns the "recover"-labeled trace
   /// whose spans (WAL scan, redo replay, manifest apply, fallback

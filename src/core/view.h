@@ -60,9 +60,19 @@ class ConcreteView {
   /// Bulk-load at materialization time (does not bump the version).
   Status LoadFrom(const Table& t) { return table_->LoadFrom(t); }
 
-  /// Applies a predicate update, returning the cell changes it made.
-  /// Bumps the version iff at least one cell changed.
-  Result<std::vector<CellChange>> ApplyUpdate(const UpdateSpec& spec);
+  /// Applies a predicate update, returning the cell changes it made, in
+  /// ascending row order. Bumps the version iff at least one cell
+  /// changed. Evaluates every row before it writes any, so a failed
+  /// update changes nothing. Adds the pages the scan read to `*pages`.
+  Result<std::vector<CellChange>> ApplyUpdate(const UpdateSpec& spec,
+                                              uint64_t* pages = nullptr);
+
+  /// Sets `column` to `expr` at `rows` (ascending; nullptr = every row),
+  /// reading only the pages that hold them, and returns the changes like
+  /// ApplyUpdate. Does NOT bump the version (derived-column upkeep).
+  Result<std::vector<CellChange>> Recompute(
+      const std::string& column, const Expr& expr,
+      const std::vector<uint64_t>* rows);
 
   /// Point write used by rollback and derived-column regeneration.
   /// Does NOT bump the version (callers manage versioning).
@@ -95,8 +105,6 @@ class ConcreteView {
     return table_->ReadNumericPairsRange(a, b, begin, end, xs, ys);
   }
 
-  Result<Row> ReadRow(uint64_t row) const { return table_->ReadRow(row); }
-
   /// RLE sidecars for compressed-domain scans (DESIGN.md §14). Built
   /// after bulk load; invalidated automatically by cell writes.
   Status CompressColumns(double min_ratio = 2.0) {
@@ -123,6 +131,15 @@ class ConcreteView {
   void BumpVersion() { ++version_; }
 
  private:
+  /// ApplyUpdate and Recompute: `column` := `value` (nullptr = missing)
+  /// where `predicate` (nullptr = true) holds, over `rows` (nullptr =
+  /// all). Evaluates a page at a time, then writes.
+  Result<std::vector<CellChange>> Assign(const std::string& column,
+                                         const Expr* predicate,
+                                         const Expr* value,
+                                         const std::vector<uint64_t>* rows,
+                                         uint64_t* pages);
+
   std::string name_;
   std::unique_ptr<TransposedTable> table_;
   uint64_t version_ = 0;

@@ -21,6 +21,10 @@ const char* SpanKindName(SpanKind kind) {
     case SpanKind::kManifestApply: return "manifest_apply";
     case SpanKind::kFallbackInvalidate: return "fallback_invalidate";
     case SpanKind::kCompressedScan: return "compressed_scan";
+    case SpanKind::kSnapshotCapture: return "snapshot_capture";
+    case SpanKind::kPredicateScan: return "predicate_scan";
+    case SpanKind::kMaintenance: return "maintenance";
+    case SpanKind::kWalCommit: return "wal_commit";
   }
   return "?";
 }

@@ -45,6 +45,11 @@ enum class SpanKind : uint8_t {
   // Compressed-domain scan over the RLE sidecar (DESIGN.md §14): rows =
   // logical cells covered, pages = compressed pages touched.
   kCompressedScan = 12,
+  // Mutation phases (Update, Rollback):
+  kSnapshotCapture = 13,  // session pre-image capture + grace (MutationScope)
+  kPredicateScan = 14,    // predicate update's page-at-a-time evaluation
+  kMaintenance = 15,      // indexes, derived columns, history, summaries
+  kWalCommit = 16,        // the durable commit (CommitDurable)
 };
 
 const char* SpanKindName(SpanKind kind);

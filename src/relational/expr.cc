@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/bytes.h"
 
@@ -43,13 +44,15 @@ Result<Value> EvalArith(ExprOp op, const Value& a, const Value& b) {
   // Integer arithmetic stays integral except division.
   if (a.type() == DataType::kInt64 && b.type() == DataType::kInt64 &&
       op != ExprOp::kDiv) {
-    int64_t x = a.AsInt(), y = b.AsInt();
+    int64_t x = a.AsInt(), y = b.AsInt(), z = 0;
+    bool overflow = false;
     switch (op) {
-      case ExprOp::kAdd: return Value::Int(x + y);
-      case ExprOp::kSub: return Value::Int(x - y);
-      case ExprOp::kMul: return Value::Int(x * y);
-      default: break;
+      case ExprOp::kAdd: overflow = __builtin_add_overflow(x, y, &z); break;
+      case ExprOp::kSub: overflow = __builtin_sub_overflow(x, y, &z); break;
+      default: overflow = __builtin_mul_overflow(x, y, &z); break;
     }
+    if (overflow) return Int64OverflowError(op);
+    return Value::Int(z);
   }
   STATDB_ASSIGN_OR_RETURN(double x, a.ToDouble());
   STATDB_ASSIGN_OR_RETURN(double y, b.ToDouble());
@@ -81,7 +84,18 @@ Value EvalCompare(ExprOp op, const Value& a, const Value& b) {
   return Value::Int(r ? 1 : 0);
 }
 
+constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
+
 }  // namespace
+
+Status Int64OverflowError(ExprOp op) {
+  const char* what = op == ExprOp::kAdd   ? "+"
+                     : op == ExprOp::kSub ? "-"
+                     : op == ExprOp::kMul ? "*"
+                     : op == ExprOp::kNeg ? "negation"
+                                          : "abs";
+  return OutOfRangeError(std::string("int64 overflow in ") + what);
+}
 
 bool IsTrue(const Value& v) {
   if (v.is_null()) return false;
@@ -143,7 +157,10 @@ Result<Value> Expr::Eval(const Row& row, const Schema& schema) const {
     case ExprOp::kNeg: {
       STATDB_ASSIGN_OR_RETURN(Value a, lhs_->Eval(row, schema));
       if (a.is_null()) return Value::Null();
-      if (a.type() == DataType::kInt64) return Value::Int(-a.AsInt());
+      if (a.type() == DataType::kInt64) {
+        if (a.AsInt() == kInt64Min) return Int64OverflowError(op_);
+        return Value::Int(-a.AsInt());
+      }
       STATDB_ASSIGN_OR_RETURN(double x, a.ToDouble());
       return Value::Real(-x);
     }
@@ -157,7 +174,10 @@ Result<Value> Expr::Eval(const Row& row, const Schema& schema) const {
     case ExprOp::kAbs: {
       STATDB_ASSIGN_OR_RETURN(Value a, lhs_->Eval(row, schema));
       if (a.is_null()) return Value::Null();
-      if (a.type() == DataType::kInt64) return Value::Int(std::abs(a.AsInt()));
+      if (a.type() == DataType::kInt64) {
+        if (a.AsInt() == kInt64Min) return Int64OverflowError(op_);
+        return Value::Int(std::abs(a.AsInt()));
+      }
       STATDB_ASSIGN_OR_RETURN(double x, a.ToDouble());
       return Value::Real(std::abs(x));
     }
@@ -267,6 +287,12 @@ Result<ExprPtr> Expr::Deserialize(ByteReader* r) {
   }
   STATDB_ASSIGN_OR_RETURN(ExprPtr lhs, Deserialize(r));
   STATDB_ASSIGN_OR_RETURN(uint8_t has_rhs, r->GetU8());
+  // Evaluation dereferences both children of a binary node and only the
+  // left one of a unary node: a mismatched arity is corruption.
+  const bool binary = op <= ExprOp::kOr;
+  if ((has_rhs != 0) != binary) {
+    return DataLossError("expression node has the wrong arity");
+  }
   if (has_rhs == 0) {
     return MakeUnary(op, std::move(lhs));
   }

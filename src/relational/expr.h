@@ -49,12 +49,14 @@ enum class ExprOp : uint8_t {
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
-/// Immutable expression tree evaluated against one row. Analysts specify
-/// predicate updates ("mark INCOME missing where INCOME > 10^6") and
-/// derived columns ("log(INCOME)", "A+B+C") with these (§4.1).
+/// Immutable expression tree. Analysts specify predicate updates ("mark
+/// INCOME missing where INCOME > 10^6") and derived columns
+/// ("log(INCOME)", "A+B+C") with these (§4.1). The engine binds them once
+/// and evaluates a page of rows at a time (relational/bound_expr.h).
 class Expr {
  public:
-  /// Evaluates against `row` interpreted by `schema`.
+  /// Evaluates against one `row` interpreted by `schema`: the one-row
+  /// API, and the reference the batch evaluator is tested against.
   Result<Value> Eval(const Row& row, const Schema& schema) const;
 
   ExprOp op() const { return op_; }
@@ -122,6 +124,10 @@ ExprPtr IsNotNull(ExprPtr a);
 
 /// True iff `v` is a non-null truthy value (non-zero number).
 bool IsTrue(const Value& v);
+
+/// The OUT_OF_RANGE error that int64 +, -, *, negation and abs return on
+/// overflow, from Expr::Eval and BoundExpr alike.
+Status Int64OverflowError(ExprOp op);
 
 }  // namespace statdb
 

@@ -1,8 +1,11 @@
 #include "relational/ops.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <unordered_map>
+
+#include "relational/bound_expr.h"
 
 namespace statdb {
 
@@ -23,12 +26,33 @@ struct RowKeyHash {
 }  // namespace
 
 Result<Table> Select(const Table& t, const Expr& pred) {
+  STATDB_ASSIGN_OR_RETURN(BoundExpr bound, BoundExpr::Bind(pred, t.schema()));
+  const std::vector<size_t>& cols = bound.columns();
+  std::vector<ColumnBuffer> bufs(cols.size());
+  RowBatch batch;
+  batch.columns.resize(t.num_columns());
+  for (size_t k = 0; k < cols.size(); ++k) {
+    batch.columns[cols[k]] = bufs[k].View(t.schema().attr(cols[k]).type);
+  }
+  std::array<uint16_t, kBatchRows> sel{};
+  std::array<uint16_t, kBatchRows> kept{};
   Table out(t.schema());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    Row row = t.GetRow(r);
-    STATDB_ASSIGN_OR_RETURN(Value keep, pred.Eval(row, t.schema()));
-    if (IsTrue(keep)) {
-      STATDB_RETURN_IF_ERROR(out.AppendRow(std::move(row)));
+  for (size_t lo = 0; lo < t.num_rows(); lo += kBatchRows) {
+    batch.size = std::min(kBatchRows, t.num_rows() - lo);
+    for (size_t k = 0; k < cols.size(); ++k) {
+      STATDB_RETURN_IF_ERROR(bufs[k].Fill(t.schema().attr(cols[k]).type,
+                                          t.Column(cols[k]).data() + lo,
+                                          batch.size));
+    }
+    for (size_t i = 0; i < batch.size; ++i) sel[i] = uint16_t(i);
+    Status error;
+    size_t n = 0;
+    if (bound.Filter(batch, sel.data(), batch.size, kept.data(), &n,
+                     &error) != BoundExpr::kNoError) {
+      return error;
+    }
+    for (size_t k = 0; k < n; ++k) {
+      STATDB_RETURN_IF_ERROR(out.AppendRow(t.GetRow(lo + kept[k])));
     }
   }
   return out;

@@ -1,19 +1,10 @@
 #include "relational/stored_table.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
+#include <string_view>
 
 namespace statdb {
-namespace {
-
-// A numeric cell's value: int64 cells convert, double cells are stored as
-// their bit pattern.
-double DecodeNumeric(bool is_int, int64_t raw) {
-  return is_int ? static_cast<double>(raw) : std::bit_cast<double>(raw);
-}
-
-}  // namespace
 
 Status StoredRowTable::Append(const Row& row) {
   if (row.size() != schema_.size()) {
@@ -227,11 +218,12 @@ Result<std::vector<double>> TransposedTable::ReadNumericRange(
   std::vector<double> out;
   if (end > begin) out.reserve(end - begin);
   const bool is_int = t == DataType::kInt64;
-  STATDB_RETURN_IF_ERROR(columns_[col].file->ScanPages(
-      begin, end,
-      [is_int, &out](uint64_t, const ColumnPageView& page) -> Status {
-        for (size_t i = 0; i < page.size(); ++i) {
-          if (page.valid(i)) out.push_back(DecodeNumeric(is_int, page.raw(i)));
+  STATDB_RETURN_IF_ERROR(ScanBatches(
+      {col}, begin, end, [&](uint64_t, const RowBatch& batch) -> Status {
+        const ColumnVector& v = batch.columns[col];
+        for (size_t i = 0; i < batch.size; ++i) {
+          if (!v.valid[i]) continue;
+          out.push_back(is_int ? double(v.ints[i]) : v.reals[i]);
         }
         return Status::OK();
       }));
@@ -250,38 +242,72 @@ Status TransposedTable::ReadNumericPairsRange(
   // The serial bivariate path silently skips cells it cannot coerce to a
   // number, so a non-numeric column yields zero pairs, not an error.
   if (!numeric(col_a) || !numeric(col_b)) return Status::OK();
-  end = std::min(end, num_rows_);
   const bool int_a = schema_.attr(col_a).type == DataType::kInt64;
   const bool int_b = schema_.attr(col_b).type == DataType::kInt64;
+  return ScanBatches(
+      {col_a, col_b}, begin, end,
+      [&](uint64_t, const RowBatch& batch) -> Status {
+        const ColumnVector& a = batch.columns[col_a];
+        const ColumnVector& b = batch.columns[col_b];
+        for (size_t i = 0; i < batch.size; ++i) {
+          if (!a.valid[i] || !b.valid[i]) continue;
+          xs->push_back(int_a ? double(a.ints[i]) : a.reals[i]);
+          ys->push_back(int_b ? double(b.ints[i]) : b.reals[i]);
+        }
+        return Status::OK();
+      });
+}
 
-  // Zip page by page: both columns keep row r on page r / kCellsPerPage.
-  // One page of column a is copied to the stack and its pin released
-  // before column b's page is pinned, so no scan holds two pins.
-  constexpr size_t kCells = ColumnFile::kCellsPerPage;
-  std::array<int64_t, kCells> a_raw;
-  std::array<bool, kCells> a_valid;
+Status TransposedTable::ScanBatches(const std::vector<size_t>& cols,
+                                    uint64_t begin, uint64_t end,
+                                    const BatchFn& fn) const {
+  static_assert(kBatchRows == ColumnFile::kCellsPerPage);
+  for (size_t c : cols) {
+    if (c >= schema_.size()) return OutOfRangeError("no column position");
+  }
+  end = std::min(end, num_rows_);
+  // Every column keeps row r on page r / kBatchRows. The page copies live
+  // on the heap, one buffer per column, allocated once per scan.
+  std::vector<ColumnBuffer> bufs(cols.size());
+  RowBatch batch;
+  batch.columns.resize(schema_.size());
+  for (size_t k = 0; k < cols.size(); ++k) {
+    batch.columns[cols[k]] = bufs[k].View(schema_.attr(cols[k]).type);
+  }
   for (uint64_t lo = begin; lo < end;) {
-    const uint64_t hi = std::min<uint64_t>(end, (lo / kCells + 1) * kCells);
-    size_t a_size = 0;
-    STATDB_RETURN_IF_ERROR(columns_[col_a].file->ScanPages(
-        lo, hi, [&](uint64_t, const ColumnPageView& page) -> Status {
-          a_size = page.size();
-          for (size_t i = 0; i < a_size; ++i) {
-            a_valid[i] = page.valid(i);
-            a_raw[i] = page.raw(i);
-          }
-          return Status::OK();
-        }));
-    STATDB_RETURN_IF_ERROR(columns_[col_b].file->ScanPages(
-        lo, hi, [&](uint64_t, const ColumnPageView& page) -> Status {
-          const size_t n = std::min(a_size, page.size());
-          for (size_t i = 0; i < n; ++i) {
-            if (!a_valid[i] || !page.valid(i)) continue;
-            xs->push_back(DecodeNumeric(int_a, a_raw[i]));
-            ys->push_back(DecodeNumeric(int_b, page.raw(i)));
-          }
-          return Status::OK();
-        }));
+    const uint64_t hi =
+        std::min<uint64_t>(end, (lo / kBatchRows + 1) * kBatchRows);
+    for (size_t k = 0; k < cols.size(); ++k) {
+      ColumnBuffer& buf = bufs[k];
+      const ColumnStore& store = columns_[cols[k]];
+      const DataType type = schema_.attr(cols[k]).type;
+      size_t copied = 0;
+      STATDB_RETURN_IF_ERROR(store.file->ScanPages(
+          lo, hi, [&](uint64_t, const ColumnPageView& page) -> Status {
+            page.CopyValidity(buf.valid.data());
+            if (type == DataType::kDouble) {
+              page.CopyCells(buf.reals.data());
+            } else {
+              page.CopyCells(buf.ints.data());
+            }
+            copied = page.size();
+            return Status::OK();
+          }));
+      if (copied != hi - lo) {
+        return DataLossError("column file shorter than its table");
+      }
+      if (type != DataType::kString) continue;
+      for (size_t i = 0; i < copied; ++i) {
+        // An unknown code decodes as missing, as DecodeCell does.
+        const uint64_t code = uint64_t(buf.ints[i]);
+        const bool known = buf.valid[i] && code < store.labels.size();
+        buf.valid[i] = known ? 1 : 0;
+        buf.strs[i] = known ? std::string_view(store.labels[code])
+                            : std::string_view();
+      }
+    }
+    batch.size = size_t(hi - lo);
+    STATDB_RETURN_IF_ERROR(fn(lo, batch));
     lo = hi;
   }
   return Status::OK();

@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/sync.h"
+#include "relational/bound_expr.h"
 #include "relational/table.h"
 #include "storage/buffer_pool.h"
 #include "storage/column_file.h"
@@ -112,6 +113,18 @@ class TransposedTable {
   Result<std::vector<double>> ReadNumericRange(const std::string& name,
                                                uint64_t begin,
                                                uint64_t end) const;
+
+  /// The k-column page zip: calls `fn(first_row, batch)` once per page
+  /// of rows [begin, end), in order; batch.columns[c] holds the cells of
+  /// each schema position c in `cols` (string cells view the column's
+  /// dictionary). Each column's page is copied out and its pin released
+  /// before the next column's page is pinned, so the zip never holds two
+  /// pins (see ColumnFile::ScanPages). A non-OK status from `fn` stops the
+  /// scan and is returned. Thread-safe like ReadNumericRange.
+  using BatchFn =
+      std::function<Status(uint64_t first_row, const RowBatch& batch)>;
+  Status ScanBatches(const std::vector<size_t>& cols, uint64_t begin,
+                     uint64_t end, const BatchFn& fn) const;
 
   /// Row-aligned numeric (x, y) pairs of rows [begin, end) of two
   /// columns, dropping rows where either cell is missing (pairwise

@@ -29,7 +29,14 @@ Result<double> Value::ToDouble() const {
 Result<int64_t> Value::ToInt() const {
   switch (type()) {
     case DataType::kInt64: return AsInt();
-    case DataType::kDouble: return static_cast<int64_t>(AsReal());
+    case DataType::kDouble: {
+      // Truncation is defined only inside int64's range: [-2^63, 2^63).
+      const double d = AsReal();
+      if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) {
+        return OutOfRangeError("value out of int64 range: " + ToString());
+      }
+      return static_cast<int64_t>(d);
+    }
     default:
       return InvalidArgumentError("value is not numeric: " + ToString());
   }

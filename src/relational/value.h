@@ -63,7 +63,8 @@ class Value {
   /// Numeric coercion: int64 or double to double; error otherwise.
   Result<double> ToDouble() const;
 
-  /// Numeric coercion to int64 (double truncates); error otherwise.
+  /// Numeric coercion to int64 (double truncates); OUT_OF_RANGE for a
+  /// NaN, infinite or out-of-range double; error for non-numerics.
   Result<int64_t> ToInt() const;
 
   std::string ToString() const;

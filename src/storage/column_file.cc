@@ -1,9 +1,34 @@
 #include "storage/column_file.h"
 
+#include <array>
 #include <bit>
 #include <cstring>
 
 namespace statdb {
+namespace {
+
+/// kSpread[b][j] = bit j of b: one bitmap byte as eight validity bytes.
+constexpr std::array<std::array<uint8_t, 8>, 256> MakeSpread() {
+  std::array<std::array<uint8_t, 8>, 256> t{};
+  for (size_t b = 0; b < 256; ++b) {
+    for (size_t j = 0; j < 8; ++j) t[b][j] = uint8_t((b >> j) & 1);
+  }
+  return t;
+}
+constexpr std::array<std::array<uint8_t, 8>, 256> kSpread = MakeSpread();
+
+}  // namespace
+
+void ColumnPageView::CopyValidity(uint8_t* valid) const {
+  size_t i = 0;
+  if (first_slot_ % 8 == 0) {  // whole bitmap bytes, eight cells at once
+    const uint8_t* bits = bitmap_ + first_slot_ / 8;
+    for (; i + 8 <= size_; i += 8) {
+      std::memcpy(valid + i, &kSpread[bits[i / 8]], 8);
+    }
+  }
+  for (; i < size_; ++i) valid[i] = this->valid(i) ? 1 : 0;
+}
 
 bool ColumnFile::TestBit(const Page& p, size_t i) {
   return (p.bytes()[kBitmapOff + i / 8] >> (i % 8)) & 1;

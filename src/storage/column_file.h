@@ -34,6 +34,14 @@ class ColumnPageView {
     return v;
   }
 
+  /// Copies the size() raw cells to `dst` (8 bytes each: an int64 array,
+  /// or a double array for a double column) and their validity to
+  /// `valid` (1 = present), the bulk forms of raw() and valid().
+  void CopyCells(void* dst) const {
+    std::memcpy(dst, cells_ + first_slot_ * 8, size_ * 8);
+  }
+  void CopyValidity(uint8_t* valid) const;
+
  private:
   friend class ColumnFile;
   ColumnPageView(const uint8_t* bitmap, const uint8_t* cells,

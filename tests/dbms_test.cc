@@ -380,5 +380,58 @@ TEST_F(DbmsTest, TapeIsReadAtMaterializationDiskAfterwards) {
   EXPECT_GT(disk->stats().block_reads + disk->stats().block_writes, 0u);
 }
 
+// A predicate update whose evaluation fails at some row must leave the
+// view exactly as it was: no cell, version or history entry changes, and
+// the maintained summaries stay exact.
+TEST_F(DbmsTest, FailedUpdateLeavesViewAndSummariesUntouched) {
+  ASSERT_TRUE(MakeView("v").ok());
+  ConcreteView* view = dbms_->GetView("v").value();
+  ASSERT_TRUE(dbms_->Query("v", "mean", "INCOME").ok());
+  const std::vector<Value> before = view->ReadColumn("INCOME").value();
+  ViewRecord* rec = dbms_->management_db().GetView("v").value();
+  const size_t entries = rec->history.EntriesSince(0).size();
+
+  // Rows with AGE > 40 are selected without the right side; the first row
+  // with AGE <= 40 fails adding a string.
+  UpdateSpec spec;
+  spec.column = "INCOME";
+  spec.value = nullptr;
+  spec.predicate = Or(Gt(Col("AGE"), Lit(int64_t{40})),
+                      Gt(Add(Col("AGE"), Lit("x")), Lit(int64_t{0})));
+  Result<uint64_t> r = dbms_->Update("v", spec);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(view->ReadColumn("INCOME").value(), before);
+  EXPECT_EQ(view->version(), 0u);
+  EXPECT_EQ(rec->version, 0u);
+  EXPECT_EQ(rec->history.EntriesSince(0).size(), entries);
+  auto mean = dbms_->Query("v", "mean", "INCOME");
+  ASSERT_TRUE(mean.ok());
+  EXPECT_EQ(mean->source, AnswerSource::kCacheHit);
+  EXPECT_TRUE(mean->exact);
+  const std::vector<double> col = view->ReadNumericColumn("INCOME").value();
+  double sum = 0;
+  for (double x : col) sum += x;
+  EXPECT_NEAR(mean->result.AsScalar().value(), sum / double(col.size()),
+              1e-9 * std::abs(sum));
+}
+
+// Coercing a real value that int64 cannot hold into an int column is
+// OUT_OF_RANGE, not a silently wrapped cell.
+TEST_F(DbmsTest, UpdateOverflowingAnIntColumnFailsAndWritesNothing) {
+  ASSERT_TRUE(MakeView("v").ok());
+  ConcreteView* view = dbms_->GetView("v").value();
+  const std::vector<Value> before = view->ReadColumn("AGE").value();
+  UpdateSpec spec;
+  spec.column = "AGE";
+  spec.value = Mul(Col("AGE"), Lit(1e300));
+  Result<uint64_t> r = dbms_->Update("v", spec);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(view->ReadColumn("AGE").value(), before);
+  EXPECT_EQ(view->version(), 0u);
+}
+
 }  // namespace
 }  // namespace statdb

@@ -1,7 +1,9 @@
 #include "relational/expr.h"
 
-
 #include <cmath>
+#include <limits>
+
+#include "common/bytes.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -128,6 +130,29 @@ TEST_F(ExprTest, IsTrueSemantics) {
   EXPECT_FALSE(IsTrue(Value::Real(0.0)));
   EXPECT_FALSE(IsTrue(Value::Null()));
   EXPECT_FALSE(IsTrue(Value::Str("true")));
+}
+
+TEST_F(ExprTest, Int64OverflowIsOutOfRange) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  Row row = {Value::Int(kMin), Value::Null(), Value::Null()};
+  for (const ExprPtr& e :
+       {Mul(Lit(kMax), Lit(int64_t{2})), Add(Lit(kMax), Lit(int64_t{1})),
+        Sub(Col("A"), Lit(int64_t{1})), Neg(Col("A")), Abs(Col("A"))}) {
+    EXPECT_EQ(e->Eval(row, schema_).status().code(), StatusCode::kOutOfRange)
+        << e->ToString();
+  }
+  // In range: exact, and real arithmetic never overflows into an error.
+  EXPECT_EQ(Eval(Add(Lit(kMax - 1), Lit(int64_t{1})), row), Value::Int(kMax));
+  EXPECT_EQ(Eval(Neg(Lit(kMax)), row), Value::Int(-kMax));
+  EXPECT_TRUE(Eval(Mul(Lit(double(kMax)), Lit(int64_t{2})), row).is_numeric());
+}
+
+TEST_F(ExprTest, DeserializeRejectsWrongArity) {
+  ByteWriter w;
+  Expr::MakeUnary(ExprOp::kAdd, Col("A"))->Serialize(&w);
+  ByteReader r(w.bytes());
+  EXPECT_EQ(Expr::Deserialize(&r).status().code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

@@ -281,5 +281,42 @@ TEST_F(IoCountTest, ObservationLeavesDeviceIoUnchanged) {
   EXPECT_GT(slow.captured(), 0u);
 }
 
+// A predicate update reads each column its predicate, value and target
+// reference once, page by page, and no other column.
+TEST_F(IoCountTest, PredicateUpdateReadsEachReferencedColumnOnce) {
+  Table data(Schema({Attribute::Numeric("ID", DataType::kInt64),
+                     Attribute::Numeric("X", DataType::kDouble),
+                     Attribute::Numeric("Y", DataType::kDouble)}));
+  for (int64_t i = 0; i < 20'000; ++i) {
+    STATDB_ASSERT_OK(data.AppendRow(
+        {Value::Int(i), Value::Real(double(i % 997)), Value::Real(0.5)}));
+  }
+  Load(data);
+  const uint64_t id_pages = ColumnPages(db_.get(), "v", 0);
+  const uint64_t x_pages = ColumnPages(db_.get(), "v", 1);
+  ASSERT_GT(id_pages, 4 * kSmallDiskPool);
+
+  // Two predicate columns and a third, the target, read by the value.
+  UpdateSpec spec;
+  spec.column = "Y";
+  spec.value = Mul(Col("Y"), Lit(2.0));
+  spec.predicate = And(Lt(Col("ID"), Lit(int64_t{0})), Gt(Col("X"), Lit(1.0)));
+  const IoStats io = IoOf(disk_, [&] {
+    Result<uint64_t> changed = db_->Update("v", spec);
+    STATDB_ASSERT_OK(changed);
+    EXPECT_EQ(*changed, 0u);
+  });
+  const uint64_t y_pages = ColumnPages(db_.get(), "v", 2);
+  EXPECT_EQ(io.block_reads, id_pages + x_pages + y_pages);
+
+  // Without Y in the predicate or value, only ID and X are read.
+  spec.column = "X";
+  spec.value = nullptr;
+  const IoStats narrow = IoOf(disk_, [&] {
+    STATDB_ASSERT_OK(db_->Update("v", spec));
+  });
+  EXPECT_EQ(narrow.block_reads, id_pages + x_pages);
+}
+
 }  // namespace
 }  // namespace statdb

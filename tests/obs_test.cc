@@ -224,6 +224,51 @@ TEST_F(ObsDbmsTest, CacheHitAndErrorOutcomesAreLabeled) {
   EXPECT_EQ(reg.GetHistogram("dbms.query_ms")->Count(), 3u);
 }
 
+// Update and Rollback carve their phases like queries do; the predicate
+// scan reports the rows it evaluated and the pages it read.
+TEST_F(ObsDbmsTest, UpdateAndRollbackEmitPhaseSpans) {
+  CollectingTraceSink sink;
+  dbms_->set_trace_sink(&sink);
+  UpdateSpec spec;
+  spec.column = "INCOME";
+  spec.predicate = Gt(Col("AGE"), Lit(int64_t{60}));
+  spec.value = Mul(Col("INCOME"), Lit(1.5));
+  Result<uint64_t> changed = dbms_->Update("v", spec);
+  STATDB_ASSERT_OK(changed);
+  ASSERT_GT(*changed, 0u);
+  STATDB_ASSERT_OK(dbms_->Rollback("v", 0));
+  dbms_->set_trace_sink(nullptr);
+
+  std::vector<QueryTrace> traces = sink.Take();
+  ASSERT_EQ(traces.size(), 2u);
+  auto kinds = [](const QueryTrace& t) {
+    std::vector<SpanKind> out;
+    for (size_t i = 0; i < t.size(); ++i) out.push_back(t.span(i).kind);
+    return out;
+  };
+  const QueryTrace& update = traces[0];
+  EXPECT_EQ(update.operation(), "update");
+  EXPECT_EQ(update.attribute(), "INCOME");
+  EXPECT_EQ(kinds(update),
+            (std::vector<SpanKind>{SpanKind::kSnapshotCapture,
+                                   SpanKind::kPredicateScan,
+                                   SpanKind::kMaintenance,
+                                   SpanKind::kWalCommit}));
+  // Two referenced columns (AGE, INCOME), four pages each.
+  EXPECT_EQ(update.span(1).rows, 2000u);
+  EXPECT_EQ(update.span(1).pages, 2u * 4u);
+  EXPECT_EQ(update.span(2).rows, *changed);
+  EXPECT_LE(update.SpanSumMs(), update.total_ms() * 1.05);
+  const QueryTrace& rollback = traces[1];
+  EXPECT_EQ(rollback.operation(), "rollback");
+  EXPECT_EQ(kinds(rollback),
+            (std::vector<SpanKind>{SpanKind::kSnapshotCapture,
+                                   SpanKind::kMaintenance,
+                                   SpanKind::kWalCommit}));
+  EXPECT_EQ(std::string(SpanKindName(SpanKind::kPredicateScan)),
+            "predicate_scan");
+}
+
 TEST_F(ObsDbmsTest, NoSinkMeansNoTracesButCountersStillTick) {
   STATDB_ASSERT_OK(dbms_->Query("v", "mean", "INCOME").status());
   EXPECT_EQ(dbms_->metrics().GetHistogram("dbms.query_ms")->Count(), 1u);

@@ -1,5 +1,8 @@
 #include "relational/value.h"
 
+#include <cmath>
+#include <limits>
+
 #include "gtest/gtest.h"
 
 namespace statdb {
@@ -67,6 +70,18 @@ TEST(ValueTest, ToStringForms) {
 TEST(ValueTest, IntIntComparesExactly) {
   int64_t big = (int64_t{1} << 60) + 1;
   EXPECT_TRUE(Value::Int(big - 1) < Value::Int(big));
+}
+
+TEST(ValueTest, ToIntRejectsDoublesOutsideInt64) {
+  EXPECT_EQ(Value::Real(-3.9).ToInt().value(), -3);
+  EXPECT_EQ(Value::Real(-9223372036854775808.0).ToInt().value(),
+            std::numeric_limits<int64_t>::min());
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double d : {std::nan(""), inf, -inf, 9223372036854775808.0, -9.3e18,
+                   1e300}) {
+    EXPECT_EQ(Value::Real(d).ToInt().status().code(), StatusCode::kOutOfRange)
+        << d;
+  }
 }
 
 }  // namespace

@@ -298,7 +298,7 @@ class Shell {
         std::as_const(dbms_->management_db()).GetView(t[1]));
     for (const UpdateLogEntry& e : rec->history.entries()) {
       std::cout << "  v" << e.version << ": " << e.description << " ("
-                << e.changes.size() << " cells)\n";
+                << CellCount(e.changes) << " cells)\n";
     }
     return Status::OK();
   }

@@ -89,7 +89,7 @@ int main() {
           .GetView(a.name));
   for (const UpdateLogEntry* e : rec->history.EntriesSince(0)) {
     std::cout << "  v" << e->version << ": " << e->description << " ("
-              << e->changes.size() << " cells)\n";
+              << CellCount(e->changes) << " cells)\n";
   }
 
   // B now builds a genuinely different view — same cleaning inherited

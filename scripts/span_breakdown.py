@@ -2,6 +2,7 @@
 """Per-operation breakdown of the DBMS phases in a loopbench span file.
 
     python3 scripts/span_breakdown.py <build>/traces/spans-explore-7.jsonl
+    python3 scripts/span_breakdown.py --calls <span file>
 
 A traced loopbench run (`loopbench/run.py --trace 1`) writes one JSON
 line per span: its thread buffer, its index in that buffer, the index of
@@ -10,6 +11,11 @@ and end in ms. Every root is an `op.<kind>` span. For each pair of root
 operation and `dbms.<phase>` descendant this prints the number of phase
 spans and the p50 and p90 of their durations in ms. Summary lines
 (`{"self": ...}`) are skipped.
+
+With --calls it prints, for each `call.<kind>` span (the timed engine
+call inside an operation), the number of calls, their summed and p50
+durations in ms, and their share of the summed duration of all calls:
+where the loop's engine time goes.
 """
 
 import argparse
@@ -59,10 +65,39 @@ def breakdown(spans):
     return out
 
 
+def calls(spans):
+    """{call kind: [durations in ms]}."""
+    out = collections.defaultdict(list)
+    for rec in spans.values():
+        if rec["name"].startswith("call."):
+            out[rec["name"]].append(rec["end_ms"] - rec["start_ms"])
+    return out
+
+
+def print_calls(path):
+    rows = calls(load(path))
+    if not rows:
+        print("no call.* spans in " + path, file=sys.stderr)
+        return 1
+    total = sum(sum(ms) for ms in rows.values())
+    print("%-24s %7s %12s %10s %8s" %
+          ("call", "count", "sum_ms", "p50_ms", "share"))
+    for name, ms in sorted(rows.items(), key=lambda kv: -sum(kv[1])):
+        ms.sort()
+        print("%-24s %7d %12.1f %10.3f %7.1f%%" %
+              (name, len(ms), sum(ms), percentile(ms, 50),
+               100.0 * sum(ms) / total if total > 0 else 0.0))
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("span_file")
+    ap.add_argument("--calls", action="store_true",
+                    help="per call.<kind>: count, sum, p50, share of all calls")
     args = ap.parse_args()
+    if args.calls:
+        return print_calls(args.span_file)
     rows = breakdown(load(args.span_file))
     if not rows:
         print("no dbms.* spans under op.* roots in " + args.span_file,

@@ -96,10 +96,17 @@ Result<uint64_t> AttributeIndex::CountInRange(const Value& lo,
   return count;
 }
 
-Status AttributeIndex::ApplyChange(uint64_t row, const Value& old_value,
-                                   const Value& new_value) {
-  STATDB_RETURN_IF_ERROR(tree_->Delete(EntryKey(old_value, row)));
-  return tree_->Put(EntryKey(new_value, row), "");
+Status AttributeIndex::Apply(const ColumnChange& change,
+                             const ConcreteView& view, bool undo) {
+  for (const RawChange& c : change.cells) {
+    const Value from = view.DecodeCell(change.column,
+                                       undo ? c.new_cell() : c.old_cell());
+    const Value to = view.DecodeCell(change.column,
+                                     undo ? c.old_cell() : c.new_cell());
+    STATDB_RETURN_IF_ERROR(tree_->Delete(EntryKey(from, c.row())));
+    STATDB_RETURN_IF_ERROR(tree_->Put(EntryKey(to, c.row()), ""));
+  }
+  return Status::OK();
 }
 
 }  // namespace statdb

@@ -47,9 +47,11 @@ class AttributeIndex {
   Result<uint64_t> CountEqual(const Value& v) const;
   Result<uint64_t> CountInRange(const Value& lo, const Value& hi) const;
 
-  /// Maintains the index after `row`'s cell changed old -> fresh.
-  Status ApplyChange(uint64_t row, const Value& old_value,
-                     const Value& new_value);
+  /// Maintains the index after `change` was installed in `view` (its
+  /// inverse when `undo`): each changed row, ascending, moves from its
+  /// old key to its new one.
+  Status Apply(const ColumnChange& change, const ConcreteView& view,
+               bool undo = false);
 
  private:
   AttributeIndex(std::string attribute, std::unique_ptr<BPlusTree> tree)

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <optional>
+#include <set>
 
 #include "check/db_auditor.h"
 #include "delta/comoment.h"
@@ -93,7 +94,8 @@ std::string QueryLabel(const std::string& view, const std::string& function,
 constexpr const char* kOpClassNames[] = {
     "query",         "query_parallel", "query_filtered",
     "query_many",    "bivariate",      "group_compare",
-    "update",        "rollback",       "recover"};
+    "update",        "rollback",       "recover",
+    "regenerate"};
 
 /// "a" or "a,b": the attribute part of trace, flight and profiler labels.
 std::string AttributeLabel(const std::vector<std::string>& attributes) {
@@ -258,7 +260,8 @@ StatisticalDbms::StatisticalDbms(StorageManager* storage,
   obs_delta_flushed_ = metrics_.GetCounter("dbms.delta.flushed");
   obs_delta_policy_switches_ =
       metrics_.GetCounter("dbms.delta.policy_switches");
-  static_assert(std::size(kOpClassNames) == size_t(OpClass::kRecover) + 1);
+  static_assert(std::size(kOpClassNames) ==
+                size_t(OpClass::kRegenerate) + 1);
   for (const char* name : kOpClassNames) {
     slo_classes_.push_back(slo_.GetClass(name));
   }
@@ -904,7 +907,7 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
       scan.route = QueryRoute::kPairs;
       scan.mergeable = delta::IsComomentFunction(head.function);
     } else {
-      // Shared ref, not the raw pointer: a concurrent WriteCell/Append
+      // Shared ref, not the raw pointer: a concurrent Install/Append
       // detaches the sidecar, and this scan's reference must keep the
       // retired pages alive until it finishes.
       scan.sidecar = cv->CompressedSidecarRef(head.attributes.front());
@@ -1142,16 +1145,13 @@ Result<FilterPredicate> StatisticalDbms::CoerceFilter(
   return filter;
 }
 
-Status StatisticalDbms::MaintainIndexes(
-    ViewState* state, const std::string& attribute,
-    const std::vector<CellChange>& changes) {
-  auto it = state->indexes.find(attribute);
+Status StatisticalDbms::MaintainIndexes(ViewState* state,
+                                        const ColumnChange& change,
+                                        bool undo) {
+  auto it =
+      state->indexes.find(state->view->schema().attr(change.column).name);
   if (it == state->indexes.end()) return Status::OK();
-  for (const CellChange& ch : changes) {
-    STATDB_RETURN_IF_ERROR(
-        it->second->ApplyChange(ch.row, ch.old_value, ch.new_value));
-  }
-  return Status::OK();
+  return it->second->Apply(change, *state->view, undo);
 }
 
 Status StatisticalDbms::CreateAttributeIndex(const std::string& view,
@@ -1212,7 +1212,7 @@ Result<uint64_t> StatisticalDbms::CountWhere(const std::string& view,
   }
   const size_t attr_idx = *schema.IndexOf(attribute);
   const DataType t = schema.attr(attr_idx).type;
-  // Shared ref, not the raw pointer: a concurrent WriteCell/Append
+  // Shared ref, not the raw pointer: a concurrent Install/Append
   // detaches the sidecar, and this scan's reference must keep the
   // retired pages alive until it finishes.
   const std::shared_ptr<const CompressedColumnFile> sidecar =
@@ -1335,17 +1335,14 @@ Status StatisticalDbms::AnnotateAttribute(const std::string& view,
   return CommitDurable(/*attr_hint=*/attribute, /*force=*/false);
 }
 
-Status StatisticalDbms::MaintainSummaries(
-    const std::string& view_name, ViewState* state,
-    const std::string& attribute, const std::vector<CellChange>& changes) {
+Status StatisticalDbms::MaintainSummaries(const std::string& view_name,
+                                          ViewState* state,
+                                          const std::string& attribute,
+                                          const ColumnChange& change) {
   STATDB_ASSIGN_OR_RETURN(const ViewRecord* rec, mdb_.GetView(view_name));
   switch (rec->policy) {
-    case MaintenancePolicy::kInvalidate: {
-      STATDB_ASSIGN_OR_RETURN(
-          uint64_t n, state->summary->InvalidateAttribute(attribute));
-      (void)n;
-      return Status::OK();
-    }
+    case MaintenancePolicy::kInvalidate:
+      return state->summary->InvalidateAttribute(attribute).status();
     case MaintenancePolicy::kEager: {
       std::vector<SummaryEntry> entries;
       STATDB_RETURN_IF_ERROR(state->summary->ForEachOnAttribute(
@@ -1422,8 +1419,9 @@ Status StatisticalDbms::MaintainSummaries(
     return state->summary->InvalidateAttribute(attribute).status();
   }
 
-  Result<size_t> buffered =
-      state->deltas.Buffer(attribute, changes, delta_config_.coalesce);
+  Result<size_t> buffered = state->deltas.Buffer(
+      attribute, state->view->schema().attr(change.column).type, change,
+      delta_config_.coalesce);
   if (!buffered.ok()) {
     // Non-numeric changes defeat differencing: fall back to invalidation.
     return state->summary->InvalidateAttribute(attribute).status();
@@ -1492,32 +1490,18 @@ Result<uint64_t> StatisticalDbms::PendingDeltas(const std::string& view) {
   return uint64_t{state->deltas.TotalPending()};
 }
 
-Status StatisticalDbms::MaintainDerivedColumns(
-    const std::string& view_name, ViewState* state,
-    const std::string& attribute, const std::vector<CellChange>& changes,
-    std::vector<CellChange>* extra_changes) {
+Status StatisticalDbms::ExpireGeneratedColumns(const std::string& view_name,
+                                               ViewState* state,
+                                               const std::string& attribute) {
   STATDB_ASSIGN_OR_RETURN(
       std::vector<DerivedColumnDef*> affected,
       mdb_.DerivedColumnsOn(view_name, attribute));
-  std::vector<uint64_t> rows;  // the touched rows, ascending
   for (DerivedColumnDef* def : affected) {
-    if (def->kind == DerivedRuleKind::kLocal) {
-      // "Local" rule: recompute exactly the touched rows (§3.2).
-      if (rows.empty()) {
-        for (const CellChange& ch : changes) rows.push_back(ch.row);
-      }
-      STATDB_ASSIGN_OR_RETURN(
-          std::vector<CellChange> fixed,
-          state->view->Recompute(def->name, *def->row_expr, &rows));
-      extra_changes->insert(extra_changes->end(), fixed.begin(),
-                            fixed.end());
-    } else {
-      // Whole-vector rule: mark out of date; regenerate on next read.
-      def->out_of_date = true;
-      STATDB_ASSIGN_OR_RETURN(
-          uint64_t n, state->summary->InvalidateAttribute(def->name));
-      (void)n;
-    }
+    if (def->kind != DerivedRuleKind::kRegenerate) continue;
+    // Whole-vector rule: mark out of date; regenerate on next read.
+    def->out_of_date = true;
+    STATDB_RETURN_IF_ERROR(
+        state->summary->InvalidateAttribute(def->name).status());
   }
   return Status::OK();
 }
@@ -1533,21 +1517,31 @@ Status StatisticalDbms::MaybeAuditAfterUpdate(const std::string& view) {
   return report.ToStatus();
 }
 
-Result<uint64_t> StatisticalDbms::Update(const std::string& view,
-                                         const UpdateSpec& spec) {
+template <typename Body>
+auto StatisticalDbms::TracedMutation(OpClass op, const char* operation,
+                                     const std::string& view,
+                                     const std::string& attribute,
+                                     Body&& body) {
   // Mutation entry point: one causal context covers the whole protocol —
-  // buffered deltas, eager flushes, the WAL commit and the kUpdate event
+  // buffered deltas, eager flushes, the WAL commit and the flight event
   // all stamp this trace_id.
   causal::ScopedTraceContext causal_scope(causal::Mint());
   TraceTimer timer;
   std::optional<QueryTrace> trace;
-  QueryTrace* tr = BeginTrace(&trace, causal_scope.ctx(), "update", view,
-                              /*function=*/"", spec.column);
-  Result<uint64_t> r = UpdateUnderContext(view, spec, tr);
-  FinishOperation(OpClass::kUpdate, timer,
+  QueryTrace* tr = BeginTrace(&trace, causal_scope.ctx(), operation, view,
+                              /*function=*/"", attribute);
+  auto r = body(tr);
+  FinishOperation(op, timer,
                   r.ok() ? TraceOutcome::kComputed : TraceOutcome::kError,
                   tr);
   return r;
+}
+
+Result<uint64_t> StatisticalDbms::Update(const std::string& view,
+                                         const UpdateSpec& spec) {
+  return TracedMutation(
+      OpClass::kUpdate, "update", view, spec.column,
+      [&](QueryTrace* tr) { return UpdateUnderContext(view, spec, tr); });
 }
 
 Result<uint64_t> StatisticalDbms::UpdateUnderContext(const std::string& view,
@@ -1565,56 +1559,62 @@ Result<uint64_t> StatisticalDbms::UpdateUnderContext(const std::string& view,
                   view, state->view.get());
   }
   if (!scope->ok()) return scope->status();
-  std::vector<CellChange> changes;
+  ChangeSet staged;
   {
     ScopedSpan span(trace, SpanKind::kPredicateScan);
     uint64_t pages = 0;
-    STATDB_ASSIGN_OR_RETURN(changes, state->view->ApplyUpdate(spec, &pages));
+    STATDB_RETURN_IF_ERROR(state->view->Stage(
+        spec.column, spec.predicate.get(), spec.value.get(), /*rows=*/nullptr,
+        &staged, &pages));
     span.SetRows(state->view->num_rows());
     span.SetPages(pages);
   }
-  if (changes.empty()) return 0;
-  ++state->traffic.updates;
-  state->traffic.cells_changed += changes.size();
-  ++state->traffic.attribute_accesses[spec.column];
-  if (spec.predicate != nullptr) {
-    for (const std::string& attr : spec.predicate->ReferencedColumns()) {
-      ++state->traffic.attribute_accesses[attr];
-    }
-  }
-
-  std::vector<CellChange> derived_changes;
-  std::map<std::string, std::vector<CellChange>> by_column;
+  if (staged.empty()) return 0;
+  ConcreteView& cv = *state->view;
+  STATDB_ASSIGN_OR_RETURN(ViewRecord * rec, mdb_.GetView(view));
   {
     ScopedSpan span(trace, SpanKind::kMaintenance);
-    span.SetRows(changes.size());
-    STATDB_RETURN_IF_ERROR(MaintainIndexes(state, spec.column, changes));
-    STATDB_RETURN_IF_ERROR(MaintainDerivedColumns(view, state, spec.column,
-                                                  changes, &derived_changes));
+    span.SetRows(staged[0].cells.size());
+    // kLocal derived columns join the staged set, recomputed on exactly
+    // the touched rows (§3.2), so nothing is written until every
+    // expression has evaluated; then one install.
+    STATDB_ASSIGN_OR_RETURN(std::vector<DerivedColumnDef*> derived,
+                            mdb_.DerivedColumnsOn(view, spec.column));
+    std::vector<uint64_t> rows;  // the touched rows, ascending
+    for (const DerivedColumnDef* def : derived) {
+      if (def->kind != DerivedRuleKind::kLocal) continue;
+      if (rows.empty()) {
+        for (const RawChange& c : staged[0].cells) rows.push_back(c.row());
+      }
+      STATDB_RETURN_IF_ERROR(cv.Stage(def->name, /*predicate=*/nullptr,
+                                      def->row_expr.get(), &rows, &staged));
+    }
+    STATDB_RETURN_IF_ERROR(cv.Install(staged));
+    cv.BumpVersion();
+    ++state->traffic.updates;
+    state->traffic.cells_changed += staged[0].cells.size();
+    ++state->traffic.attribute_accesses[spec.column];
+    if (spec.predicate != nullptr) {
+      for (const std::string& attr : spec.predicate->ReferencedColumns()) {
+        ++state->traffic.attribute_accesses[attr];
+      }
+    }
+    STATDB_RETURN_IF_ERROR(ExpireGeneratedColumns(view, state, spec.column));
 
-    // Log the whole logical update (including derived fixes) as one entry.
-    STATDB_ASSIGN_OR_RETURN(ViewRecord * rec, mdb_.GetView(view));
+    // The history entry is the staged set itself (target and derived
+    // fixes: one logical update).
     UpdateLogEntry entry;
-    entry.version = state->view->version();
+    entry.version = cv.version();
     entry.description = spec.description.empty()
                             ? ("update " + spec.column)
                             : spec.description;
-    entry.changes = changes;
-    entry.changes.insert(entry.changes.end(), derived_changes.begin(),
-                         derived_changes.end());
+    entry.changes = std::move(staged);
     STATDB_RETURN_IF_ERROR(rec->history.Append(std::move(entry)));
-    rec->version = state->view->version();
-
-    STATDB_RETURN_IF_ERROR(
-        MaintainSummaries(view, state, spec.column, changes));
-    // Changes to kLocal derived columns also touch their cached summaries.
-    for (const CellChange& ch : derived_changes) {
-      by_column[ch.column].push_back(ch);
-    }
-    for (const auto& [column, column_changes] : by_column) {
-      STATDB_RETURN_IF_ERROR(MaintainIndexes(state, column, column_changes));
-      STATDB_RETURN_IF_ERROR(
-          MaintainSummaries(view, state, column, column_changes));
+    rec->version = cv.version();
+    for (const ColumnChange& change : rec->history.entries().back().changes) {
+      STATDB_RETURN_IF_ERROR(MaintainIndexes(state, change, /*undo=*/false));
+      STATDB_RETURN_IF_ERROR(MaintainSummaries(
+          view, state, cv.schema().attr(change.column).name, change));
     }
     STATDB_RETURN_IF_ERROR(MaybeAuditAfterUpdate(view));
   }
@@ -1623,15 +1623,16 @@ Result<uint64_t> StatisticalDbms::UpdateUnderContext(const std::string& view,
     STATDB_RETURN_IF_ERROR(
         CommitDurable(/*attr_hint=*/spec.column, /*force=*/true));
   }
-  uint64_t total_cells = changes.size() + derived_changes.size();
+  const ChangeSet& changes = rec->history.entries().back().changes;
+  const uint64_t total_cells = CellCount(changes);
   if (flight_.enabled()) {
     flight_.Record(causal::Current(), FlightEventKind::kUpdate,
-                   view + "." + spec.column,
-                   int64_t(state->view->version()), int64_t(total_cells));
+                   view + "." + spec.column, int64_t(cv.version()),
+                   int64_t(total_cells));
   }
-  profiler_.NoteUpdate(view, spec.column, changes.size());
-  for (const auto& [column, column_changes] : by_column) {
-    profiler_.NoteUpdate(view, column, column_changes.size());
+  for (const ColumnChange& change : changes) {
+    profiler_.NoteUpdate(view, cv.schema().attr(change.column).name,
+                         change.cells.size());
   }
   MaybeTickTimeseries();
   return total_cells;
@@ -1639,15 +1640,11 @@ Result<uint64_t> StatisticalDbms::UpdateUnderContext(const std::string& view,
 
 Status StatisticalDbms::Rollback(const std::string& view,
                                  uint64_t target_version) {
-  causal::ScopedTraceContext causal_scope(causal::Mint());
-  TraceTimer timer;
-  std::optional<QueryTrace> trace;
-  QueryTrace* tr = BeginTrace(&trace, causal_scope.ctx(), "rollback", view);
-  Status s = RollbackUnderContext(view, target_version, tr);
-  FinishOperation(OpClass::kRollback, timer,
-                  s.ok() ? TraceOutcome::kComputed : TraceOutcome::kError,
-                  tr);
-  return s;
+  return TracedMutation(OpClass::kRollback, "rollback", view, "",
+                        [&](QueryTrace* tr) {
+                          return RollbackUnderContext(view, target_version,
+                                                      tr);
+                        });
 }
 
 Status StatisticalDbms::RollbackUnderContext(const std::string& view,
@@ -1670,42 +1667,34 @@ Status StatisticalDbms::RollbackUnderContext(const std::string& view,
   }
   if (!scope->ok()) return scope->status();
   // Attributes touched by the updates being undone.
-  std::vector<std::string> affected;
+  std::set<std::string> affected;
   {
     ScopedSpan span(trace, SpanKind::kMaintenance);
-   for (const UpdateLogEntry* e : rec->history.EntriesSince(target_version)) {
-      for (const CellChange& ch : e->changes) {
-        if (std::find(affected.begin(), affected.end(), ch.column) ==
-            affected.end()) {
-          affected.push_back(ch.column);
-        }
-      }
-    }
+    // Each undone entry installs its inverse through the update's own
+    // write path; any secondary index follows the restored cells.
     STATDB_RETURN_IF_ERROR(rec->history.Rollback(
-        target_version, [state](const CellChange& ch) -> Status {
-          STATDB_RETURN_IF_ERROR(
-              state->view->WriteCell(ch.row, ch.column, ch.old_value));
-          // Keep any secondary index in step with the restored cell.
-          auto it = state->indexes.find(ch.column);
-          if (it != state->indexes.end()) {
-            STATDB_RETURN_IF_ERROR(it->second->ApplyChange(
-                ch.row, ch.new_value, ch.old_value));
+        target_version, [&](const ChangeSet& changes) -> Status {
+          STATDB_RETURN_IF_ERROR(state->view->Install(changes, /*undo=*/true));
+          for (const ColumnChange& change : changes) {
+            STATDB_RETURN_IF_ERROR(
+                MaintainIndexes(state, change, /*undo=*/true));
+            affected.insert(state->view->schema().attr(change.column).name);
           }
           return Status::OK();
         }));
     state->view->SetVersion(target_version);
     rec->version = target_version;
     for (const std::string& attr : affected) {
-      STATDB_ASSIGN_OR_RETURN(uint64_t n,
-                              state->summary->InvalidateAttribute(attr));
-      (void)n;
+      STATDB_RETURN_IF_ERROR(
+          state->summary->InvalidateAttribute(attr).status());
+      // A regeneration since the undone updates fitted their cells.
+      STATDB_RETURN_IF_ERROR(ExpireGeneratedColumns(view, state, attr));
     }
     // Entries on unaffected attributes are still valid, but none may keep a
     // version stamp from the undone timeline: re-advanced version numbers
     // would collide with it and poison max_version_lag staleness checks.
-    STATDB_ASSIGN_OR_RETURN(uint64_t capped,
-                            state->summary->ClampVersions(target_version));
-    (void)capped;
+    STATDB_RETURN_IF_ERROR(
+        state->summary->ClampVersions(target_version).status());
     // Maintainer state reflects the rolled-back data; drop it all and let
     // queries re-arm on demand. Buffered deltas describe undone mutations:
     // discard them and stamp their attributes stale (they may not be in
@@ -1714,9 +1703,8 @@ Status StatisticalDbms::RollbackUnderContext(const std::string& view,
     state->comaintainers.clear();
     for (const std::string& attr : state->deltas.PendingAttributes()) {
       state->deltas.Discard(attr);
-      STATDB_ASSIGN_OR_RETURN(uint64_t dropped,
-                              state->summary->InvalidateAttribute(attr));
-      (void)dropped;
+      STATDB_RETURN_IF_ERROR(
+          state->summary->InvalidateAttribute(attr).status());
     }
     STATDB_RETURN_IF_ERROR(MaybeAuditAfterUpdate(view));
   }
@@ -1750,10 +1738,10 @@ Status StatisticalDbms::AddDerivedColumn(const std::string& view,
     STATDB_RETURN_IF_ERROR(mdb_.AddDerivedColumn(view, std::move(def)));
     if (kind == DerivedRuleKind::kLocal) {
       // Fill every row from the expression.
-      STATDB_ASSIGN_OR_RETURN(
-          std::vector<CellChange> filled,
-          state->view->Recompute(name, *expr, /*rows=*/nullptr));
-      (void)filled;
+      ChangeSet filled;
+      STATDB_RETURN_IF_ERROR(state->view->Stage(
+          name, /*predicate=*/nullptr, expr.get(), /*rows=*/nullptr, &filled));
+      STATDB_RETURN_IF_ERROR(state->view->Install(filled));
       return CommitDurable(/*attr_hint=*/name, /*force=*/true);
     }
   }
@@ -1762,6 +1750,15 @@ Status StatisticalDbms::AddDerivedColumn(const std::string& view,
 
 Status StatisticalDbms::RegenerateDerivedColumn(const std::string& view,
                                                 const std::string& column) {
+  return TracedMutation(OpClass::kRegenerate, "regenerate", view, column,
+                        [&](QueryTrace* tr) {
+                          return RegenerateUnderContext(view, column, tr);
+                        });
+}
+
+Status StatisticalDbms::RegenerateUnderContext(const std::string& view,
+                                               const std::string& column,
+                                               QueryTrace* trace) {
   STATDB_RETURN_IF_ERROR(GuardMutable());
   STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
   STATDB_ASSIGN_OR_RETURN(ViewRecord * rec, mdb_.GetView(view));
@@ -1780,69 +1777,65 @@ Status StatisticalDbms::RegenerateDerivedColumn(const std::string& view,
                                    " has a local rule, not a generator");
   }
   // The generator rewrites the whole column in place: capture + grace
-  // before the WriteCell loops, publish (destructor) after.
-  session::MutationScope scope(sessions_.get(),
-                               session::MutationScope::Kind::kMutate, view,
-                               state->view.get());
-  if (!scope.ok()) return scope.status();
-  switch (def->generator) {
-    case ColumnGenerator::kRegressionResiduals: {
-      STATDB_ASSIGN_OR_RETURN(
-          std::vector<Value> xs,
-          state->view->ReadColumn(def->generator_inputs[0]));
-      STATDB_ASSIGN_OR_RETURN(
-          std::vector<Value> ys,
-          state->view->ReadColumn(def->generator_inputs[1]));
-      std::vector<double> fx, fy;
-      for (size_t i = 0; i < xs.size(); ++i) {
-        std::optional<double> x = NumberOf(xs[i]), y = NumberOf(ys[i]);
-        if (!x || !y) continue;
-        fx.push_back(*x);
-        fy.push_back(*y);
-      }
-      STATDB_ASSIGN_OR_RETURN(LinearFit fit, FitLinear(fx, fy));
-      for (size_t i = 0; i < xs.size(); ++i) {
-        std::optional<double> x = NumberOf(xs[i]), y = NumberOf(ys[i]);
-        Value cell;  // null when either input is missing
-        if (x && y) cell = Value::Real(*y - fit.Predict(*x));
-        STATDB_RETURN_IF_ERROR(state->view->WriteCell(i, column, cell));
-      }
-      break;
-    }
-    case ColumnGenerator::kZScores: {
-      STATDB_ASSIGN_OR_RETURN(
-          std::vector<Value> xs,
-          state->view->ReadColumn(def->generator_inputs[0]));
-      std::vector<double> fx;
-      for (const Value& v : xs) {
-        if (std::optional<double> x = NumberOf(v)) fx.push_back(*x);
-      }
-      DescriptiveStats s = ComputeDescriptive(fx);
-      double sd = s.StdDev();
-      for (size_t i = 0; i < xs.size(); ++i) {
-        std::optional<double> x = NumberOf(xs[i]);
-        Value cell;
-        if (x && sd > 0) cell = Value::Real((*x - s.mean) / sd);
-        STATDB_RETURN_IF_ERROR(state->view->WriteCell(i, column, cell));
-      }
-      break;
-    }
-    case ColumnGenerator::kNone:
-      return InternalError("regenerate rule without a generator");
+  // before the install, publish (destructor) after.
+  std::optional<session::MutationScope> scope;
+  {
+    ScopedSpan span(trace, SpanKind::kSnapshotCapture);
+    scope.emplace(sessions_.get(), session::MutationScope::Kind::kMutate,
+                  view, state->view.get());
   }
-  def->out_of_date = false;
-  // The column's contents changed wholesale; cached summaries on it are
-  // stale until recomputed, and any index must be rebuilt.
-  STATDB_ASSIGN_OR_RETURN(uint64_t n,
-                          state->summary->InvalidateAttribute(column));
-  (void)n;
-  if (state->indexes.contains(column)) {
-    STATDB_ASSIGN_OR_RETURN(BufferPool * pool,
-                            storage_->GetPool(disk_device_));
-    STATDB_ASSIGN_OR_RETURN(
-        state->indexes[column],
-        AttributeIndex::Build(*state->view, column, pool));
+  if (!scope->ok()) return scope->status();
+  ConcreteView& cv = *state->view;
+  ChangeSet staged;
+  {
+    // Fit the generator on its inputs' page zip, then stage it as an
+    // expression a page at a time (null where an input is missing).
+    ScopedSpan span(trace, SpanKind::kPredicateScan);
+    const std::vector<std::string>& in = def->generator_inputs;
+    ExprPtr expr;  // nullptr marks every cell missing
+    switch (def->generator) {
+      case ColumnGenerator::kRegressionResiduals: {
+        std::vector<double> xs, ys;
+        STATDB_RETURN_IF_ERROR(
+            cv.ReadNumericPairsRange(in[0], in[1], 0, cv.num_rows(), &xs, &ys));
+        // One co-moment pass, like the parallel regression route.
+        STATDB_ASSIGN_OR_RETURN(LinearFit fit, ComputeComoments(xs, ys).Fit());
+        // y - fit.Predict(x)
+        expr = Sub(Col(in[1]),
+                   Add(Lit(fit.intercept), Mul(Lit(fit.slope), Col(in[0]))));
+        break;
+      }
+      case ColumnGenerator::kZScores: {
+        STATDB_ASSIGN_OR_RETURN(std::vector<double> xs,
+                                cv.ReadNumericColumn(in[0]));
+        DescriptiveStats s = ComputeDescriptive(xs);
+        const double sd = s.StdDev();
+        if (sd > 0) expr = Div(Sub(Col(in[0]), Lit(s.mean)), Lit(sd));
+        break;
+      }
+      case ColumnGenerator::kNone:
+        return InternalError("regenerate rule without a generator");
+    }
+    uint64_t pages = 0;
+    STATDB_RETURN_IF_ERROR(cv.Stage(column, /*predicate=*/nullptr, expr.get(),
+                                    /*rows=*/nullptr, &staged, &pages));
+    span.SetRows(cv.num_rows());
+    span.SetPages(pages);
   }
+  {
+    ScopedSpan span(trace, SpanKind::kMaintenance);
+    span.SetRows(CellCount(staged));
+    STATDB_RETURN_IF_ERROR(cv.Install(staged));
+    def->out_of_date = false;
+    // The column's contents changed wholesale; cached summaries on it
+    // are stale until recomputed.
+    STATDB_RETURN_IF_ERROR(
+        state->summary->InvalidateAttribute(column).status());
+    for (const ColumnChange& change : staged) {
+      STATDB_RETURN_IF_ERROR(MaintainIndexes(state, change, /*undo=*/false));
+    }
+  }
+  ScopedSpan span(trace, SpanKind::kWalCommit);
   return CommitDurable(/*attr_hint=*/column, /*force=*/true);
 }
 

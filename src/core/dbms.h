@@ -347,11 +347,14 @@ class StatisticalDbms {
   /// Applies a predicate update to the view, logs it in the update
   /// history, and maintains the Summary Database per the view's policy.
   /// Derived columns with kLocal rules are fixed in place; kRegenerate
-  /// columns are marked out of date. Returns the number of cells changed.
+  /// columns are marked out of date. Every expression evaluates before
+  /// any cell is written, so a failed update changes nothing. Returns
+  /// the number of cells changed.
   Result<uint64_t> Update(const std::string& view, const UpdateSpec& spec);
 
   /// Rolls the view back to `target_version` using the update history;
-  /// cached summaries on the touched attributes are invalidated.
+  /// cached summaries on the touched attributes are invalidated, and
+  /// kRegenerate columns reading them are marked out of date.
   Status Rollback(const std::string& view, uint64_t target_version);
 
   // --- delta-batched maintenance (src/delta, DESIGN.md §16) ----------------
@@ -381,7 +384,8 @@ class StatisticalDbms {
   /// time-consuming calculation that are to be used later").
   Status AddDerivedColumn(const std::string& view, DerivedColumnDef def);
 
-  /// Regenerates one out-of-date kRegenerate column now.
+  /// Regenerates one kRegenerate column now: fits its generator, then
+  /// stages and installs the column a page at a time.
   Status RegenerateDerivedColumn(const std::string& view,
                                  const std::string& column);
 
@@ -574,9 +578,10 @@ class StatisticalDbms {
                               const FilterPredicate& filter,
                               bool* used_index);
 
-  /// Folds `changes` on `attribute` into that attribute's index, if any.
-  Status MaintainIndexes(ViewState* state, const std::string& attribute,
-                         const std::vector<CellChange>& changes);
+  /// Folds an installed `change` (its inverse when `undo`) into the
+  /// index on its column, if any.
+  Status MaintainIndexes(ViewState* state, const ColumnChange& change,
+                         bool undo);
 
   Result<ViewState*> GetState(const std::string& view);
 
@@ -661,6 +666,7 @@ class StatisticalDbms {
     kUpdate,
     kRollback,
     kRecover,
+    kRegenerate,
   };
 
   /// Builds the operation's trace into `*slot` when WantTrace() and
@@ -748,14 +754,23 @@ class StatisticalDbms {
                              const ComomentStats* comoments,
                              QueryTrace* trace);
 
-  /// Update/Rollback bodies; the public wrappers mint the mutation's
-  /// causal context and finish through FinishOperation.
-  /// `trace` (nullable) receives the mutation's phase spans.
+  /// Runs `body(trace)`, a mutation body returning a Status or Result,
+  /// under a fresh causal context and a trace labeled `operation` when
+  /// WantTrace(), and finishes it through FinishOperation as `op`.
+  template <typename Body>
+  auto TracedMutation(OpClass op, const char* operation,
+                      const std::string& view, const std::string& attribute,
+                      Body&& body);
+
+  /// Update/Rollback/RegenerateDerivedColumn bodies, run through
+  /// TracedMutation. `trace` (nullable) receives the phase spans.
   Result<uint64_t> UpdateUnderContext(const std::string& view,
                                       const UpdateSpec& spec,
                                       QueryTrace* trace);
   Status RollbackUnderContext(const std::string& view,
                               uint64_t target_version, QueryTrace* trace);
+  Status RegenerateUnderContext(const std::string& view,
+                                const std::string& column, QueryTrace* trace);
 
   /// Recover() body; the public wrapper owns the "recover"-labeled trace
   /// whose spans (WAL scan, redo replay, manifest apply, fallback
@@ -776,18 +791,16 @@ class StatisticalDbms {
   /// timeseries when EnableTimeseries armed a cadence.
   void MaybeTickTimeseries();
 
-  /// Summary-Database upkeep after `changes` landed on `attribute`.
+  /// Summary-Database upkeep after `change` landed on `attribute`.
   Status MaintainSummaries(const std::string& view_name, ViewState* state,
                            const std::string& attribute,
-                           const std::vector<CellChange>& changes);
+                           const ColumnChange& change);
 
-  /// Derived-column upkeep after `changes` landed on `attribute`.
-  /// kLocal fixes land in `extra_changes` so they join the history entry.
-  Status MaintainDerivedColumns(const std::string& view_name,
+  /// Marks every kRegenerate column that reads `attribute` out of date
+  /// and invalidates its summaries; the next read regenerates it.
+  Status ExpireGeneratedColumns(const std::string& view_name,
                                 ViewState* state,
-                                const std::string& attribute,
-                                const std::vector<CellChange>& changes,
-                                std::vector<CellChange>* extra_changes);
+                                const std::string& attribute);
 
   StorageManager* storage_;
   std::string tape_device_;

@@ -8,7 +8,7 @@ namespace statdb {
 namespace {
 
 constexpr uint32_t kMagic = 0x5344424d;  // "SDBM"
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;  // 2: raw-cell change sets
 
 void WriteDerived(const DerivedColumnDef& def, ByteWriter* w) {
   w->PutString(def.name);
@@ -48,11 +48,19 @@ void WriteHistory(const UpdateHistory& history, ByteWriter* w) {
     w->PutU64(e.version);
     w->PutString(e.description);
     w->PutU32(static_cast<uint32_t>(e.changes.size()));
-    for (const CellChange& ch : e.changes) {
-      w->PutU64(ch.row);
-      w->PutString(ch.column);
-      EncodeValue(ch.old_value, w);
-      EncodeValue(ch.new_value, w);
+    for (const ColumnChange& change : e.changes) {
+      w->PutU32(static_cast<uint32_t>(change.column));
+      w->PutU32(static_cast<uint32_t>(change.cells.size()));
+      for (const RawChange& c : change.cells) {
+        // Row, then which endpoints are present, then those raw cells.
+        const std::optional<int64_t> before = c.old_cell();
+        const std::optional<int64_t> after = c.new_cell();
+        w->PutU64(c.row());
+        w->PutU8(static_cast<uint8_t>((before.has_value() ? 1 : 0) |
+                                      (after.has_value() ? 2 : 0)));
+        if (before.has_value()) w->PutI64(*before);
+        if (after.has_value()) w->PutI64(*after);
+      }
     }
   }
 }
@@ -63,16 +71,30 @@ Status ReadHistory(ByteReader* r, UpdateHistory* history) {
     UpdateLogEntry e;
     STATDB_ASSIGN_OR_RETURN(e.version, r->GetU64());
     STATDB_ASSIGN_OR_RETURN(e.description, r->GetString());
-    // Each change: row, column name, two value tags at least.
-    STATDB_ASSIGN_OR_RETURN(uint32_t nchanges, r->GetCount(8 + 4 + 1 + 1));
-    e.changes.reserve(nchanges);
-    for (uint32_t c = 0; c < nchanges; ++c) {
-      CellChange ch;
-      STATDB_ASSIGN_OR_RETURN(ch.row, r->GetU64());
-      STATDB_ASSIGN_OR_RETURN(ch.column, r->GetString());
-      STATDB_ASSIGN_OR_RETURN(ch.old_value, DecodeValue(r));
-      STATDB_ASSIGN_OR_RETURN(ch.new_value, DecodeValue(r));
-      e.changes.push_back(std::move(ch));
+    // Each column change: its position and cell count.
+    STATDB_ASSIGN_OR_RETURN(uint32_t ncolumns, r->GetCount(4 + 4));
+    e.changes.resize(ncolumns);
+    for (ColumnChange& change : e.changes) {
+      STATDB_ASSIGN_OR_RETURN(uint32_t column, r->GetU32());
+      change.column = column;
+      // Each cell: row and presence flags at least.
+      STATDB_ASSIGN_OR_RETURN(uint32_t ncells, r->GetCount(8 + 1));
+      change.cells.reserve(ncells);
+      for (uint32_t c = 0; c < ncells; ++c) {
+        STATDB_ASSIGN_OR_RETURN(uint64_t row, r->GetU64());
+        STATDB_ASSIGN_OR_RETURN(uint8_t present, r->GetU8());
+        if (present > 3 || row >> 62 != 0) {
+          return DataLossError("bad history cell");
+        }
+        std::optional<int64_t> before, after;
+        if ((present & 1) != 0) {
+          STATDB_ASSIGN_OR_RETURN(before, r->GetI64());
+        }
+        if ((present & 2) != 0) {
+          STATDB_ASSIGN_OR_RETURN(after, r->GetI64());
+        }
+        change.cells.emplace_back(row, before, after);
+      }
     }
     STATDB_RETURN_IF_ERROR(history->Append(std::move(e)));
   }

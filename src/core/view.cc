@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <functional>
 #include <optional>
 
@@ -10,48 +11,72 @@
 namespace statdb {
 namespace {
 
-/// Coerces a new cell value to the column's declared type *before* it is
-/// logged: the stored cell, the history record and the maintenance delta
-/// must all see the same value (an int column truncates real-valued
-/// expressions).
-Result<Value> Coerce(Value v, const Attribute& target) {
-  if (v.is_null() || v.type() == target.type) return v;
-  if (target.type == DataType::kInt64 && v.type() == DataType::kDouble) {
-    STATDB_ASSIGN_OR_RETURN(int64_t as_int, v.ToInt());
-    return Value::Int(as_int);
+/// Cell `i` of a batch column in its stored form.
+std::optional<int64_t> RawCell(const ColumnVector& v, size_t i) {
+  if (!v.valid[i]) return std::nullopt;
+  return v.type == DataType::kDouble ? std::bit_cast<int64_t>(v.reals[i])
+                                     : v.ints[i];
+}
+
+/// Cell `i` of `result` (nullptr: every cell missing) in the stored
+/// form of column `col`, coerced *before* it is staged so the stored
+/// cell, the history record and the maintenance delta see one value: an
+/// int widens into a double column, a real truncates into an int one
+/// (OUT_OF_RANGE outside int64, as Value::ToInt), a string joins the
+/// column's dictionary.
+Result<std::optional<int64_t>> StoredCell(TransposedTable& table, size_t col,
+                                          const ColumnVector* result,
+                                          size_t i) {
+  if (result == nullptr || result->type == DataType::kNull ||
+      !result->valid[i]) {
+    return std::optional<int64_t>();
   }
-  if (target.type == DataType::kDouble && v.type() == DataType::kInt64) {
-    return Value::Real(double(v.AsInt()));
+  const DataType from = result->type;
+  const DataType to = table.schema().attr(col).type;
+  if (from == DataType::kInt64 && to == DataType::kInt64) {
+    return std::optional(result->ints[i]);
+  }
+  if (from != DataType::kString && to == DataType::kDouble) {
+    return std::optional(std::bit_cast<int64_t>(
+        from == DataType::kInt64 ? double(result->ints[i]) : result->reals[i]));
+  }
+  if (from == DataType::kDouble && to == DataType::kInt64) {
+    return table.EncodeCell(col, Value::Real(result->reals[i]));
+  }
+  if (from == DataType::kString && to == DataType::kString) {
+    return table.EncodeCell(col, Value::Str(std::string(result->strs[i])));
   }
   return InvalidArgumentError("update value type does not match column " +
-                              target.name);
+                              table.schema().attr(col).name);
+}
+
+/// Two raw cells of a `type` column are equal under Value rules: doubles
+/// as Value::Compare orders them (neither less nor greater), strings by
+/// dictionary code.
+bool SameCell(DataType type, std::optional<int64_t> a,
+              std::optional<int64_t> b) {
+  if (!a.has_value() || !b.has_value()) return a.has_value() == b.has_value();
+  if (type != DataType::kDouble) return *a == *b;
+  const double x = std::bit_cast<double>(*a);
+  const double y = std::bit_cast<double>(*b);
+  return !(x < y) && !(x > y);
 }
 
 }  // namespace
 
-Result<std::vector<CellChange>> ConcreteView::ApplyUpdate(
-    const UpdateSpec& spec, uint64_t* pages) {
-  STATDB_ASSIGN_OR_RETURN(
-      std::vector<CellChange> changes,
-      Assign(spec.column, spec.predicate.get(), spec.value.get(),
-             /*rows=*/nullptr, pages));
-  if (!changes.empty()) ++version_;
-  return changes;
-}
-
-Result<std::vector<CellChange>> ConcreteView::Recompute(
-    const std::string& column, const Expr& expr,
-    const std::vector<uint64_t>* rows) {
-  return Assign(column, /*predicate=*/nullptr, &expr, rows,
-                /*pages=*/nullptr);
-}
-
-Result<std::vector<CellChange>> ConcreteView::Assign(
-    const std::string& column, const Expr* predicate, const Expr* value,
-    const std::vector<uint64_t>* rows, uint64_t* pages) {
+Status ConcreteView::Stage(const std::string& column, const Expr* predicate,
+                           const Expr* value,
+                           const std::vector<uint64_t>* rows,
+                           ChangeSet* staged, uint64_t* pages) {
   const Schema& schema = table_->schema();
   STATDB_ASSIGN_OR_RETURN(size_t target, schema.IndexOf(column));
   const Attribute& attr = schema.attr(target);
+  for (const ColumnChange& c : *staged) {
+    if (c.column == target) {
+      return FailedPreconditionError("column " + column +
+                                     " is already staged (a rule reads it)");
+    }
+  }
   if (rows != nullptr) {
     if (std::adjacent_find(rows->begin(), rows->end(),
                            std::greater_equal<uint64_t>()) != rows->end()) {
@@ -82,8 +107,8 @@ Result<std::vector<CellChange>> ConcreteView::Assign(
   std::sort(cols.begin(), cols.end());
   cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
 
-  // Evaluate every batch first; write only once all of them succeeded.
-  std::vector<CellChange> changes;
+  ColumnChange fresh;
+  fresh.column = target;
   std::array<uint16_t, kBatchRows> sel{};
   std::array<uint16_t, kBatchRows> kept{};
   size_t next = 0;  // first entry of `rows` not yet visited
@@ -117,22 +142,21 @@ Result<std::vector<CellChange>> ConcreteView::Assign(
       }
     }
     const ColumnVector& old_cells = batch.columns[target];
+    const ColumnVector* result = val.has_value() ? &val->result() : nullptr;
     for (size_t k = 0; k < m; ++k) {
       const uint16_t r = picked[k];
-      STATDB_ASSIGN_OR_RETURN(
-          Value new_value,
-          Coerce(val.has_value() ? CellValue(val->result(), r) : Value(),
-                 attr));
-      Value old_value = CellValue(old_cells, r);
-      if (old_value == new_value) continue;
-      changes.push_back(CellChange{first_row + r, column, std::move(old_value),
-                                   std::move(new_value)});
+      STATDB_ASSIGN_OR_RETURN(std::optional<int64_t> new_cell,
+                              StoredCell(*table_, target, result, r));
+      const std::optional<int64_t> old_cell = RawCell(old_cells, r);
+      if (SameCell(attr.type, old_cell, new_cell)) continue;
+      fresh.cells.emplace_back(first_row + r, old_cell, new_cell);
     }
     return err == BoundExpr::kNoError ? Status::OK() : error;
   };
 
   if (rows == nullptr) {
-    STATDB_RETURN_IF_ERROR(table_->ScanBatches(cols, 0, num_rows(), on_batch));
+    STATDB_RETURN_IF_ERROR(
+        table_->ScanBatches(cols, 0, num_rows(), on_batch, staged));
   } else {
     // One zip per run of consecutive pages that hold rows.
     for (size_t i = 0; i < rows->size();) {
@@ -144,20 +168,12 @@ Result<std::vector<CellChange>> ConcreteView::Assign(
       }
       STATDB_RETURN_IF_ERROR(table_->ScanBatches(
           cols, first_page * kBatchRows, (last_page + 1) * kBatchRows,
-          on_batch));
+          on_batch, staged));
     }
   }
   if (pages != nullptr) *pages += batches * cols.size();
-
-  for (const CellChange& ch : changes) {
-    STATDB_RETURN_IF_ERROR(table_->WriteCell(ch.row, column, ch.new_value));
-  }
-  return changes;
-}
-
-Status ConcreteView::WriteCell(uint64_t row, const std::string& column,
-                               const Value& v) {
-  return table_->WriteCell(row, column, v);
+  if (!fresh.cells.empty()) staged->push_back(std::move(fresh));
+  return Status::OK();
 }
 
 }  // namespace statdb

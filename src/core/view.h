@@ -7,9 +7,9 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "relational/change_set.h"
 #include "relational/expr.h"
 #include "relational/stored_table.h"
-#include "rules/update_history.h"
 
 namespace statdb {
 
@@ -30,8 +30,9 @@ struct UpdateSpec {
 
 /// A concrete (materialized) view: the analyst's private working copy,
 /// stored transposed on the "disk" device (§2.3, §2.6). Wraps the
-/// storage with versioning and predicate updates that report cell-level
-/// deltas for history logging and Summary-Database maintenance.
+/// storage with versioning and the one write path: a mutation is staged
+/// into a ChangeSet (which the update history logs and Summary-Database
+/// maintenance consumes), then installed a page at a time.
 class ConcreteView {
  public:
   ConcreteView(std::string name, Schema schema, BufferPool* pool)
@@ -60,23 +61,32 @@ class ConcreteView {
   /// Bulk-load at materialization time (does not bump the version).
   Status LoadFrom(const Table& t) { return table_->LoadFrom(t); }
 
-  /// Applies a predicate update, returning the cell changes it made, in
-  /// ascending row order. Bumps the version iff at least one cell
-  /// changed. Evaluates every row before it writes any, so a failed
-  /// update changes nothing. Adds the pages the scan read to `*pages`.
-  Result<std::vector<CellChange>> ApplyUpdate(const UpdateSpec& spec,
-                                              uint64_t* pages = nullptr);
+  /// Stages `column` := `value` (nullptr = missing) where `predicate`
+  /// (nullptr = true) holds, over `rows` (ascending; nullptr = every row),
+  /// evaluating a page at a time and reading only the pages that hold
+  /// them. Cells read as if `*staged` were installed, and the changed
+  /// ones join it; a column already in it fails with FAILED_PRECONDITION.
+  /// Writes nothing, and a failure leaves `*staged` as it was. Adds the
+  /// pages the scan read to `*pages`.
+  Status Stage(const std::string& column, const Expr* predicate,
+               const Expr* value, const std::vector<uint64_t>* rows,
+               ChangeSet* staged, uint64_t* pages = nullptr);
 
-  /// Sets `column` to `expr` at `rows` (ascending; nullptr = every row),
-  /// reading only the pages that hold them, and returns the changes like
-  /// ApplyUpdate. Does NOT bump the version (derived-column upkeep).
-  Result<std::vector<CellChange>> Recompute(
-      const std::string& column, const Expr& expr,
-      const std::vector<uint64_t>* rows);
+  /// Installs every column change of `set`, or its inverse when `undo`,
+  /// a page at a time. Does NOT bump the version.
+  Status Install(const ChangeSet& set, bool undo = false) {
+    return table_->Install(set, undo);
+  }
 
-  /// Point write used by rollback and derived-column regeneration.
-  /// Does NOT bump the version (callers manage versioning).
-  Status WriteCell(uint64_t row, const std::string& column, const Value& v);
+  /// Point write (tests and tools). Does NOT bump the version.
+  Status WriteCell(uint64_t row, const std::string& column, const Value& v) {
+    return table_->WriteCell(row, column, v);
+  }
+
+  /// A raw cell of the column at schema position `column` as a Value.
+  Value DecodeCell(size_t column, std::optional<int64_t> raw) const {
+    return table_->DecodeCell(column, raw);
+  }
 
   Result<Value> ReadCell(uint64_t row, const std::string& column) const {
     return table_->ReadCell(row, column);
@@ -106,7 +116,7 @@ class ConcreteView {
   }
 
   /// RLE sidecars for compressed-domain scans (DESIGN.md §14). Built
-  /// after bulk load; invalidated automatically by cell writes.
+  /// after bulk load; invalidated automatically by installs.
   Status CompressColumns(double min_ratio = 2.0) {
     return table_->CompressColumns(min_ratio);
   }
@@ -131,15 +141,6 @@ class ConcreteView {
   void BumpVersion() { ++version_; }
 
  private:
-  /// ApplyUpdate and Recompute: `column` := `value` (nullptr = missing)
-  /// where `predicate` (nullptr = true) holds, over `rows` (nullptr =
-  /// all). Evaluates a page at a time, then writes.
-  Result<std::vector<CellChange>> Assign(const std::string& column,
-                                         const Expr* predicate,
-                                         const Expr* value,
-                                         const std::vector<uint64_t>* rows,
-                                         uint64_t* pages);
-
   std::string name_;
   std::unique_ptr<TransposedTable> table_;
   uint64_t version_ = 0;

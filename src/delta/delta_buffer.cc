@@ -1,43 +1,41 @@
 #include "delta/delta_buffer.h"
 
+#include <algorithm>
+#include <bit>
+
 namespace statdb::delta {
 
 Result<size_t> DeltaBuffer::Buffer(const std::string& attribute,
-                                   const std::vector<CellChange>& changes,
+                                   DataType type, const ColumnChange& change,
                                    bool coalesce) {
-  // Convert every endpoint before touching the queue so a non-numeric
-  // cell mid-batch leaves nothing half-buffered.
-  std::vector<RowDelta> converted;
-  converted.reserve(changes.size());
-  for (const CellChange& ch : changes) {
-    RowDelta d;
-    d.row = ch.row;
-    if (!ch.old_value.is_null()) {
-      STATDB_ASSIGN_OR_RETURN(double v, ch.old_value.ToDouble());
-      d.old_value = v;
-    }
-    if (!ch.new_value.is_null()) {
-      STATDB_ASSIGN_OR_RETURN(double v, ch.new_value.ToDouble());
-      d.new_value = v;
-    }
-    converted.push_back(d);
+  if (type != DataType::kInt64 && type != DataType::kDouble) {
+    return InvalidArgumentError("non-numeric delta on " + attribute);
   }
-
+  auto number = [type](std::optional<int64_t> cell) -> std::optional<double> {
+    if (!cell.has_value()) return std::nullopt;
+    return type == DataType::kInt64 ? double(*cell)
+                                    : std::bit_cast<double>(*cell);
+  };
   AttrQueue& q = queues_[attribute];
-  for (RowDelta& d : converted) {
+  const size_t known = q.by_row.size();
+  size_t k = 0;  // walks the pending rows alongside the ascending change
+  for (const RawChange& c : change.cells) {
+    RowDelta d{c.row(), number(c.old_cell()), number(c.new_cell())};
     if (coalesce) {
-      auto it = q.by_row.find(d.row);
-      if (it != q.by_row.end()) {
+      while (k < known && q.by_row[k].first < c.row()) ++k;
+      if (k < known && q.by_row[k].first == c.row()) {
         // Same row touched again before the flush: the summaries only
         // ever see first-old -> latest-new.
-        q.items[it->second].new_value = d.new_value;
+        q.items[q.by_row[k].second].new_value = d.new_value;
         continue;
       }
-      q.by_row[d.row] = q.items.size();
+      q.by_row.emplace_back(c.row(), q.items.size());
     }
-    q.items.push_back(std::move(d));
+    q.items.push_back(d);
   }
-  return changes.size();
+  std::inplace_merge(q.by_row.begin(), q.by_row.begin() + ptrdiff_t(known),
+                     q.by_row.end());
+  return change.cells.size();
 }
 
 size_t DeltaBuffer::TotalPending() const {

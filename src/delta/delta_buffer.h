@@ -5,11 +5,13 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
-#include "rules/update_history.h"
+#include "relational/change_set.h"
+#include "relational/value.h"
 
 namespace statdb::delta {
 
@@ -31,16 +33,17 @@ struct RowDelta {
 
 /// Per-attribute pending-delta queues for one view — the write side of
 /// the F-IVM-style batching contract (DESIGN.md §16). Mutation paths
-/// Buffer() their cell changes instead of firing maintainers; the flush
-/// engine Drain()s a queue and applies it in one amortized pass.
+/// Buffer() their staged column changes instead of firing maintainers;
+/// the flush engine Drain()s a queue and applies it in one amortized
+/// pass.
 ///
 /// Unlocked by design: mutations are single-threaded under the Dbms
 /// writer discipline (the same contract the maintainer map relies on),
 /// and the query-path flush gate runs on the mutating thread as well.
 class DeltaBuffer {
  public:
-  /// Folds `changes` into `attribute`'s queue. All endpoints are
-  /// converted to numeric deltas up front; a non-numeric cell fails with
+  /// Folds `change`, a staged change of the `type` column `attribute`,
+  /// into that attribute's queue. A non-numeric column fails with
   /// INVALID_ARGUMENT and buffers *nothing* (the caller falls back to
   /// invalidation, exactly like the pre-delta maintenance path).
   ///
@@ -48,10 +51,9 @@ class DeltaBuffer {
   /// into it: first old value, latest new value. Without it every change
   /// appends, preserving the exact delta sequence.
   ///
-  /// Returns the number of raw changes absorbed (== changes.size()).
-  Result<size_t> Buffer(const std::string& attribute,
-                        const std::vector<CellChange>& changes,
-                        bool coalesce);
+  /// Returns the number of raw changes absorbed (== change.cells.size()).
+  Result<size_t> Buffer(const std::string& attribute, DataType type,
+                        const ColumnChange& change, bool coalesce);
 
   bool HasPending(const std::string& attribute) const {
     auto it = queues_.find(attribute);
@@ -78,8 +80,9 @@ class DeltaBuffer {
  private:
   struct AttrQueue {
     std::vector<RowDelta> items;  // first-touch order
-    /// row id -> index into items; only populated while coalescing.
-    std::map<uint64_t, size_t> by_row;
+    /// (row id, index into items), ascending by row; only populated
+    /// while coalescing, and merged with each ascending change.
+    std::vector<std::pair<uint64_t, size_t>> by_row;
   };
 
   std::map<std::string, AttrQueue> queues_;

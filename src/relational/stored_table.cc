@@ -96,13 +96,17 @@ size_t TransposedTable::page_count() const {
   return total;
 }
 
-Result<int64_t> TransposedTable::EncodeCell(size_t col, const Value& v) {
+Result<std::optional<int64_t>> TransposedTable::EncodeCell(size_t col,
+                                                           const Value& v) {
+  if (v.is_null()) return std::optional<int64_t>();
   switch (schema_.attr(col).type) {
-    case DataType::kInt64:
-      return v.ToInt();
+    case DataType::kInt64: {
+      STATDB_ASSIGN_OR_RETURN(int64_t i, v.ToInt());
+      return std::optional(i);
+    }
     case DataType::kDouble: {
       STATDB_ASSIGN_OR_RETURN(double d, v.ToDouble());
-      return std::bit_cast<int64_t>(d);
+      return std::optional(std::bit_cast<int64_t>(d));
     }
     case DataType::kString: {
       if (v.type() != DataType::kString) {
@@ -110,11 +114,11 @@ Result<int64_t> TransposedTable::EncodeCell(size_t col, const Value& v) {
       }
       ColumnStore& store = columns_[col];
       auto it = store.codes.find(v.AsStr());
-      if (it != store.codes.end()) return it->second;
+      if (it != store.codes.end()) return std::optional(it->second);
       int64_t code = static_cast<int64_t>(store.labels.size());
       store.labels.push_back(v.AsStr());
       store.codes[v.AsStr()] = code;
-      return code;
+      return std::optional(code);
     }
     default:
       return InvalidArgumentError("cannot encode cell of this type");
@@ -145,12 +149,8 @@ Status TransposedTable::Append(const Row& row) {
     return InvalidArgumentError("row arity does not match schema");
   }
   for (size_t c = 0; c < row.size(); ++c) {
-    if (row[c].is_null()) {
-      STATDB_RETURN_IF_ERROR(columns_[c].file->Append(std::nullopt));
-    } else {
-      STATDB_ASSIGN_OR_RETURN(int64_t raw, EncodeCell(c, row[c]));
-      STATDB_RETURN_IF_ERROR(columns_[c].file->Append(raw));
-    }
+    STATDB_ASSIGN_OR_RETURN(std::optional<int64_t> cell, EncodeCell(c, row[c]));
+    STATDB_RETURN_IF_ERROR(columns_[c].file->Append(cell));
     // The row changed every column; the immutable sidecars are stale.
     DropSidecar(c);
   }
@@ -172,12 +172,9 @@ Status TransposedTable::LoadFrom(const Table& t) {
   for (size_t c = 0; c < schema_.size(); ++c) {
     const std::vector<Value>& col = t.Column(c);
     for (size_t r = 0; r < t.num_rows(); ++r) {
-      if (col[r].is_null()) {
-        STATDB_RETURN_IF_ERROR(columns_[c].file->Append(std::nullopt));
-      } else {
-        STATDB_ASSIGN_OR_RETURN(int64_t raw, EncodeCell(c, col[r]));
-        STATDB_RETURN_IF_ERROR(columns_[c].file->Append(raw));
-      }
+      STATDB_ASSIGN_OR_RETURN(std::optional<int64_t> cell,
+                              EncodeCell(c, col[r]));
+      STATDB_RETURN_IF_ERROR(columns_[c].file->Append(cell));
     }
   }
   num_rows_ = t.num_rows();
@@ -260,7 +257,8 @@ Status TransposedTable::ReadNumericPairsRange(
 
 Status TransposedTable::ScanBatches(const std::vector<size_t>& cols,
                                     uint64_t begin, uint64_t end,
-                                    const BatchFn& fn) const {
+                                    const BatchFn& fn,
+                                    const ChangeSet* overlay) const {
   static_assert(kBatchRows == ColumnFile::kCellsPerPage);
   for (size_t c : cols) {
     if (c >= schema_.size()) return OutOfRangeError("no column position");
@@ -271,8 +269,21 @@ Status TransposedTable::ScanBatches(const std::vector<size_t>& cols,
   std::vector<ColumnBuffer> bufs(cols.size());
   RowBatch batch;
   batch.columns.resize(schema_.size());
+  // Per column, the overlay's cells at or after the current page.
+  std::vector<const RawChange*> next(cols.size(), nullptr);
+  std::vector<const RawChange*> last(cols.size(), nullptr);
   for (size_t k = 0; k < cols.size(); ++k) {
     batch.columns[cols[k]] = bufs[k].View(schema_.attr(cols[k]).type);
+    if (overlay == nullptr) continue;
+    for (const ColumnChange& change : *overlay) {
+      if (change.column != cols[k]) continue;
+      const auto& cells = change.cells;
+      next[k] = std::lower_bound(cells.data(), cells.data() + cells.size(),
+                                 begin, [](const RawChange& c, uint64_t row) {
+                                   return c.row() < row;
+                                 });
+      last[k] = cells.data() + cells.size();
+    }
   }
   for (uint64_t lo = begin; lo < end;) {
     const uint64_t hi =
@@ -295,6 +306,16 @@ Status TransposedTable::ScanBatches(const std::vector<size_t>& cols,
           }));
       if (copied != hi - lo) {
         return DataLossError("column file shorter than its table");
+      }
+      for (; next[k] != last[k] && next[k]->row() < hi; ++next[k]) {
+        const size_t i = size_t(next[k]->row() - lo);
+        const std::optional<int64_t> cell = next[k]->new_cell();
+        buf.valid[i] = cell.has_value() ? 1 : 0;
+        if (type == DataType::kDouble) {
+          buf.reals[i] = std::bit_cast<double>(cell.value_or(0));
+        } else {
+          buf.ints[i] = cell.value_or(0);
+        }
       }
       if (type != DataType::kString) continue;
       for (size_t i = 0; i < copied; ++i) {
@@ -343,13 +364,25 @@ Status TransposedTable::WriteCell(uint64_t row, const std::string& col,
   if (row >= num_rows_) {
     return OutOfRangeError("row index out of range");
   }
-  // Sidecars are immutable; a cell write invalidates this column's.
-  DropSidecar(c);
-  if (v.is_null()) {
-    return columns_[c].file->Set(row, std::nullopt);
+  STATDB_ASSIGN_OR_RETURN(std::optional<int64_t> cell, EncodeCell(c, v));
+  return Install({ColumnChange{c, {RawChange(row, std::nullopt, cell)}}});
+}
+
+Status TransposedTable::Install(const ChangeSet& set, bool undo) {
+  for (const ColumnChange& change : set) {
+    if (change.column >= columns_.size()) {
+      return OutOfRangeError("no column position");
+    }
+    if (change.cells.empty()) continue;
+    // Sidecars are immutable; the change invalidates this column's.
+    DropSidecar(change.column);
+    STATDB_RETURN_IF_ERROR(columns_[change.column].file->SetCells(
+        change.cells.size(), [&change, undo](size_t i) {
+          const RawChange& c = change.cells[i];
+          return std::pair(c.row(), undo ? c.old_cell() : c.new_cell());
+        }));
   }
-  STATDB_ASSIGN_OR_RETURN(int64_t raw, EncodeCell(c, v));
-  return columns_[c].file->Set(row, raw);
+  return Status::OK();
 }
 
 Status TransposedTable::AddColumn(const Attribute& attr) {

@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "relational/bound_expr.h"
+#include "relational/change_set.h"
 #include "relational/table.h"
 #include "storage/buffer_pool.h"
 #include "storage/column_file.h"
@@ -119,12 +120,14 @@ class TransposedTable {
   /// each schema position c in `cols` (string cells view the column's
   /// dictionary). Each column's page is copied out and its pin released
   /// before the next column's page is pinned, so the zip never holds two
-  /// pins (see ColumnFile::ScanPages). A non-OK status from `fn` stops the
+  /// pins (see ColumnFile::ScanPages). With an `overlay`, cells read as
+  /// if its new cells were installed. A non-OK status from `fn` stops the
   /// scan and is returned. Thread-safe like ReadNumericRange.
   using BatchFn =
       std::function<Status(uint64_t first_row, const RowBatch& batch)>;
   Status ScanBatches(const std::vector<size_t>& cols, uint64_t begin,
-                     uint64_t end, const BatchFn& fn) const;
+                     uint64_t end, const BatchFn& fn,
+                     const ChangeSet* overlay = nullptr) const;
 
   /// Row-aligned numeric (x, y) pairs of rows [begin, end) of two
   /// columns, dropping rows where either cell is missing (pairwise
@@ -142,8 +145,20 @@ class TransposedTable {
   /// Reads one cell.
   Result<Value> ReadCell(uint64_t row, const std::string& col) const;
 
-  /// Overwrites one cell (null = mark missing).
+  /// Overwrites one cell (null = mark missing): a one-cell Install.
   Status WriteCell(uint64_t row, const std::string& col, const Value& v);
+
+  /// The one write path for staged changes: writes each column change's
+  /// new cells (its old cells when `undo`), pinning each page of the
+  /// column once per run of its cells and dropping its sidecar once.
+  Status Install(const ChangeSet& set, bool undo = false);
+
+  /// A Value as column `col`'s raw cell (nullopt for null). A new string
+  /// joins the column's dictionary.
+  Result<std::optional<int64_t>> EncodeCell(size_t col, const Value& v);
+
+  /// A raw cell of column `col` as a Value; an unknown code is null.
+  Value DecodeCell(size_t col, std::optional<int64_t> raw) const;
 
   /// Appends a new attribute whose cells are all null (derived columns
   /// are added during analysis, §2.2).
@@ -168,13 +183,13 @@ class TransposedTable {
   /// column's raw cells (int64 raws; doubles are bit-cast).
   ///
   /// Existence probe only: the pointer is not safe to hold across a
-  /// concurrent mutation (Append/WriteCell drop the sidecar). Scans that
+  /// concurrent mutation (Append/Install drop the sidecar). Scans that
   /// may race a writer must take CompressedSidecarRef instead.
   const CompressedColumnFile* CompressedSidecar(
       const std::string& name) const;
 
   /// Shared ownership of the column's sidecar (nullptr when none). A
-  /// concurrent Append/WriteCell only *detaches* the sidecar — the
+  /// concurrent Append/Install only *detaches* the sidecar — the
   /// returned ref keeps the immutable run pages alive for the whole scan,
   /// so a compressed-domain scan can never read a sidecar being torn
   /// down. The detached sidecar is reclaimed when the last ref drops
@@ -195,9 +210,6 @@ class TransposedTable {
     // holds the old version alive after invalidation detaches it.
     std::shared_ptr<const CompressedColumnFile> compressed;
   };
-
-  Result<int64_t> EncodeCell(size_t col, const Value& v);
-  Value DecodeCell(size_t col, std::optional<int64_t> raw) const;
 
   /// Detaches column c's sidecar (invalidation on mutation).
   void DropSidecar(size_t col);

@@ -45,7 +45,7 @@ class MomentMaintainer : public IncrementalMaintainer {
     return Current();
   }
 
-  Result<SummaryResult> Apply(const CellDelta& delta) override {
+  Status Fold(const CellDelta& delta) override {
     if (!initialized_) return WindowExhausted(name());
     if (delta.old_value.has_value()) {
       if (n_ == 0) return WindowExhausted(name());
@@ -55,7 +55,7 @@ class MomentMaintainer : public IncrementalMaintainer {
       Insert(*delta.new_value);
     }
     ++stats_.applies;
-    return Current();
+    return Status::OK();
   }
 
   Result<SummaryResult> Current() const override {
@@ -141,7 +141,7 @@ class ExtremumMaintainer : public IncrementalMaintainer {
     return Current();
   }
 
-  Result<SummaryResult> Apply(const CellDelta& delta) override {
+  Status Fold(const CellDelta& delta) override {
     if (!initialized_) return WindowExhausted(name());
     if (delta.old_value.has_value()) {
       double old = *delta.old_value;
@@ -180,7 +180,7 @@ class ExtremumMaintainer : public IncrementalMaintainer {
       return WindowExhausted(name());
     }
     ++stats_.applies;
-    return Current();
+    return Status::OK();
   }
 
   Result<SummaryResult> Current() const override {
@@ -278,7 +278,7 @@ class OrderStatWindowMaintainer : public IncrementalMaintainer {
     return Current();
   }
 
-  Result<SummaryResult> Apply(const CellDelta& delta) override {
+  Status Fold(const CellDelta& delta) override {
     if (!initialized_) return WindowExhausted(name());
     if (delta.old_value.has_value()) {
       double old = *delta.old_value;
@@ -335,7 +335,7 @@ class OrderStatWindowMaintainer : public IncrementalMaintainer {
     ++stats_.applies;
     ++stats_.window_slides;
     TrimWindow();
-    return Current();
+    return Status::OK();
   }
 
   Result<SummaryResult> Current() const override {
@@ -415,7 +415,7 @@ class FrequencyMaintainer : public IncrementalMaintainer {
     return Current();
   }
 
-  Result<SummaryResult> Apply(const CellDelta& delta) override {
+  Status Fold(const CellDelta& delta) override {
     if (!initialized_) return WindowExhausted(name());
     if (delta.old_value.has_value()) {
       auto it = freq_.find(*delta.old_value);
@@ -429,7 +429,7 @@ class FrequencyMaintainer : public IncrementalMaintainer {
       ++freq_[*delta.new_value];
     }
     ++stats_.applies;
-    return Current();
+    return Status::OK();
   }
 
   Result<SummaryResult> Current() const override {
@@ -480,7 +480,7 @@ class HistogramMaintainer : public IncrementalMaintainer {
     return Current();
   }
 
-  Result<SummaryResult> Apply(const CellDelta& delta) override {
+  Status Fold(const CellDelta& delta) override {
     if (!initialized_) return WindowExhausted(name());
     if (delta.old_value.has_value()) {
       STATDB_RETURN_IF_ERROR(Adjust(*delta.old_value, -1));
@@ -497,13 +497,11 @@ class HistogramMaintainer : public IncrementalMaintainer {
       return WindowExhausted(name());
     }
     ++stats_.applies;
-    return Current();
+    return Status::OK();
   }
 
-  /// The batched arm skips Apply's per-delta result materialization (a
-  /// full Histogram copy each call): adjust every bucket first, check
-  /// spill once, render once. Bucket arithmetic is integer-exact, so
-  /// the final counts are bit-identical to the Apply loop's.
+  /// The batched arm checks spill once, after every bucket moved, so a
+  /// batch that ends back inside the frozen range keeps its edges.
   Result<SummaryResult> ApplyBatch(
       const std::vector<CellDelta>& batch) override {
     if (!initialized_) return WindowExhausted(name());

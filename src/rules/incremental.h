@@ -58,24 +58,20 @@ class IncrementalMaintainer {
       const std::vector<double>& data) = 0;
 
   /// Folds one delta into the state and returns the new result.
-  virtual Result<SummaryResult> Apply(const CellDelta& delta) = 0;
+  Result<SummaryResult> Apply(const CellDelta& delta) {
+    STATDB_RETURN_IF_ERROR(Fold(delta));
+    return Current();
+  }
 
   /// Folds a whole delta batch and returns the result once — the
   /// amortized arm the delta-batched maintenance engine drives
-  /// (DESIGN.md §16). The default loops Apply, discarding intermediate
-  /// results; maintainers whose Apply pays a per-call materialization
-  /// cost (histogram) override it. Like Apply, FAILED_PRECONDITION
-  /// means the auxiliary state gave up mid-batch and the caller must
-  /// re-Initialize from the full column.
+  /// (DESIGN.md §16): the same states as the Apply loop, rendered once.
+  /// Like Apply, FAILED_PRECONDITION means the auxiliary state gave up
+  /// mid-batch and the caller must re-Initialize from the full column.
   virtual Result<SummaryResult> ApplyBatch(
       const std::vector<CellDelta>& batch) {
-    if (batch.empty()) return Current();
-    Result<SummaryResult> r = Current();
-    for (const CellDelta& d : batch) {
-      r = Apply(d);
-      if (!r.ok()) return r;
-    }
-    return r;
+    for (const CellDelta& d : batch) STATDB_RETURN_IF_ERROR(Fold(d));
+    return Current();
   }
 
   /// Current result without applying anything.
@@ -84,6 +80,10 @@ class IncrementalMaintainer {
   const MaintainerStats& stats() const { return stats_; }
 
  protected:
+  /// Folds one delta into the state; FAILED_PRECONDITION when the
+  /// auxiliary state can no longer answer.
+  virtual Status Fold(const CellDelta& delta) = 0;
+
   MaintainerStats stats_;
 };
 

@@ -21,18 +21,12 @@ std::vector<const UpdateLogEntry*> UpdateHistory::EntriesSince(
 
 Status UpdateHistory::Rollback(
     uint64_t target_version,
-    const std::function<Status(const CellChange&)>& undo_cell) {
-  // Undo newest-first; within an entry, cells are undone in reverse so
-  // chained updates of the same cell unwind correctly.
+    const std::function<Status(const ChangeSet&)>& undo) {
+  // Newest first, so chained updates of the same cell unwind correctly;
+  // an entry holds each column once, so its order within is free.
   size_t keep = entries_.size();
-  for (size_t i = entries_.size(); i-- > 0;) {
-    if (entries_[i].version <= target_version) break;
-    const UpdateLogEntry& entry = entries_[i];
-    for (size_t c = entry.changes.size(); c-- > 0;) {
-      CellChange undo = entry.changes[c];
-      STATDB_RETURN_IF_ERROR(undo_cell(undo));
-    }
-    keep = i;
+  for (; keep > 0 && entries_[keep - 1].version > target_version; --keep) {
+    STATDB_RETURN_IF_ERROR(undo(entries_[keep - 1].changes));
   }
   entries_.resize(keep);
   return Status::OK();
@@ -40,7 +34,7 @@ Status UpdateHistory::Rollback(
 
 uint64_t UpdateHistory::TotalCellChanges() const {
   uint64_t total = 0;
-  for (const UpdateLogEntry& e : entries_) total += e.changes.size();
+  for (const UpdateLogEntry& e : entries_) total += CellCount(e.changes);
   return total;
 }
 

@@ -8,24 +8,17 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "relational/value.h"
+#include "relational/change_set.h"
 
 namespace statdb {
 
-/// One cell-level change with its undo information.
-struct CellChange {
-  uint64_t row = 0;
-  std::string column;
-  Value old_value;
-  Value new_value;
-};
-
 /// One logical update operation applied to a view, e.g. the outcome of a
-/// predicate update, together with everything needed to undo it.
+/// predicate update: the staged change set it installed, which is also
+/// everything needed to undo it.
 struct UpdateLogEntry {
   uint64_t version = 0;  // view version *after* this update
   std::string description;
-  std::vector<CellChange> changes;
+  ChangeSet changes;
 };
 
 /// Per-view update history (§3.2): "Keeping a history of updates for each
@@ -52,11 +45,10 @@ class UpdateHistory {
   std::vector<const UpdateLogEntry*> EntriesSince(uint64_t since) const;
 
   /// Undoes every update with version > `target_version`, newest first,
-  /// by handing each cell's old value to `undo_cell`. On success the log
-  /// is truncated to the target version.
-  Status Rollback(
-      uint64_t target_version,
-      const std::function<Status(const CellChange&)>& undo_cell);
+  /// by handing each entry's change set to `undo` (which installs its
+  /// old cells). On success the log is truncated to the target version.
+  Status Rollback(uint64_t target_version,
+                  const std::function<Status(const ChangeSet&)>& undo);
 
   /// Total cell-level changes recorded (log size proxy).
   uint64_t TotalCellChanges() const;

@@ -43,6 +43,13 @@ void ColumnFile::SetBit(Page& p, size_t i, bool v) {
   }
 }
 
+void ColumnFile::PutCell(Page& p, size_t i, std::optional<int64_t> cell) {
+  // Validity bitmap: bit set = value present, clear = missing.
+  SetBit(p, i, cell.has_value());
+  const int64_t raw = cell.value_or(0);
+  std::memcpy(p.bytes() + kCellsOff + i * 8, &raw, 8);
+}
+
 Status ColumnFile::Append(std::optional<int64_t> cell) {
   uint64_t index = count_;
   size_t page_no = index / kCellsPerPage;
@@ -58,10 +65,7 @@ Status ColumnFile::Append(std::optional<int64_t> cell) {
     pid = pages_[page_no];
     STATDB_ASSIGN_OR_RETURN(page, pool_->FetchPage(pid));
   }
-  // Validity bitmap: bit set = value present, clear = missing.
-  SetBit(*page, cell_no, cell.has_value());
-  int64_t raw = cell.value_or(0);
-  std::memcpy(page->bytes() + kCellsOff + cell_no * 8, &raw, 8);
+  PutCell(*page, cell_no, cell);
   uint32_t new_count = static_cast<uint32_t>(cell_no + 1);
   std::memcpy(page->bytes() + kCountOff, &new_count, sizeof(new_count));
   STATDB_RETURN_IF_ERROR(pool_->UnpinPage(pid, /*dirty=*/true));
@@ -99,16 +103,7 @@ Result<std::optional<double>> ColumnFile::GetDouble(uint64_t index) const {
 }
 
 Status ColumnFile::Set(uint64_t index, std::optional<int64_t> cell) {
-  if (index >= count_) {
-    return OutOfRangeError("column index out of range");
-  }
-  size_t page_no = index / kCellsPerPage;
-  size_t cell_no = index % kCellsPerPage;
-  STATDB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(pages_[page_no]));
-  SetBit(*page, cell_no, cell.has_value());
-  int64_t raw = cell.value_or(0);
-  std::memcpy(page->bytes() + kCellsOff + cell_no * 8, &raw, 8);
-  return pool_->UnpinPage(pages_[page_no], /*dirty=*/true);
+  return SetCells(1, [&](size_t) { return std::pair(index, cell); });
 }
 
 Status ColumnFile::SetDouble(uint64_t index, std::optional<double> cell) {

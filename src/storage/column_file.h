@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -92,6 +93,30 @@ class ColumnFile {
   Status Set(uint64_t index, std::optional<int64_t> cell);
   Status SetDouble(uint64_t index, std::optional<double> cell);
 
+  /// Overwrites `n` cells, pinning each page once per run of its cells:
+  /// `at(i)` returns the i-th (index, cell) pair, and indexes on one page
+  /// must be adjacent in the sequence (ascending ones are). An index out
+  /// of range fails the call before any cell is written.
+  template <typename At>
+  Status SetCells(size_t n, At&& at) {
+    for (size_t i = 0; i < n; ++i) {
+      if (at(i).first >= count_) {
+        return OutOfRangeError("column index out of range");
+      }
+    }
+    for (size_t i = 0; i < n;) {
+      const uint64_t page_no = at(i).first / kCellsPerPage;
+      const PageId pid = pages_[page_no];
+      STATDB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(pid));
+      for (; i < n && at(i).first / kCellsPerPage == page_no; ++i) {
+        const auto [index, cell] = at(i);
+        PutCell(*page, size_t(index % kCellsPerPage), cell);
+      }
+      STATDB_RETURN_IF_ERROR(pool_->UnpinPage(pid, /*dirty=*/true));
+    }
+    return Status::OK();
+  }
+
   /// The column scan — the access pattern transposed files optimize for
   /// (§2.6). Calls `fn(first_row, const ColumnPageView&) -> Status` once
   /// per page covering cells [begin, min(end, size())), in order, with
@@ -144,6 +169,8 @@ class ColumnFile {
 
   static bool TestBit(const Page& p, size_t i);
   static void SetBit(Page& p, size_t i, bool v);
+  /// Writes slot `i`'s validity bit and raw cell (0 when missing).
+  static void PutCell(Page& p, size_t i, std::optional<int64_t> cell);
 
   BufferPool* pool_;
   std::vector<PageId> pages_;

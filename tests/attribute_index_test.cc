@@ -5,6 +5,8 @@
 #include "core/attribute_index.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/dbms.h"
@@ -188,6 +190,40 @@ TEST_F(AttributeIndexTest, MaintainedThroughUpdates) {
             age30_before);
   EXPECT_EQ(dbms_->CountWhereEqual("v", "AGE", Value::Null()).value(),
             null_before);
+}
+
+// A whole-column edit and its rollback each reach the index through the
+// staged change set: after either, every indexed range count equals a
+// count over the column's cells.
+TEST_F(AttributeIndexTest, WholeColumnEditAndRollbackKeepIndexExact) {
+  STATDB_ASSERT_OK(dbms_->CreateAttributeIndex("v", "INCOME"));
+  ConcreteView* view = dbms_->GetView("v").value();
+  auto expect_parity = [&](const char* when) {
+    const std::vector<Value> cells = view->ReadColumn("INCOME").value();
+    for (auto [lo, hi] : {std::pair(0.0, 2e4), std::pair(2e4, 1e6),
+                          std::pair(1e6, 1e12)}) {
+      uint64_t scanned = 0;
+      for (const Value& c : cells) {
+        if (!c.is_null() && !(c < Value::Real(lo)) && !(Value::Real(hi) < c)) {
+          ++scanned;
+        }
+      }
+      bool used_index = false;
+      Result<uint64_t> indexed = dbms_->CountWhereInRange(
+          "v", "INCOME", Value::Real(lo), Value::Real(hi), &used_index);
+      ASSERT_TRUE(indexed.ok()) << when;
+      EXPECT_TRUE(used_index) << when;
+      EXPECT_EQ(*indexed, scanned) << when << " [" << lo << ", " << hi << "]";
+    }
+  };
+  expect_parity("before");
+  UpdateSpec spec;
+  spec.column = "INCOME";
+  spec.value = Mul(Col("INCOME"), Lit(1000.0));
+  ASSERT_GT(dbms_->Update("v", spec).value(), raw_.num_rows() / 2);
+  expect_parity("after the edit");
+  STATDB_ASSERT_OK(dbms_->Rollback("v", 0));
+  expect_parity("after the rollback");
 }
 
 TEST_F(AttributeIndexTest, RebuiltByReorganization) {

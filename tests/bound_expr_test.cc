@@ -19,6 +19,7 @@
 #include "gtest/gtest.h"
 #include "relational/ops.h"
 #include "relational/stored_table.h"
+#include "tests/cell_changes.h"
 #include "tests/test_util.h"
 
 namespace statdb {
@@ -389,7 +390,7 @@ TEST(PredicateUpdateParityTest, ApplyUpdateMatchesRowLoop) {
       TestStorage ts(64);
       ConcreteView view("v", t.schema(), &ts.pool);
       STATDB_ASSERT_OK(view.LoadFrom(t));
-      Result<std::vector<CellChange>> got = view.ApplyUpdate(spec);
+      Result<std::vector<CellChange>> got = ApplyUpdate(view, spec);
       Result<std::vector<CellChange>> want = ReferenceUpdate(t, spec);
       ASSERT_EQ(got.ok(), want.ok()) << what;
       Table expected = t;

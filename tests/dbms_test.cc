@@ -417,6 +417,61 @@ TEST_F(DbmsTest, FailedUpdateLeavesViewAndSummariesUntouched) {
               1e-9 * std::abs(sum));
 }
 
+// A kLocal derived column that fails to recompute fails the whole
+// update: the target cells, the derived cells, the version and the
+// history stay as they were.
+TEST_F(DbmsTest, FailedDerivedRecomputeLeavesViewUntouched) {
+  ASSERT_TRUE(MakeView("v").ok());
+  STATDB_ASSERT_OK(dbms_->AddDerivedColumn(
+      "v", DerivedColumnDef::Local("AGE_X", Mul(Col("AGE"),
+                                                Lit(int64_t{1} << 40)))));
+  ConcreteView* view = dbms_->GetView("v").value();
+  const std::vector<Value> ages = view->ReadColumn("AGE").value();
+  const std::vector<Value> derived = view->ReadColumn("AGE_X").value();
+  ViewRecord* rec = dbms_->management_db().GetView("v").value();
+  const uint64_t version = view->version();
+
+  // 2^30 fits AGE, but 2^30 * 2^40 overflows int64 in the derived rule.
+  UpdateSpec spec;
+  spec.column = "AGE";
+  spec.predicate = Lt(Col("AGE"), Lit(int64_t{30}));
+  spec.value = Lit(int64_t{1} << 30);
+  Result<uint64_t> r = dbms_->Update("v", spec);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+
+  EXPECT_EQ(view->ReadColumn("AGE").value(), ages);
+  EXPECT_EQ(view->ReadColumn("AGE_X").value(), derived);
+  EXPECT_EQ(view->version(), version);
+  EXPECT_EQ(rec->version, version);
+  EXPECT_TRUE(rec->history.entries().empty());
+}
+
+// Rolling back an update undoes what a regeneration since then fitted:
+// the generated column reads as it did before the update, and the
+// summaries cached on it are not served.
+TEST_F(DbmsTest, RollbackPastRegenerationRestoresGeneratedColumn) {
+  ASSERT_TRUE(MakeView("v").ok());
+  STATDB_ASSERT_OK(dbms_->AddDerivedColumn(
+      "v", DerivedColumnDef::Residuals("RESID", "AGE", "INCOME")));
+  const std::vector<Value> before = dbms_->ReadColumn("v", "RESID").value();
+
+  UpdateSpec spec;
+  spec.column = "INCOME";
+  spec.predicate = Lt(Col("AGE"), Lit(int64_t{40}));
+  spec.value = Mul(Col("INCOME"), Lit(5.0));
+  ASSERT_GT(dbms_->Update("v", spec).value(), 0u);
+  // The read regenerates the residuals under the refit model.
+  EXPECT_NE(dbms_->ReadColumn("v", "RESID").value(), before);
+  ASSERT_TRUE(dbms_->Query("v", "mean", "RESID").ok());
+
+  STATDB_ASSERT_OK(dbms_->Rollback("v", 0));
+  EXPECT_EQ(dbms_->ReadColumn("v", "RESID").value(), before);
+  auto mean = dbms_->Query("v", "mean", "RESID");
+  ASSERT_TRUE(mean.ok());
+  EXPECT_EQ(mean->source, AnswerSource::kComputed);
+}
+
 // Coercing a real value that int64 cannot hold into an int column is
 // OUT_OF_RANGE, not a silently wrapped cell.
 TEST_F(DbmsTest, UpdateOverflowingAnIntColumnFailsAndWritesNothing) {

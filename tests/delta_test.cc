@@ -4,6 +4,7 @@
 // flush barriers on the query paths (flush-before-serve vs allow_stale),
 // and the manifest's pending-delta section across recovery.
 
+#include <bit>
 #include <cmath>
 
 #include "common/rng.h"
@@ -30,18 +31,25 @@ using delta::PolicyController;
 using delta::PolicyDecision;
 using delta::RowDelta;
 
-CellChange NumChange(uint64_t row, double from, double to) {
-  return CellChange{row, "X", Value::Real(from), Value::Real(to)};
+/// A staged change of one cell of the double column X (position 0).
+ColumnChange NumChange(uint64_t row, double from, double to) {
+  return ColumnChange{0, {RawChange{row, std::bit_cast<int64_t>(from),
+                                    std::bit_cast<int64_t>(to)}}};
 }
 
 // --- delta buffer ------------------------------------------------------------
 
 TEST(DeltaBufferTest, BuffersAndDrainsInFirstTouchOrder) {
   DeltaBuffer buf;
-  auto n = buf.Buffer(
-      "X", {NumChange(3, 1, 2), NumChange(1, 5, 6)}, /*coalesce=*/true);
+  // A staged change ascends by row, so first touch of row 3 before row 1
+  // takes two changes.
+  auto n = buf.Buffer("X", DataType::kDouble, NumChange(3, 1, 2),
+                      /*coalesce=*/true);
   ASSERT_TRUE(n.ok());
-  EXPECT_EQ(n.value(), 2u);
+  auto n2 = buf.Buffer("X", DataType::kDouble, NumChange(1, 5, 6),
+                       /*coalesce=*/true);
+  ASSERT_TRUE(n2.ok());
+  EXPECT_EQ(n.value() + n2.value(), 2u);
   EXPECT_TRUE(buf.HasPending("X"));
   EXPECT_EQ(buf.PendingCount("X"), 2u);
   EXPECT_FALSE(buf.HasPending("Y"));
@@ -56,9 +64,12 @@ TEST(DeltaBufferTest, BuffersAndDrainsInFirstTouchOrder) {
 
 TEST(DeltaBufferTest, CoalescesRepeatedWritesToOneRow) {
   DeltaBuffer buf;
-  ASSERT_TRUE(buf.Buffer("X", {NumChange(7, 1, 2)}, true).ok());
-  ASSERT_TRUE(buf.Buffer("X", {NumChange(7, 2, 3)}, true).ok());
-  ASSERT_TRUE(buf.Buffer("X", {NumChange(7, 3, 9)}, true).ok());
+  ASSERT_TRUE(
+      buf.Buffer("X", DataType::kDouble, NumChange(7, 1, 2), true).ok());
+  ASSERT_TRUE(
+      buf.Buffer("X", DataType::kDouble, NumChange(7, 2, 3), true).ok());
+  ASSERT_TRUE(
+      buf.Buffer("X", DataType::kDouble, NumChange(7, 3, 9), true).ok());
   EXPECT_EQ(buf.PendingCount("X"), 1u);
   std::vector<RowDelta> d = buf.Drain("X");
   ASSERT_EQ(d.size(), 1u);
@@ -69,8 +80,10 @@ TEST(DeltaBufferTest, CoalescesRepeatedWritesToOneRow) {
 
 TEST(DeltaBufferTest, CoalescedRoundTripIsNoOp) {
   DeltaBuffer buf;
-  ASSERT_TRUE(buf.Buffer("X", {NumChange(7, 4, 8)}, true).ok());
-  ASSERT_TRUE(buf.Buffer("X", {NumChange(7, 8, 4)}, true).ok());
+  ASSERT_TRUE(
+      buf.Buffer("X", DataType::kDouble, NumChange(7, 4, 8), true).ok());
+  ASSERT_TRUE(
+      buf.Buffer("X", DataType::kDouble, NumChange(7, 8, 4), true).ok());
   std::vector<RowDelta> d = buf.Drain("X");
   ASSERT_EQ(d.size(), 1u);
   EXPECT_TRUE(d[0].IsNoOp());
@@ -78,29 +91,33 @@ TEST(DeltaBufferTest, CoalescedRoundTripIsNoOp) {
 
 TEST(DeltaBufferTest, WithoutCoalescingEveryChangeAppends) {
   DeltaBuffer buf;
-  ASSERT_TRUE(buf.Buffer("X", {NumChange(7, 1, 2)}, false).ok());
-  ASSERT_TRUE(buf.Buffer("X", {NumChange(7, 2, 3)}, false).ok());
+  ASSERT_TRUE(
+      buf.Buffer("X", DataType::kDouble, NumChange(7, 1, 2), false).ok());
+  ASSERT_TRUE(
+      buf.Buffer("X", DataType::kDouble, NumChange(7, 2, 3), false).ok());
   EXPECT_EQ(buf.PendingCount("X"), 2u);
 }
 
 TEST(DeltaBufferTest, NonNumericChangeBuffersNothing) {
   DeltaBuffer buf;
-  ASSERT_TRUE(buf.Buffer("X", {NumChange(1, 1, 2)}, true).ok());
-  // Atomicity: the second (non-numeric) change poisons the whole batch.
-  std::vector<CellChange> bad = {
-      NumChange(2, 3, 4),
-      CellChange{5, "X", Value::Str("a"), Value::Str("b")}};
-  EXPECT_EQ(buf.Buffer("X", bad, true).status().code(),
+  ASSERT_TRUE(
+      buf.Buffer("X", DataType::kDouble, NumChange(1, 1, 2), true).ok());
+  // Atomicity: a change of a non-numeric (string-coded) column buffers
+  // none of its cells.
+  ColumnChange bad = NumChange(2, 3, 4);
+  bad.cells.push_back(RawChange{5, 0, 1});
+  EXPECT_EQ(buf.Buffer("X", DataType::kString, bad, true).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(buf.PendingCount("X"), 1u);  // only the first call's delta
 }
 
 TEST(DeltaBufferTest, NullEndpointsBecomeMissingOptionals) {
   DeltaBuffer buf;
-  std::vector<CellChange> changes = {
-      CellChange{0, "X", Value::Null(), Value::Real(4)},   // fill
-      CellChange{1, "X", Value::Real(5), Value::Null()}};  // invalidate
-  ASSERT_TRUE(buf.Buffer("X", changes, true).ok());
+  ColumnChange changes{
+      0,
+      {RawChange{0, std::nullopt, std::bit_cast<int64_t>(4.0)},    // fill
+       RawChange{1, std::bit_cast<int64_t>(5.0), std::nullopt}}};  // invalidate
+  ASSERT_TRUE(buf.Buffer("X", DataType::kDouble, changes, true).ok());
   std::vector<RowDelta> d = buf.Drain("X");
   ASSERT_EQ(d.size(), 2u);
   EXPECT_FALSE(d[0].old_value.has_value());
@@ -111,11 +128,10 @@ TEST(DeltaBufferTest, NullEndpointsBecomeMissingOptionals) {
 
 TEST(DeltaBufferTest, DiscardDropsOneAttributeOnly) {
   DeltaBuffer buf;
-  ASSERT_TRUE(buf.Buffer("X", {NumChange(1, 1, 2)}, true).ok());
   ASSERT_TRUE(
-      buf.Buffer("Y", {CellChange{1, "Y", Value::Real(1), Value::Real(3)}},
-                 true)
-          .ok());
+      buf.Buffer("X", DataType::kDouble, NumChange(1, 1, 2), true).ok());
+  ASSERT_TRUE(
+      buf.Buffer("Y", DataType::kDouble, NumChange(1, 1, 3), true).ok());
   buf.Discard("X");
   EXPECT_FALSE(buf.HasPending("X"));
   EXPECT_TRUE(buf.HasPending("Y"));

@@ -12,6 +12,9 @@
 //        blocks than eager maintenance, over the same WAL commits.
 //   E17/E21  the flight recorder (on or sampled), slow-trace capture at
 //        threshold 0 and the Chrome export leave device I/O unchanged.
+//   Write path: a whole-column edit, its rollback and a regeneration each
+//        pin every page of the column once to install it and write it
+//        to disk once.
 
 #include <cmath>
 #include <cstdint>
@@ -316,6 +319,68 @@ TEST_F(IoCountTest, PredicateUpdateReadsEachReferencedColumnOnce) {
     STATDB_ASSERT_OK(db_->Update("v", spec));
   });
   EXPECT_EQ(narrow.block_reads, id_pages + x_pages);
+}
+
+// The one write path installs a staged change a page at a time: a
+// whole-column edit, its rollback and a regeneration each write every
+// page of the written column to disk exactly once (the pool is flushed
+// clean before and after each step), and fetch it once for the install.
+// Beyond the column scans, a step's only fetches are a few probes of the
+// view's Summary Database; a cell-at-a-time install would fetch each
+// page once per cell.
+TEST_F(IoCountTest, WholeColumnWritesEveryPageOnce) {
+  Load(MakeStream(20'000));
+  // The post-update auditor (on by default in Debug builds) fetches
+  // summary pages of its own; this test counts the write path's.
+  db_->set_audit_after_update(false);
+  STATDB_ASSERT_OK(db_->AddDerivedColumn(
+      "v", DerivedColumnDef::Residuals("R", "ID", "X")));
+  BufferPool* pool = storage_->GetPool("disk").value();
+  const uint64_t id_pages = ColumnPages(db_.get(), "v", 0);
+  const uint64_t x_pages = ColumnPages(db_.get(), "v", 1);
+  const uint64_t r_pages = ColumnPages(db_.get(), "v", 2);
+  ASSERT_GT(x_pages, 4 * kSmallDiskPool);
+  // Block writes of `fn` plus the flush after it; pool fetches of `fn`.
+  auto step = [&](const std::function<void()>& fn, uint64_t* fetches) {
+    EXPECT_TRUE(pool->FlushAll().ok());
+    const BufferPoolStats before = pool->stats();
+    IoStats io = IoOf(disk_, [&] {
+      fn();
+      EXPECT_TRUE(pool->FlushAll().ok());
+    });
+    const BufferPoolStats after = pool->stats();
+    *fetches = after.hits + after.misses - before.hits - before.misses;
+    return io.block_writes;
+  };
+
+  constexpr uint64_t kSummaryProbes = 8;  // at most, per step
+  auto expect_fetches = [&](uint64_t fetches, uint64_t scans_and_install) {
+    EXPECT_GE(fetches, scans_and_install);
+    EXPECT_LE(fetches, scans_and_install + kSummaryProbes);
+  };
+
+  UpdateSpec edit;
+  edit.column = "X";
+  edit.value = Mul(Col("X"), Lit(3.0));
+  uint64_t fetches = 0;
+  EXPECT_EQ(step([&] { STATDB_ASSERT_OK(db_->Update("v", edit)); },
+                 &fetches),
+            x_pages);
+  expect_fetches(fetches, x_pages + x_pages);  // staging scan, install
+
+  // The edit left R out of date: regeneration fits on the (ID, X) zip,
+  // stages R on the (ID, X, R) zip and installs it.
+  EXPECT_EQ(step([&] {
+              STATDB_ASSERT_OK(db_->RegenerateDerivedColumn("v", "R"));
+            }, &fetches),
+            r_pages);
+  expect_fetches(fetches, (id_pages + x_pages) +
+                              (id_pages + x_pages + r_pages) + r_pages);
+
+  EXPECT_EQ(step([&] { STATDB_ASSERT_OK(db_->Rollback("v", 0)); },
+                 &fetches),
+            x_pages);
+  expect_fetches(fetches, x_pages);  // the install only
 }
 
 }  // namespace

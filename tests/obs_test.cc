@@ -269,6 +269,39 @@ TEST_F(ObsDbmsTest, UpdateAndRollbackEmitPhaseSpans) {
             "predicate_scan");
 }
 
+// A regeneration carves the same phases: the capture, the fit-and-stage
+// scan, the install with its upkeep, and the commit.
+TEST_F(ObsDbmsTest, RegenerationEmitsPhaseSpans) {
+  STATDB_ASSERT_OK(dbms_->AddDerivedColumn(
+      "v", DerivedColumnDef::Residuals("RESID", "AGE", "INCOME")));
+  UpdateSpec spec;
+  spec.column = "INCOME";
+  spec.value = Mul(Col("INCOME"), Lit(2.0));
+  STATDB_ASSERT_OK(dbms_->Update("v", spec).status());
+  CollectingTraceSink sink;
+  dbms_->set_trace_sink(&sink);
+  STATDB_ASSERT_OK(dbms_->RegenerateDerivedColumn("v", "RESID"));
+  dbms_->set_trace_sink(nullptr);
+
+  std::vector<QueryTrace> traces = sink.Take();
+  ASSERT_EQ(traces.size(), 1u);
+  const QueryTrace& regen = traces[0];
+  EXPECT_EQ(regen.operation(), "regenerate");
+  EXPECT_EQ(regen.attribute(), "RESID");
+  std::vector<SpanKind> kinds;
+  for (size_t i = 0; i < regen.size(); ++i) kinds.push_back(regen.span(i).kind);
+  EXPECT_EQ(kinds, (std::vector<SpanKind>{SpanKind::kSnapshotCapture,
+                                          SpanKind::kPredicateScan,
+                                          SpanKind::kMaintenance,
+                                          SpanKind::kWalCommit}));
+  // The staging scan zips AGE, INCOME and RESID, four pages each; the
+  // install rewrote every residual.
+  EXPECT_EQ(regen.span(1).rows, 2000u);
+  EXPECT_EQ(regen.span(1).pages, 3u * 4u);
+  EXPECT_GT(regen.span(2).rows, 0u);
+  EXPECT_LE(regen.SpanSumMs(), regen.total_ms() * 1.05);
+}
+
 TEST_F(ObsDbmsTest, NoSinkMeansNoTracesButCountersStillTick) {
   STATDB_ASSERT_OK(dbms_->Query("v", "mean", "INCOME").status());
   EXPECT_EQ(dbms_->metrics().GetHistogram("dbms.query_ms")->Count(), 1u);

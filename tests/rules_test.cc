@@ -146,29 +146,30 @@ TEST(UpdateHistoryTest, EntriesSinceFiltersByVersion) {
 
 TEST(UpdateHistoryTest, RollbackUndoesNewestFirst) {
   UpdateHistory h;
-  // Two updates touching the same cell: v1 sets 10->20, v2 sets 20->30.
-  STATDB_ASSERT_OK(h.Append(
-      {1, "v1", {{0, "X", Value::Int(10), Value::Int(20)}}}));
-  STATDB_ASSERT_OK(h.Append(
-      {2, "v2", {{0, "X", Value::Int(20), Value::Int(30)}}}));
-  std::vector<Value> restored;
-  STATDB_ASSERT_OK(h.Rollback(0, [&restored](const CellChange& ch) {
-    restored.push_back(ch.old_value);
+  // Two updates touching the same cell (row 0 of column 0): v1 sets
+  // 10->20, v2 sets 20->30.
+  STATDB_ASSERT_OK(h.Append({1, "v1", {{0, {{0, 10, 20}}}}}));
+  STATDB_ASSERT_OK(h.Append({2, "v2", {{0, {{0, 20, 30}}}}}));
+  std::vector<std::optional<int64_t>> restored;
+  STATDB_ASSERT_OK(h.Rollback(0, [&restored](const ChangeSet& set) {
+    for (const ColumnChange& ch : set) {
+      for (const RawChange& c : ch.cells) restored.push_back(c.old_cell());
+    }
     return Status::OK();
   }));
   // Newest first: 20 then 10 — the cell ends at its original value.
   ASSERT_EQ(restored.size(), 2u);
-  EXPECT_EQ(restored[0], Value::Int(20));
-  EXPECT_EQ(restored[1], Value::Int(10));
+  EXPECT_EQ(restored[0], std::optional<int64_t>(20));
+  EXPECT_EQ(restored[1], std::optional<int64_t>(10));
   EXPECT_TRUE(h.entries().empty());
 }
 
 TEST(UpdateHistoryTest, PartialRollbackKeepsOlderEntries) {
   UpdateHistory h;
-  STATDB_ASSERT_OK(h.Append({1, "a", {{0, "X", Value::Int(1), Value::Int(2)}}}));
-  STATDB_ASSERT_OK(h.Append({2, "b", {{0, "X", Value::Int(2), Value::Int(3)}}}));
+  STATDB_ASSERT_OK(h.Append({1, "a", {{0, {{0, 1, 2}}}}}));
+  STATDB_ASSERT_OK(h.Append({2, "b", {{0, {{0, 2, 3}}}}}));
   int undone = 0;
-  STATDB_ASSERT_OK(h.Rollback(1, [&undone](const CellChange&) {
+  STATDB_ASSERT_OK(h.Rollback(1, [&undone](const ChangeSet&) {
     ++undone;
     return Status::OK();
   }));

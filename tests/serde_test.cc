@@ -1,6 +1,8 @@
 // Persistence round-trips: values, expressions, view definitions and
 // the Management Database's control state (§3.2's "repository").
 
+#include <bit>
+
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "core/management_serde.h"
@@ -169,13 +171,16 @@ TEST(ManagementSerdeTest, FullStateRoundTrip) {
   ViewRecord* rec = mdb.GetView("v1").value();
   rec->version = 3;
   rec->derived_columns[1].out_of_date = true;
+  // Column 1 stands for AGE and column 2 for INCOME; cells are raw.
   STATDB_ASSERT_OK(rec->history.Append(
-      {1, "clean ages", {{7, "AGE", Value::Int(1000), Value::Null()}}}));
+      {1, "clean ages", {{1, {{7, 1000, std::nullopt}}}}}));
   STATDB_ASSERT_OK(rec->history.Append(
       {3,
        "double incomes",
-       {{0, "INCOME", Value::Real(10.0), Value::Real(20.0)},
-        {1, "INCOME", Value::Real(12.0), Value::Real(24.0)}}}));
+       {{2,
+         {{0, std::bit_cast<int64_t>(10.0), std::bit_cast<int64_t>(20.0)},
+          {1, std::bit_cast<int64_t>(12.0),
+           std::bit_cast<int64_t>(24.0)}}}}}));
 
   auto bytes = SerializeManagementState(mdb);
   ASSERT_TRUE(bytes.ok());
@@ -194,9 +199,10 @@ TEST(ManagementSerdeTest, FullStateRoundTrip) {
             ColumnGenerator::kRegressionResiduals);
   ASSERT_EQ(r1->history.entries().size(), 2u);
   EXPECT_EQ(r1->history.entries()[0].description, "clean ages");
-  EXPECT_TRUE(r1->history.entries()[0].changes[0].new_value.is_null());
-  EXPECT_EQ(r1->history.entries()[1].changes[1].new_value,
-            Value::Real(24.0));
+  EXPECT_FALSE(
+      r1->history.entries()[0].changes[0].cells[0].new_cell().has_value());
+  EXPECT_EQ(r1->history.entries()[1].changes[0].cells[1].new_cell(),
+            std::optional(std::bit_cast<int64_t>(24.0)));
   // Duplicate detection still works on the restored state.
   EXPECT_EQ(restored.FindViewByDefinition("FROM census WHERE x").value(),
             "v2");
@@ -226,10 +232,10 @@ TEST(ManagementSerdeTest, CorruptBytesFail) {
 }
 
 TEST(ManagementSerdeTest, HugeChangeCountIsDataLoss) {
-  // One view with one history entry claiming 0xFFFFFFFF cell changes.
+  // One view with one history entry claiming 0xFFFFFFFF column changes.
   ByteWriter w;
   w.PutU32(0x5344424d);  // "SDBM"
-  w.PutU32(1);
+  w.PutU32(2);           // format version
   w.PutU32(1);  // views
   w.PutString("v");
   w.PutString("");

@@ -3,6 +3,7 @@
 
 #include "gtest/gtest.h"
 #include "relational/datagen.h"
+#include "tests/cell_changes.h"
 #include "tests/test_util.h"
 
 namespace statdb {
@@ -99,7 +100,7 @@ TEST_F(ConcreteViewTest, PredicateUpdateReportsChanges) {
   spec.predicate = Gt(Col("AGE"), Lit(int64_t{120}));
   spec.column = "AGE";
   spec.value = nullptr;  // mark missing
-  auto changes = view_->ApplyUpdate(spec);
+  auto changes = ApplyUpdate(*view_, spec);
   ASSERT_TRUE(changes.ok());
   for (const CellChange& ch : *changes) {
     EXPECT_EQ(ch.column, "AGE");
@@ -118,7 +119,7 @@ TEST_F(ConcreteViewTest, ValueExpressionUpdate) {
   spec.column = "INCOME";
   spec.value = Mul(Col("INCOME"), Lit(2.0));
   auto before = view_->ReadNumericColumn("INCOME").value();
-  auto changes = view_->ApplyUpdate(spec);
+  auto changes = ApplyUpdate(*view_, spec);
   ASSERT_TRUE(changes.ok());
   EXPECT_GT(changes->size(), 0u);
   auto after = view_->ReadNumericColumn("INCOME").value();
@@ -130,7 +131,7 @@ TEST_F(ConcreteViewTest, NoopUpdateDoesNotBumpVersion) {
   spec.predicate = Gt(Col("AGE"), Lit(int64_t{100000}));
   spec.column = "AGE";
   spec.value = nullptr;
-  auto changes = view_->ApplyUpdate(spec);
+  auto changes = ApplyUpdate(*view_, spec);
   ASSERT_TRUE(changes.ok());
   EXPECT_TRUE(changes->empty());
   EXPECT_EQ(view_->version(), 0u);
@@ -141,9 +142,26 @@ TEST_F(ConcreteViewTest, UpdateWritingSameValueIsSkipped) {
   spec.predicate = nullptr;  // all rows
   spec.column = "AGE";
   spec.value = Col("AGE");  // identity
-  auto changes = view_->ApplyUpdate(spec);
+  auto changes = ApplyUpdate(*view_, spec);
   ASSERT_TRUE(changes.ok());
   EXPECT_TRUE(changes->empty());
+}
+
+// A change set holds each column once: staging a column it already
+// holds (a local rule that reads its own column) fails and leaves the set
+// as it was.
+TEST_F(ConcreteViewTest, StagingAColumnTwiceFails) {
+  ChangeSet staged;
+  STATDB_ASSERT_OK(view_->Stage("AGE", /*predicate=*/nullptr,
+                                /*value=*/nullptr, /*rows=*/nullptr, &staged));
+  ASSERT_EQ(staged.size(), 1u);
+  const uint64_t cells = CellCount(staged);
+  ExprPtr one = Lit(int64_t{1});
+  EXPECT_EQ(view_->Stage("AGE", nullptr, one.get(), nullptr, &staged).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(staged.size(), 1u);
+  EXPECT_EQ(CellCount(staged), cells);
+  EXPECT_EQ(view_->version(), 0u);
 }
 
 TEST_F(ConcreteViewTest, AddColumnAndSnapshot) {
@@ -158,7 +176,7 @@ TEST_F(ConcreteViewTest, UnknownColumnInUpdateFails) {
   UpdateSpec spec;
   spec.column = "NOPE";
   spec.value = Lit(1.0);
-  EXPECT_FALSE(view_->ApplyUpdate(spec).ok());
+  EXPECT_FALSE(ApplyUpdate(*view_, spec).ok());
 }
 
 }  // namespace

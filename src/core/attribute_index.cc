@@ -96,8 +96,8 @@ Result<uint64_t> AttributeIndex::CountInRange(const Value& lo,
   return count;
 }
 
-Status AttributeIndex::Apply(const ColumnChange& change,
-                             const ConcreteView& view, bool undo) {
+Status AttributeIndex::Install(const ColumnChange& change,
+                               const ConcreteView& view, bool undo) {
   for (const RawChange& c : change.cells) {
     const Value from = view.DecodeCell(change.column,
                                        undo ? c.new_cell() : c.old_cell());

@@ -50,8 +50,8 @@ class AttributeIndex {
   /// Maintains the index after `change` was installed in `view` (its
   /// inverse when `undo`): each changed row, ascending, moves from its
   /// old key to its new one.
-  Status Apply(const ColumnChange& change, const ConcreteView& view,
-               bool undo = false);
+  Status Install(const ColumnChange& change, const ConcreteView& view,
+                 bool undo = false);
 
  private:
   AttributeIndex(std::string attribute, std::unique_ptr<BPlusTree> tree)

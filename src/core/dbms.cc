@@ -17,7 +17,6 @@
 #include "session/session.h"
 #include "storage/column_file.h"
 #include "stats/descriptive.h"
-#include "stats/correlation.h"
 #include "stats/crosstab.h"
 #include "stats/regression.h"
 #include "stats/tests.h"
@@ -32,17 +31,14 @@ bool MeaningfulOnCategories(const std::string& function) {
          function == "mode" || function == "histogram";
 }
 
-/// True for functions whose answer finishes from the merged partial
-/// states of a parallel scan (DescriptiveStats + ValueCounts) without
-/// ever materializing the column. Everything else rides the keep_values
-/// path and is computed by the registry on the gathered column, which is
-/// bit-identical to the serial read.
-bool IsMergeable(const std::string& function) {
+/// The function families of DESIGN.md §14: moments finish from one
+/// DescriptiveStats at every worker count; value counts from a
+/// ValueCounts with a pool, from gathered values at one worker; every
+/// other function is holistic and gathers.
+bool IsMoment(const std::string& function) {
   return function == "count" || function == "sum" || function == "mean" ||
          function == "variance" || function == "stddev" ||
-         function == "min" || function == "max" || function == "range" ||
-         function == "mode" || function == "distinct" ||
-         function == "histogram";
+         function == "min" || function == "max" || function == "range";
 }
 
 bool NeedsValueCounts(const std::string& function) {
@@ -152,40 +148,10 @@ Result<QueryAnswer> SingleAnswer(Result<std::vector<QueryAnswer>> answers) {
   return std::move(answers.value().front());
 }
 
-/// Finishes a pair-route function with stats/ on the gathered pairs:
-/// correlation/covariance/regression on (x, y); welch_t splits x by the
-/// group code in y; crosstab/chi2_independence count (x, y) code pairs.
-Result<SummaryResult> FinishPairs(
-    const std::string& function,
-    const std::optional<std::pair<int64_t, int64_t>>& group_codes,
-    const std::vector<double>& xs, const std::vector<double>& ys) {
-  if (function == "correlation") {
-    STATDB_ASSIGN_OR_RETURN(double r, PearsonR(xs, ys));
-    return SummaryResult::Scalar(r);
-  }
-  if (function == "covariance") {
-    STATDB_ASSIGN_OR_RETURN(double c, Covariance(xs, ys));
-    return SummaryResult::Scalar(c);
-  }
-  if (function == "regression") {
-    STATDB_ASSIGN_OR_RETURN(LinearFit fit, FitLinear(xs, ys));
-    return SummaryResult::Model(fit);
-  }
-  if (group_codes) {
-    std::vector<double> group_a, group_b;
-    for (size_t i = 0; i < xs.size(); ++i) {
-      if (!IsExactCode(ys[i])) {
-        return InvalidArgumentError(
-            "category code outside double's exact integer range");
-      }
-      // Truncates like Value::ToInt.
-      const int64_t code = static_cast<int64_t>(ys[i]);
-      if (code == group_codes->first) group_a.push_back(xs[i]);
-      if (code == group_codes->second) group_b.push_back(xs[i]);
-    }
-    STATDB_ASSIGN_OR_RETURN(TestResult t, WelchTTest(group_a, group_b));
-    return SummaryResult::Vector({t.statistic, t.dof, t.p_value});
-  }
+/// Finishes crosstab / chi2_independence from the gathered code pairs.
+Result<SummaryResult> FinishCodePairs(const std::string& function,
+                                      const std::vector<double>& xs,
+                                      const std::vector<double>& ys) {
   STATDB_ASSIGN_OR_RETURN(CrossTab ct, CountCodePairs(xs, ys));
   if (function == "crosstab") {
     return SummaryResult::Contingency(std::move(ct));
@@ -211,13 +177,13 @@ Result<SummaryResult> FinishMergeable(const std::string& function,
     return SummaryResult::Scalar(m);
   }
   if (function == "histogram") {
+    STATDB_ASSIGN_OR_RETURN(size_t buckets, params.GetCount("buckets", 20));
     if (d.count == 0) {
       return InvalidArgumentError("histogram of an empty column");
     }
     double lo = d.min;
     double hi = d.max;
     if (lo == hi) hi = lo + 1.0;  // degenerate constant column
-    size_t buckets = static_cast<size_t>(params.GetOr("buckets", 20));
     STATDB_ASSIGN_OR_RETURN(Histogram h,
                             scan.counts.ToHistogram(buckets, lo, hi));
     return SummaryResult::Histo(std::move(h));
@@ -562,26 +528,27 @@ Status StatisticalDbms::CheckQueryable(const Schema& schema,
   return Status::OK();
 }
 
-/// One planned scan: its route, the batch requests it answers, and
-/// whether their computed entries arm incremental maintainers.
+/// One planned scan: its route, the batch requests it answers, whether
+/// they arm maintainers, and what a column scan accumulates.
 struct StatisticalDbms::PlannedScan {
   QueryRoute route = QueryRoute::kColumnChunks;
   std::vector<size_t> members;
   bool arm = false;
-  /// Every member finishes from partial states: mergeable univariate
-  /// statistics, or co-moments for correlation/covariance/regression.
-  bool mergeable = true;
-  bool want_counts = false;  // some member needs ValueCounts
+  bool want_moments = false;
+  bool want_counts = false;
+  bool keep_values = false;
   /// The RLE sidecar of a univariate scan's attribute, if attached.
   std::shared_ptr<const CompressedColumnFile> sidecar;
 };
 
-/// What a route's scan leaves for FinishQuery.
+/// What a route's scan leaves for FinishQuery and the maintainer arm.
 struct StatisticalDbms::ScanOutput {
-  ColumnScanResult column;  // compressed runs / column chunks
-  std::vector<double> xs;   // gathered pairs
+  ColumnScanResult column;   // compressed runs / column chunks
+  ComomentStats comoments;   // correlation, covariance, regression
+  DescriptiveStats group_a;  // welch_t: x of the rows coded a
+  DescriptiveStats group_b;  //   and of the rows coded b
+  std::vector<double> xs;    // crosstab, chi2_independence: code pairs
   std::vector<double> ys;
-  std::optional<ComomentStats> comoments;  // merged, or the arming seed
 };
 
 Status StatisticalDbms::PlannedQuery::Gate(const Schema& schema) const {
@@ -673,35 +640,36 @@ Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
   return false;
 }
 
-Status StatisticalDbms::CacheComputedResult(
-    const std::string& view, ViewState* state, const SummaryKey& key,
-    const SummaryResult& result, const std::vector<double>& data,
-    const ComomentStats* comoments, QueryTrace* trace) {
+Status StatisticalDbms::CacheComputedResult(const std::string& view,
+                                            ViewState* state,
+                                            const SummaryKey& key,
+                                            const SummaryResult& result,
+                                            const ScanOutput& out,
+                                            QueryTrace* trace) {
   {
     ScopedSpan span(trace, SpanKind::kSummaryInsert);
     STATDB_RETURN_IF_ERROR(
         state->summary->Insert(key, result, state->view->version()));
   }
   // Arm an incremental rule for this entry when one exists and the
-  // view maintains incrementally: a univariate maintainer initialized
-  // from the column, or a bivariate comoment maintainer seeded from the
-  // scan's co-moments.
+  // view maintains incrementally, from the scan's own states (§16).
   STATDB_ASSIGN_OR_RETURN(const ViewRecord* rec, mdb_.GetView(view));
+  const bool pair = key.attributes.size() == 2;
   if (rec->policy != MaintenancePolicy::kIncremental ||
-      (key.attributes.size() != 1 && comoments == nullptr)) {
+      (pair && !delta::IsComomentFunction(key.function))) {
     return Status::OK();
   }
   ScopedSpan span(trace, SpanKind::kMaintainerArm);
-  const uint64_t rows = comoments != nullptr ? comoments->n : data.size();
+  const uint64_t rows = pair ? out.comoments.n : out.column.rows;
   span.SetRows(rows);
   // Arming routes through the delta engine (R7: dbms never drives
   // maintainer arms directly), so the flush path owns every maintainer
   // lifecycle transition.
   const bool armed =
-      comoments != nullptr
-          ? delta::ArmComomentMaintainer(key, *comoments,
-                                         &state->comaintainers)
-          : delta::ArmMaintainer(mdb_, key, data, &state->maintainers);
+      pair ? delta::ArmComomentMaintainer(key, out.comoments,
+                                          &state->comaintainers)
+           : delta::ArmMaintainer(mdb_, key, out.column.desc,
+                                  out.column.values, &state->maintainers);
   if (armed && flight_.enabled()) {
     flight_.Record(causal::Current(), FlightEventKind::kMaintainerArm,
                    QueryLabel(view, key.function,
@@ -900,29 +868,43 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
   bool needs_pool = false;
   for (PlannedScan& scan : scans) {
     const PlannedQuery& head = batch[scan.members.front()];
-    // Incremental maintainers initialize from the scanned data.
+    // Incremental maintainers arm from the scan's states.
     scan.arm = opts.cache_result && !head.filter &&
                rec->policy == MaintenancePolicy::kIncremental;
     if (head.attributes.size() == 2) {
       scan.route = QueryRoute::kPairs;
-      scan.mergeable = delta::IsComomentFunction(head.function);
-    } else {
-      // Shared ref, not the raw pointer: a concurrent Install/Append
-      // detaches the sidecar, and this scan's reference must keep the
-      // retired pages alive until it finishes.
-      scan.sidecar = cv->CompressedSidecarRef(head.attributes.front());
-      for (size_t i : scan.members) {
-        scan.mergeable = scan.mergeable && IsMergeable(batch[i].function);
-        scan.want_counts =
-            scan.want_counts || NeedsValueCounts(batch[i].function);
-      }
-      scan.route = compressed_scan_enabled_ && scan.sidecar != nullptr &&
-                           scan.mergeable && !scan.arm
-                       ? QueryRoute::kCompressedRuns
-                       : QueryRoute::kColumnChunks;
+      needs_pool = needs_pool || delta::IsComomentFunction(head.function);
+      continue;
     }
-    needs_pool = needs_pool || scan.route != QueryRoute::kPairs ||
-                 scan.mergeable;
+    // Shared ref, not the raw pointer: a concurrent Install/Append
+    // detaches the sidecar, and this scan's reference must keep the
+    // retired pages alive until it finishes.
+    scan.sidecar = cv->CompressedSidecarRef(head.attributes.front());
+    bool holistic = false;
+    bool arm_values = false;
+    for (size_t i : scan.members) {
+      const PlannedQuery& q = batch[i];
+      scan.want_moments = scan.want_moments || IsMoment(q.function);
+      scan.want_counts = scan.want_counts || NeedsValueCounts(q.function);
+      holistic = holistic ||
+                 !(IsMoment(q.function) || NeedsValueCounts(q.function));
+      arm_values = arm_values ||
+                   (scan.arm && delta::ArmsFromValues(mdb_, q.function,
+                                                      q.params));
+    }
+    scan.route = compressed_scan_enabled_ && scan.sidecar != nullptr &&
+                         !holistic && !scan.arm
+                     ? QueryRoute::kCompressedRuns
+                     : QueryRoute::kColumnChunks;
+    // Column chunks fold the moments at every worker count. Value counts
+    // merge from partials with a pool; at one worker they gather, like
+    // the holistic functions and the rules that arm from values.
+    const bool gather_counts = scan.want_counts && !parallel &&
+                               scan.route == QueryRoute::kColumnChunks;
+    scan.keep_values = holistic || arm_values || gather_counts;
+    if (gather_counts) scan.want_counts = false;
+    scan.want_moments = scan.want_moments || scan.want_counts;
+    needs_pool = true;
   }
   std::optional<ThreadPool> pool;
   if (parallel && needs_pool) {
@@ -940,14 +922,12 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
       SummaryResult result;
       {
         ScopedSpan span(trace, SpanKind::kCompute);
-        STATDB_ASSIGN_OR_RETURN(result,
-                                FinishQuery(q, scan, out, parallel, &span));
+        STATDB_ASSIGN_OR_RETURN(result, FinishQuery(q, scan, out, &span));
       }
       ++state->traffic.computed;
       if (opts.cache_result && !q.filter) {
-        STATDB_RETURN_IF_ERROR(CacheComputedResult(
-            view, state, q.Key(), result, out.column.values,
-            out.comoments ? &*out.comoments : nullptr, trace));
+        STATDB_RETURN_IF_ERROR(
+            CacheComputedResult(view, state, q.Key(), result, out, trace));
       }
       const bool pushdown =
           q.filter && scan.route == QueryRoute::kCompressedRuns;
@@ -1022,31 +1002,22 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
         span.SetPages(scan.sidecar->page_count());
         return Status::OK();
       }
-      // One worker gathers the column in one read and finishes through
-      // the registry (the serial semantics). More workers scan page-aligned
-      // chunks, finish mergeable statistics from the merged partials, and
-      // keep values only for order-dependent functions and maintainer
-      // arming.
+      // Kernel partials with a pool, one row-order Add fold without.
       ColumnRangeReader reader = [&cv, &attr](uint64_t begin, uint64_t end) {
         return cv.ReadNumericRange(attr, begin, end);
       };
+      ColumnScanSpec spec;
+      spec.filter = filter;
+      spec.want_moments = scan.want_moments;
+      spec.want_counts = scan.want_counts;
+      spec.keep_values = scan.keep_values;
+      spec.time_chunks = trace != nullptr && pool != nullptr;
       {
         ScopedSpan span(trace, SpanKind::kScan);
-        if (pool == nullptr) {
-          STATDB_ASSIGN_OR_RETURN(out->column.values, reader(0, rows));
-          span.SetRowsPaged(out->column.values.size(),
-                            ColumnFile::kCellsPerPage);
-        } else {
-          ColumnScanSpec spec;
-          spec.want_counts = scan.want_counts;
-          spec.keep_values = !scan.mergeable || scan.arm;
-          spec.time_chunks = trace != nullptr;
-          STATDB_ASSIGN_OR_RETURN(
-              out->column, ParallelScanColumn(rows, ColumnFile::kCellsPerPage,
-                                              reader, spec, pool));
-          span.SetRowsPaged(out->column.desc.count,
-                            ColumnFile::kCellsPerPage);
-        }
+        STATDB_ASSIGN_OR_RETURN(
+            out->column, ParallelScanColumn(rows, ColumnFile::kCellsPerPage,
+                                            reader, spec, pool));
+        span.SetRowsPaged(out->column.rows, ColumnFile::kCellsPerPage);
       }
       if (trace != nullptr) {
         for (size_t c = 0; c < out->column.chunk_stats.size(); ++c) {
@@ -1055,17 +1026,12 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
                      PagesOf(cs.rows), int32_t(c));
         }
       }
-      if (filter) {
-        std::erase_if(out->column.values, [&rp = *filter](double x) {
-          return !rp.Matches(x);
-        });
-      }
       return Status::OK();
     }
     case QueryRoute::kPairs: {
       // Row-aligned numeric pairs; a pair with either cell missing is
-      // dropped (pairwise deletion). Only co-moment functions merge
-      // across workers; the others gather their pairs.
+      // dropped (pairwise deletion). Co-moment functions and welch_t fold
+      // states; only the cross-tabs gather their code pairs.
       const std::string& a = head.attributes[0];
       const std::string& b = head.attributes[1];
       PairRangeReader reader = [&cv, &a, &b](uint64_t begin, uint64_t end,
@@ -1074,19 +1040,37 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
         return cv.ReadNumericPairsRange(a, b, begin, end, xs, ys);
       };
       ScopedSpan span(trace, SpanKind::kScan);
-      if (pool != nullptr && scan.mergeable) {
+      uint64_t pairs = 0;
+      if (delta::IsComomentFunction(head.function)) {
         STATDB_ASSIGN_OR_RETURN(
-            ComomentStats merged,
+            out->comoments,
             ParallelScanPairs(rows, ColumnFile::kCellsPerPage, reader, pool));
-        span.SetRows(merged.n);
-        out->comoments = merged;
+        pairs = out->comoments.n;
+      } else if (head.group_codes) {
+        // welch_t: each row's x folds into its group's moment state.
+        const auto [code_a, code_b] = *head.group_codes;
+        STATDB_RETURN_IF_ERROR(FoldPairsInline(
+            rows, ColumnFile::kCellsPerPage, reader,
+            [&](const std::vector<double>& xs,
+                const std::vector<double>& ys) -> Status {
+              for (size_t i = 0; i < xs.size(); ++i) {
+                if (!IsExactCode(ys[i])) {
+                  return InvalidArgumentError(
+                      "category code outside double's exact integer range");
+                }
+                // Truncates like Value::ToInt.
+                const int64_t code = static_cast<int64_t>(ys[i]);
+                if (code == code_a) out->group_a.Add(xs[i]);
+                if (code == code_b) out->group_b.Add(xs[i]);
+              }
+              pairs += xs.size();
+              return Status::OK();
+            }));
       } else {
         STATDB_RETURN_IF_ERROR(reader(0, rows, &out->xs, &out->ys));
-        span.SetRows(out->xs.size());
-        if (scan.arm && scan.mergeable) {
-          out->comoments = ComputeComoments(out->xs, out->ys);
-        }
+        pairs = out->xs.size();
       }
+      span.SetRows(pairs);
       // Two columns read per row-pair: twice the pages of one column.
       span.SetPages(2 * PagesOf(rows));
       return Status::OK();
@@ -1098,29 +1082,32 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
 Result<SummaryResult> StatisticalDbms::FinishQuery(const PlannedQuery& query,
                                                    const PlannedScan& scan,
                                                    const ScanOutput& out,
-                                                   bool parallel,
                                                    ScopedSpan* span) {
+  // One finish per family (DESIGN.md §9.1).
+  const std::string& fn = query.function;
   switch (scan.route) {
     case QueryRoute::kCompressedRuns:
-      span->SetRows(out.column.desc.count);
-      return FinishMergeable(query.function, query.params, out.column);
     case QueryRoute::kColumnChunks:
-      if (parallel && IsMergeable(query.function)) {
+      if (scan.route == QueryRoute::kCompressedRuns || IsMoment(fn) ||
+          (scan.want_counts && NeedsValueCounts(fn))) {
         span->SetRows(out.column.desc.count);
-        return FinishMergeable(query.function, query.params, out.column);
+        return FinishMergeable(fn, query.params, out.column);
       }
-      // One worker, or an order-dependent / unregistered function: the
-      // registry on the gathered values, bit-identical to the serial read.
       span->SetRows(out.column.values.size());
-      return mdb_.functions().Compute(query.function, out.column.values,
-                                      query.params);
+      return mdb_.functions().Compute(fn, out.column.values, query.params);
     case QueryRoute::kPairs:
-      if (parallel && out.comoments.has_value()) {
-        span->SetRows(out.comoments->n);
-        return delta::FinishComoments(query.function, *out.comoments);
+      if (delta::IsComomentFunction(fn)) {
+        span->SetRows(out.comoments.n);
+        return delta::FinishComoments(fn, out.comoments);
+      }
+      if (query.group_codes) {
+        span->SetRows(out.group_a.count + out.group_b.count);
+        STATDB_ASSIGN_OR_RETURN(
+            TestResult t, WelchTTestFromMoments(out.group_a, out.group_b));
+        return SummaryResult::Vector({t.statistic, t.dof, t.p_value});
       }
       span->SetRows(out.xs.size());
-      return FinishPairs(query.function, query.group_codes, out.xs, out.ys);
+      return FinishCodePairs(fn, out.xs, out.ys);
   }
   return InternalError("unplanned query route");
 }
@@ -1151,7 +1138,7 @@ Status StatisticalDbms::MaintainIndexes(ViewState* state,
   auto it =
       state->indexes.find(state->view->schema().attr(change.column).name);
   if (it == state->indexes.end()) return Status::OK();
-  return it->second->Apply(change, *state->view, undo);
+  return it->second->Install(change, *state->view, undo);
 }
 
 Status StatisticalDbms::CreateAttributeIndex(const std::string& view,
@@ -1798,7 +1785,7 @@ Status StatisticalDbms::RegenerateUnderContext(const std::string& view,
         std::vector<double> xs, ys;
         STATDB_RETURN_IF_ERROR(
             cv.ReadNumericPairsRange(in[0], in[1], 0, cv.num_rows(), &xs, &ys));
-        // One co-moment pass, like the parallel regression route.
+        // One co-moment pass, like the regression query route.
         STATDB_ASSIGN_OR_RETURN(LinearFit fit, ComputeComoments(xs, ys).Fit());
         // y - fit.Predict(x)
         expr = Sub(Col(in[1]),

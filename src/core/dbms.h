@@ -709,13 +709,13 @@ class StatisticalDbms {
                      const PlannedScan& scan, ThreadPool* pool,
                      QueryTrace* trace, ScanOutput* out);
 
-  /// Computes one request's answer from its scan's output. `parallel`
-  /// finishes from merged partial states; otherwise the registry or
-  /// stats/ runs on the gathered values.
+  /// Computes one request's answer from its scan's output: one finish
+  /// per family — moments and (with a pool) value counts from the scan's
+  /// states, co-moments and welch_t from theirs, the registry or stats/
+  /// on gathered values for the rest (DESIGN.md §9.1).
   Result<SummaryResult> FinishQuery(const PlannedQuery& query,
                                     const PlannedScan& scan,
-                                    const ScanOutput& out, bool parallel,
-                                    ScopedSpan* span);
+                                    const ScanOutput& out, ScopedSpan* span);
 
   /// Cache / staleness / inference consultation. Fills `*answer` and
   /// returns true when the request is satisfied without computation;
@@ -742,17 +742,15 @@ class StatisticalDbms {
   Status FlushViewDeltas(const std::string& view_name, ViewState* state);
 
   /// Caches a computed result and arms an incremental maintainer when
-  /// the view's policy wants one — the pipeline's tail. A univariate
-  /// maintainer initializes from `data` (the full column); a bivariate
-  /// comoment maintainer is seeded from `comoments` (nullable). Both are
-  /// ignored under other policies. `trace` (nullable) receives
-  /// summary-insert / maintainer-arm spans.
+  /// the view's policy wants one — the pipeline's tail. The maintainer
+  /// arms from the scan's output `out`: a moment rule from its
+  /// DescriptiveStats, another univariate rule from its kept values, a
+  /// comoment maintainer from its co-moments. `trace` (nullable)
+  /// receives summary-insert / maintainer-arm spans.
   Status CacheComputedResult(const std::string& view, ViewState* state,
                              const SummaryKey& key,
                              const SummaryResult& result,
-                             const std::vector<double>& data,
-                             const ComomentStats* comoments,
-                             QueryTrace* trace);
+                             const ScanOutput& out, QueryTrace* trace);
 
   /// Runs `body(trace)`, a mutation body returning a Status or Result,
   /// under a fresh causal context and a trace labeled `operation` when

@@ -33,7 +33,10 @@ Status ComomentMaintainer::Apply(const std::string& attr, const RowDelta& d,
   if (d.old_value.has_value()) {
     double x = attr == attr_x_ ? *d.old_value : co_value;
     double y = attr == attr_x_ ? co_value : *d.old_value;
-    STATDB_RETURN_IF_ERROR(Remove(x, y));
+    if (!cs_.Remove(x, y)) {
+      return FailedPreconditionError(
+          "comoment: removal from an empty state, recompute required");
+    }
   }
   if (d.new_value.has_value()) {
     double x = attr == attr_x_ ? *d.new_value : co_value;
@@ -41,31 +44,6 @@ Status ComomentMaintainer::Apply(const std::string& attr, const RowDelta& d,
     cs_.Add(x, y);
   }
   ++applies_;
-  return Status::OK();
-}
-
-Status ComomentMaintainer::Remove(double x, double y) {
-  if (cs_.n == 0) {
-    return FailedPreconditionError(
-        "comoment: removal from an empty state, recompute required");
-  }
-  if (cs_.n == 1) {
-    cs_ = ComomentStats{};
-    return Status::OK();
-  }
-  // Exact inverse of ComomentStats::Add — solve its update for the
-  // pre-insert means, then undo the m2/cxy accumulations in reverse.
-  double n = double(cs_.n);
-  double mx_prev = (n * cs_.mean_x - x) / (n - 1);
-  double my_prev = (n * cs_.mean_y - y) / (n - 1);
-  cs_.cxy -= (x - mx_prev) * (y - cs_.mean_y);
-  cs_.m2x -= (x - mx_prev) * (x - cs_.mean_x);
-  cs_.m2y -= (y - my_prev) * (y - cs_.mean_y);
-  if (cs_.m2x < 0) cs_.m2x = 0;  // clamp FP drift
-  if (cs_.m2y < 0) cs_.m2y = 0;
-  cs_.mean_x = mx_prev;
-  cs_.mean_y = my_prev;
-  --cs_.n;
   return Status::OK();
 }
 

@@ -7,7 +7,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "delta/delta_buffer.h"
-#include "exec/partial_stats.h"
+#include "stats/partial_stats.h"
 #include "summary/summary_result.h"
 
 namespace statdb::delta {
@@ -24,10 +24,10 @@ Result<SummaryResult> FinishComoments(const std::string& function,
 
 /// Incremental maintainer for the bivariate summary entries
 /// ("correlation", "covariance", "regression") backed by ComomentStats —
-/// the mergeable partial the parallel scan already produces. Insertions
-/// ride ComomentStats::Add; removals run its exact algebraic inverse, so
-/// a maintained entry tracks the recomputed value to rounding (the same
-/// contract MomentMaintainer gives variance).
+/// the pair scan's own state, seeded from it. Insertions ride
+/// ComomentStats::Add and removals its exact inverse ComomentStats::Remove,
+/// so a maintained entry tracks the recomputed value to rounding (the
+/// same contract the moment maintainers give variance).
 ///
 /// The co-moment needs both coordinates of the touched row. Deltas carry
 /// only the maintained attribute's endpoints, so the flush engine reads
@@ -71,8 +71,6 @@ class ComomentMaintainer {
   uint64_t applies() const { return applies_; }
 
  private:
-  Status Remove(double x, double y);
-
   std::string function_;
   std::string attr_x_;
   std::string attr_y_;

@@ -167,7 +167,7 @@ Status FlushAttribute(const std::string& attribute,
 
 bool ArmMaintainer(
     const ManagementDatabase& mdb, const SummaryKey& key,
-    const std::vector<double>& data,
+    const DescriptiveStats& state, const std::vector<double>& values,
     std::map<std::string, std::unique_ptr<IncrementalMaintainer>>*
         maintainers) {
   Result<FunctionParams> params = FunctionParams::Decode(key.params);
@@ -175,10 +175,21 @@ bool ArmMaintainer(
   Result<std::unique_ptr<IncrementalMaintainer>> m =
       mdb.MakeMaintainer(key.function, params.value());
   if (!m.ok()) return false;
-  Result<SummaryResult> init = m.value()->Initialize(data);
+  IncrementalMaintainer& rule = *m.value();
+  Result<SummaryResult> init =
+      rule.Seed(state) ? rule.Current() : rule.Initialize(values);
   if (!init.ok()) return false;
   (*maintainers)[key.Encode()] = std::move(m).value();
   return true;
+}
+
+bool ArmsFromValues(const ManagementDatabase& mdb,
+                    const std::string& function,
+                    const FunctionParams& params) {
+  Result<std::unique_ptr<IncrementalMaintainer>> m =
+      mdb.MakeMaintainer(function, params);
+  // Seed on a throwaway rule: true exactly for the moment rules.
+  return m.ok() && !m.value()->Seed(DescriptiveStats{});
 }
 
 bool ArmComomentMaintainer(

@@ -75,16 +75,24 @@ Status FlushAttribute(const std::string& attribute,
                       const std::vector<RowDelta>& batch, const FlushEnv& env,
                       FlushCounters* counters);
 
-/// Arms (or replaces) the incremental maintainer for `key`, initialized
-/// from the full column — the cache-tail arm shared by every compute
-/// path. Returns true when a rule exists and initialized cleanly; false
-/// (not an error) when the function has no incremental rule or the
-/// initialization refused.
+/// Arms (or replaces) the incremental maintainer for `key` — the
+/// cache-tail arm shared by every compute path. A moment rule is seeded
+/// from the scan's `state`; any other rule initializes from the column's
+/// `values`. Returns true when a rule exists and armed cleanly; false
+/// (not an error) when the function has no incremental rule, its
+/// parameters are invalid, or the arming refused.
 bool ArmMaintainer(
     const ManagementDatabase& mdb, const SummaryKey& key,
-    const std::vector<double>& data,
+    const DescriptiveStats& state, const std::vector<double>& values,
     std::map<std::string, std::unique_ptr<IncrementalMaintainer>>*
         maintainers);
+
+/// True when arming `function`'s rule needs the column's values: a rule
+/// exists and cannot be seeded from a moment state. The planner keeps a
+/// scan's values only then.
+bool ArmsFromValues(const ManagementDatabase& mdb,
+                    const std::string& function,
+                    const FunctionParams& params);
 
 /// Arms (or replaces) the comoment maintainer for a bivariate `key`,
 /// seeded with the just-computed partial state. Returns false when the

@@ -26,24 +26,56 @@ std::vector<ScanChunk> SplitPageAligned(uint64_t rows, size_t cells_per_page,
 
 namespace {
 
-/// Per-chunk accumulation shared by the worker tasks and the inline
-/// fallback path, so both produce identical partials.
+/// Pages per chunk of an inline (one-worker) scan: bounds its buffers.
+constexpr uint64_t kInlineChunkPages = 64;
+
+/// The chunks of one scan. With a pool, pool->size() * 4 of them: over-
+/// decomposed relative to the worker count so a slow chunk (cold pages,
+/// eviction pressure) cannot straggle the whole pass. Inline, chunks of
+/// at most kInlineChunkPages pages, or one chunk when `whole`.
+std::vector<ScanChunk> ChunksOf(uint64_t rows, size_t cells_per_page,
+                                const ThreadPool* pool, bool whole) {
+  if (pool != nullptr) {
+    return SplitPageAligned(rows, cells_per_page, pool->size() * 4);
+  }
+  const uint64_t cpp = std::max<uint64_t>(cells_per_page, 1);
+  const uint64_t pages = (rows + cpp - 1) / cpp;
+  return SplitPageAligned(
+      rows, cells_per_page,
+      whole ? 1 : (pages + kInlineChunkPages - 1) / kInlineChunkPages);
+}
+
+/// Per-chunk accumulation: a worker's private partial, or (inline) the
+/// one running state every chunk folds into.
 struct ChunkPartial {
+  uint64_t rows = 0;
   DescriptiveStats desc;
   ValueCounts counts;
   std::vector<double> values;
 };
 
+/// Reads one chunk and folds it into `out`. `kernel`: a worker's fresh
+/// partial, whose moments come from the span kernel; otherwise the
+/// inline running state, which folds each value with Add in row order.
 Status ScanOneChunk(const ScanChunk& chunk, const ColumnRangeReader& reader,
-                    const ColumnScanSpec& spec, ChunkPartial* out,
-                    ChunkScanStat* stat) {
+                    const ColumnScanSpec& spec, bool kernel,
+                    ChunkPartial* out, ChunkScanStat* stat) {
   std::chrono::steady_clock::time_point start;
   if (stat != nullptr) start = std::chrono::steady_clock::now();
   STATDB_ASSIGN_OR_RETURN(std::vector<double> data,
                           reader(chunk.begin, chunk.end));
-  // Span-batched kernel (simd/kernels.h): same count/min/max as the
-  // serial fold, moments within the documented 4-lane tolerance.
-  out->desc = simd::DescribeSpan(data.data(), data.size());
+  out->rows += data.size();
+  if (spec.filter) {
+    std::erase_if(data,
+                  [&rp = *spec.filter](double x) { return !rp.Matches(x); });
+  }
+  if (spec.want_moments && kernel) {
+    // Span-batched kernel (simd/kernels.h): same count/min/max as the
+    // serial fold, moments within the documented 4-lane tolerance.
+    out->desc = simd::DescribeSpan(data.data(), data.size());
+  } else if (spec.want_moments) {
+    for (double x : data) out->desc.Add(x);
+  }
   if (spec.want_counts) {
     out->counts.Reserve(data.size());
     for (double x : data) out->counts.Add(x);
@@ -54,9 +86,8 @@ Status ScanOneChunk(const ScanChunk& chunk, const ColumnRangeReader& reader,
                         std::chrono::steady_clock::now() - start)
                         .count();
   }
-  if (spec.keep_values) {
-    out->values = std::move(data);
-  }
+  // Kept values come from one chunk per partial (ChunksOf's `whole`).
+  if (spec.keep_values) out->values = std::move(data);
   return Status::OK();
 }
 
@@ -67,112 +98,96 @@ Result<ColumnScanResult> ParallelScanColumn(uint64_t rows,
                                             const ColumnRangeReader& reader,
                                             const ColumnScanSpec& spec,
                                             ThreadPool* pool) {
-  // Over-decompose relative to the worker count so a slow chunk (cold
-  // pages, eviction pressure) cannot straggle the whole pass.
-  size_t num_chunks = pool == nullptr ? 1 : pool->size() * 4;
   std::vector<ScanChunk> chunks =
-      SplitPageAligned(rows, cells_per_page, num_chunks);
-
+      ChunksOf(rows, cells_per_page, pool, spec.keep_values);
   ColumnScanResult result;
-  result.chunks = chunks.size();
-  std::vector<ChunkPartial> partials(chunks.size());
   if (spec.time_chunks) result.chunk_stats.resize(chunks.size());
-  auto stat_of = [&result](size_t i) -> ChunkScanStat* {
-    return result.chunk_stats.empty() ? nullptr : &result.chunk_stats[i];
-  };
-  if (pool == nullptr || chunks.size() <= 1) {
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      STATDB_RETURN_IF_ERROR(
-          ScanOneChunk(chunks[i], reader, spec, &partials[i], stat_of(i)));
-    }
-  } else {
-    std::vector<std::function<Status()>> tasks;
-    tasks.reserve(chunks.size());
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      tasks.push_back([&chunks, &reader, &spec, &partials, stat_of, i]() {
-        return ScanOneChunk(chunks[i], reader, spec, &partials[i],
-                            stat_of(i));
-      });
-    }
-    STATDB_RETURN_IF_ERROR(pool->RunAll(std::move(tasks)));
-  }
+  // With a pool every chunk folds a private kernel partial; inline every
+  // chunk folds into the one running state.
+  const bool kernel = pool != nullptr;
+  std::vector<ChunkPartial> partials(kernel ? chunks.size() : 1);
+  STATDB_RETURN_IF_ERROR(ForEachIndex(pool, chunks.size(), [&](size_t i) {
+    return ScanOneChunk(
+        chunks[i], reader, spec, kernel, &partials[kernel ? i : 0],
+        result.chunk_stats.empty() ? nullptr : &result.chunk_stats[i]);
+  }));
 
   // Barrier: merge in chunk order, so the merged state (and the
   // concatenated values) are deterministic regardless of which worker
   // finished first.
   for (ChunkPartial& p : partials) {
+    result.rows += p.rows;
     result.desc.Merge(p.desc);
-    if (spec.keep_values) {
+    if (result.values.empty()) {
+      result.values = std::move(p.values);
+    } else {
       result.values.insert(result.values.end(), p.values.begin(),
                            p.values.end());
     }
   }
-  if (spec.want_counts) {
-    if (pool != nullptr && partials.size() > 1) {
-      // On a mostly-distinct column the count merge costs as much as the
-      // scan itself; a single-threaded fold here would cap the whole
-      // pass at ~2x (Amdahl). Values are hash-partitioned into the same
-      // shard of every partial, so one task per shard folds its slice
-      // of all partials with no cross-shard writes.
-      std::vector<std::function<Status()>> merges;
-      merges.reserve(ValueCounts::kShards);
-      for (size_t s = 0; s < ValueCounts::kShards; ++s) {
-        merges.push_back([&result, &partials, s]() {
-          size_t total = 0;
-          for (const ChunkPartial& p : partials) {
-            total += p.counts.shards[s].size();
-          }
-          result.counts.shards[s].reserve(total);
-          for (const ChunkPartial& p : partials) {
-            result.counts.MergeShard(p.counts, s);
-          }
-          return Status::OK();
-        });
-      }
-      STATDB_RETURN_IF_ERROR(pool->RunAll(std::move(merges)));
-    } else {
-      for (const ChunkPartial& p : partials) result.counts.Merge(p.counts);
-    }
+  if (!spec.want_counts) return result;
+  if (partials.size() == 1) {
+    result.counts = std::move(partials[0].counts);
+    return result;
   }
+  // On a mostly-distinct column the count merge costs as much as the
+  // scan itself; a single-threaded fold here would cap the whole pass at
+  // ~2x (Amdahl). Values are hash-partitioned into the same shard of
+  // every partial, so one task per shard folds its slice of all partials
+  // with no cross-shard writes.
+  STATDB_RETURN_IF_ERROR(
+      ForEachIndex(pool, ValueCounts::kShards, [&](size_t s) {
+        size_t total = 0;
+        for (const ChunkPartial& p : partials) {
+          total += p.counts.shards[s].size();
+        }
+        result.counts.shards[s].reserve(total);
+        for (const ChunkPartial& p : partials) {
+          result.counts.MergeShard(p.counts, s);
+        }
+        return Status::OK();
+      }));
   return result;
+}
+
+Status FoldPairsInline(
+    uint64_t rows, size_t cells_per_page, const PairRangeReader& reader,
+    const std::function<Status(const std::vector<double>& xs,
+                               const std::vector<double>& ys)>& fold) {
+  std::vector<double> xs, ys;
+  for (const ScanChunk& c :
+       ChunksOf(rows, cells_per_page, /*pool=*/nullptr, /*whole=*/false)) {
+    xs.clear();
+    ys.clear();
+    STATDB_RETURN_IF_ERROR(reader(c.begin, c.end, &xs, &ys));
+    STATDB_RETURN_IF_ERROR(fold(xs, ys));
+  }
+  return Status::OK();
 }
 
 Result<ComomentStats> ParallelScanPairs(uint64_t rows, size_t cells_per_page,
                                         const PairRangeReader& reader,
                                         ThreadPool* pool) {
-  size_t num_chunks = pool == nullptr ? 1 : pool->size() * 4;
+  ComomentStats merged;
+  if (pool == nullptr) {
+    STATDB_RETURN_IF_ERROR(FoldPairsInline(
+        rows, cells_per_page, reader,
+        [&merged](const std::vector<double>& xs,
+                  const std::vector<double>& ys) {
+          for (size_t i = 0; i < xs.size(); ++i) merged.Add(xs[i], ys[i]);
+          return Status::OK();
+        }));
+    return merged;
+  }
   std::vector<ScanChunk> chunks =
-      SplitPageAligned(rows, cells_per_page, num_chunks);
-
+      ChunksOf(rows, cells_per_page, pool, /*whole=*/false);
   std::vector<ComomentStats> partials(chunks.size());
-  auto scan_chunk = [&chunks, &reader, &partials](size_t i) -> Status {
+  STATDB_RETURN_IF_ERROR(ForEachIndex(pool, chunks.size(), [&](size_t i) {
     std::vector<double> xs, ys;
     STATDB_RETURN_IF_ERROR(reader(chunks[i].begin, chunks[i].end, &xs, &ys));
-    // Span-batched co-moment kernel; simd::Comoments mirrors
-    // ComomentStats field-for-field (simd sits below exec in the DAG).
-    simd::Comoments cm = simd::ComomentSpan(xs.data(), ys.data(), xs.size());
-    partials[i].n = cm.n;
-    partials[i].mean_x = cm.mean_x;
-    partials[i].mean_y = cm.mean_y;
-    partials[i].m2x = cm.m2x;
-    partials[i].m2y = cm.m2y;
-    partials[i].cxy = cm.cxy;
+    partials[i] = simd::ComomentSpan(xs.data(), ys.data(), xs.size());
     return Status::OK();
-  };
-  if (pool == nullptr || chunks.size() <= 1) {
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      STATDB_RETURN_IF_ERROR(scan_chunk(i));
-    }
-  } else {
-    std::vector<std::function<Status()>> tasks;
-    tasks.reserve(chunks.size());
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      tasks.push_back([scan_chunk, i]() { return scan_chunk(i); });
-    }
-    STATDB_RETURN_IF_ERROR(pool->RunAll(std::move(tasks)));
-  }
-
-  ComomentStats merged;
+  }));
   for (const ComomentStats& p : partials) merged.Merge(p);
   return merged;
 }

@@ -3,12 +3,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
-#include "exec/partial_stats.h"
 #include "exec/thread_pool.h"
+#include "simd/pushdown.h"
+#include "stats/partial_stats.h"
 
 namespace statdb {
 
@@ -40,9 +42,13 @@ using PairRangeReader = std::function<Status(
     uint64_t begin, uint64_t end, std::vector<double>* xs,
     std::vector<double>* ys)>;
 
-/// What a parallel column scan should accumulate beyond the always-on
-/// DescriptiveStats.
+/// What a column scan should accumulate.
 struct ColumnScanSpec {
+  /// Only values the predicate matches are folded, counted and kept.
+  std::optional<simd::RunPredicate> filter;
+  /// Fold DescriptiveStats (mode, distinct and histogram finish from
+  /// the merged partials' count and range too).
+  bool want_moments = true;
   /// Build the per-shard value-count maps (mode / distinct / histogram).
   bool want_counts = false;
   /// Keep the column values themselves (order-dependent functions —
@@ -64,28 +70,38 @@ struct ChunkScanStat {
   double wall_ms = 0;   // read + fold wall time on the worker
 };
 
-/// Merged result of one parallel pass over a column.
+/// Merged result of one pass over a column.
 struct ColumnScanResult {
+  uint64_t rows = 0;      // non-missing cells read, before the filter
   DescriptiveStats desc;  // count/sum/mean/m2/min/max, merged pairwise
   ValueCounts counts;     // populated when spec.want_counts
   std::vector<double> values;  // populated when spec.keep_values
-  size_t chunks = 0;           // how many scan tasks actually ran
   std::vector<ChunkScanStat> chunk_stats;  // spec.time_chunks only
 };
 
 /// Splits one view column into page-aligned chunks, scans them on
-/// `pool`'s workers (each folding its rows into private partial states),
-/// and merges the partials in chunk order at the join barrier. With a
-/// null pool (or a single chunk) the scan runs inline on the caller.
+/// `pool`'s workers (each folding a private span-kernel partial), and
+/// merges the partials in chunk order at the join barrier. With a null
+/// pool it folds every value with DescriptiveStats::Add in row order on
+/// the caller (ComputeDescriptive's moments, bit for bit), in chunks of
+/// 64 pages unless the values are kept.
 Result<ColumnScanResult> ParallelScanColumn(uint64_t rows,
                                             size_t cells_per_page,
                                             const ColumnRangeReader& reader,
                                             const ColumnScanSpec& spec,
                                             ThreadPool* pool);
 
-/// Same shape for a two-column pass: per-chunk co-moment states merged in
-/// chunk order. Used by the parallel bivariate path (correlation,
-/// covariance, regression).
+/// Reads the pairs of rows [0, rows) on the caller in page-aligned
+/// chunks of at most 64 pages, and hands each chunk's pairs to `fold` in
+/// row order.
+Status FoldPairsInline(
+    uint64_t rows, size_t cells_per_page, const PairRangeReader& reader,
+    const std::function<Status(const std::vector<double>& xs,
+                               const std::vector<double>& ys)>& fold);
+
+/// Same shape for a two-column pass: span-kernel co-moment partials
+/// merged in chunk order; with a null pool, ComomentStats::Add over
+/// FoldPairsInline (ComputeComoments of the pairs, bit for bit).
 Result<ComomentStats> ParallelScanPairs(uint64_t rows, size_t cells_per_page,
                                         const PairRangeReader& reader,
                                         ThreadPool* pool);

@@ -1,101 +1,19 @@
 #include "exec/compressed_scan.h"
 
-#include <algorithm>
-#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
 
 namespace statdb {
 
-namespace {
-
-/// Half-open compressed-page range [begin, end) assigned to one task.
-struct PageChunk {
-  size_t begin = 0;
-  size_t end = 0;
-};
-
-/// Splits [0, pages) into up to `num_chunks` contiguous page ranges.
-/// Runs never straddle pages, so every chunk sees whole runs.
-std::vector<PageChunk> SplitPages(size_t pages, size_t num_chunks) {
-  std::vector<PageChunk> chunks;
-  if (pages == 0 || num_chunks == 0) return chunks;
-  size_t per_chunk = (pages + num_chunks - 1) / num_chunks;
-  for (size_t first = 0; first < pages; first += per_chunk) {
-    chunks.push_back({first, std::min(pages, first + per_chunk)});
-  }
-  return chunks;
-}
-
-size_t ChunkTarget(ThreadPool* pool) {
-  // Same over-decomposition rule as ParallelScanColumn: 4 chunks per
-  // worker so one cold chunk cannot straggle the pass.
-  return pool == nullptr ? 1 : pool->size() * 4;
-}
-
-/// Runs `task(i)` for every chunk, on the pool when it helps.
-Status ForEachChunk(size_t n, ThreadPool* pool,
-                    const std::function<Status(size_t)>& task) {
-  if (pool == nullptr || n <= 1) {
-    for (size_t i = 0; i < n; ++i) STATDB_RETURN_IF_ERROR(task(i));
-    return Status::OK();
-  }
-  std::vector<std::function<Status()>> tasks;
-  tasks.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    tasks.push_back([&task, i]() { return task(i); });
-  }
-  return pool->RunAll(std::move(tasks));
-}
-
-void FoldRunCounts(const std::vector<RleRun>& runs, simd::RunValueKind kind,
-                   ValueCounts* counts) {
-  for (const RleRun& r : runs) {
-    if (!r.present || r.length == 0) continue;
-    counts->AddRun(simd::DecodeRunValue(r.value, kind), r.length);
-  }
-}
-
-}  // namespace
-
-Result<ColumnScanResult> ScanCompressedColumn(const CompressedColumnFile& file,
-                                              simd::RunValueKind kind,
-                                              bool want_counts,
-                                              ThreadPool* pool) {
-  std::vector<PageChunk> chunks =
-      SplitPages(file.page_count(), ChunkTarget(pool));
-
-  struct ChunkPartial {
-    DescriptiveStats desc;
-    ValueCounts counts;
-  };
-  std::vector<ChunkPartial> partials(chunks.size());
-  STATDB_RETURN_IF_ERROR(ForEachChunk(
-      chunks.size(), pool,
-      [&chunks, &partials, &file, kind, want_counts](size_t i) -> Status {
-        STATDB_ASSIGN_OR_RETURN(
-            std::vector<RleRun> runs,
-            file.ReadRuns(chunks[i].begin, chunks[i].end));
-        partials[i].desc = simd::DescribeRuns(runs.data(), runs.size(), kind);
-        if (want_counts) FoldRunCounts(runs, kind, &partials[i].counts);
-        return Status::OK();
-      }));
-
-  ColumnScanResult result;
-  result.chunks = chunks.size();
-  for (ChunkPartial& p : partials) {
-    result.desc.Merge(p.desc);
-    if (want_counts) result.counts.Merge(p.counts);
-  }
-  return result;
-}
-
 Result<FilteredScanResult> ScanCompressedFiltered(
     const CompressedColumnFile& file, simd::RunValueKind kind,
     const simd::RunPredicate& pred, bool want_counts, ThreadPool* pool) {
-  std::vector<PageChunk> chunks =
-      SplitPages(file.page_count(), ChunkTarget(pool));
+  // Whole pages per chunk (runs never straddle pages), 4 chunks per
+  // worker like ParallelScanColumn so one cold chunk cannot straggle.
+  const std::vector<ScanChunk> chunks = SplitPageAligned(
+      file.page_count(), /*cells_per_page=*/1,
+      pool == nullptr ? 1 : pool->size() * 4);
   const std::vector<uint64_t>& starts = file.page_starts();
 
   struct ChunkPartial {
@@ -104,8 +22,8 @@ Result<FilteredScanResult> ScanCompressedFiltered(
     ValueCounts counts;
   };
   std::vector<ChunkPartial> partials(chunks.size());
-  STATDB_RETURN_IF_ERROR(ForEachChunk(
-      chunks.size(), pool,
+  STATDB_RETURN_IF_ERROR(ForEachIndex(
+      pool, chunks.size(),
       [&chunks, &partials, &starts, &file, kind, &pred,
        want_counts](size_t i) -> Status {
         STATDB_ASSIGN_OR_RETURN(
@@ -133,6 +51,22 @@ Result<FilteredScanResult> ScanCompressedFiltered(
     result.desc.Merge(p.desc);
     if (want_counts) result.counts.Merge(p.counts);
   }
+  return result;
+}
+
+Result<ColumnScanResult> ScanCompressedColumn(const CompressedColumnFile& file,
+                                              simd::RunValueKind kind,
+                                              bool want_counts,
+                                              ThreadPool* pool) {
+  // The trivial predicate matches every present run, unclipped.
+  STATDB_ASSIGN_OR_RETURN(
+      FilteredScanResult all,
+      ScanCompressedFiltered(file, kind, simd::RunPredicate{}, want_counts,
+                             pool));
+  ColumnScanResult result;
+  result.rows = all.rows;
+  result.desc = all.desc;
+  result.counts = std::move(all.counts);
   return result;
 }
 

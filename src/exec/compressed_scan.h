@@ -23,12 +23,8 @@ namespace statdb {
 /// chunking. Versus the serial per-cell oracle, count/min/max are exact
 /// and sum/mean/m2 carry the documented Chan-et-al. tolerance class.
 
-/// Full-column compressed-domain scan. `kind` says how the stored raws
-/// decode (ints cast, doubles bit-cast — TransposedTable's encoding).
-/// With want_counts the per-value frequency map is built one O(1) bucket
-/// bump per run (ValueCounts::AddRun), bit-identical to cell-at-a-time
-/// Add. `keep_values`/`time_chunks` have no compressed-domain analogue,
-/// so the result's `values`/`chunk_stats` stay empty.
+/// Full-column compressed-domain scan: ScanCompressedFiltered under the
+/// trivial predicate. `values`/`chunk_stats` stay empty.
 Result<ColumnScanResult> ScanCompressedColumn(const CompressedColumnFile& file,
                                               simd::RunValueKind kind,
                                               bool want_counts,
@@ -44,7 +40,10 @@ struct FilteredScanResult {
 
 /// Predicate/aggregate pushdown (§4.3 scan-offload generalized): the
 /// predicate evaluates once per run, matching runs contribute their whole
-/// length in O(1), and no row is ever materialized. Equivalent to
+/// length in O(1), and no row is ever materialized. `kind` says how the
+/// stored raws decode (ints cast, doubles bit-cast — TransposedTable's
+/// encoding); with want_counts each run is one ValueCounts::AddRun,
+/// bit-identical to cell-at-a-time Add. Equivalent to
 /// filter-then-materialize over the decoded column (NaN cells match only
 /// the kAll predicate, exactly like a double comparison would decide).
 Result<FilteredScanResult> ScanCompressedFiltered(

@@ -119,6 +119,20 @@ Status ThreadPool::RunAll(std::vector<std::function<Status()>> tasks) {
   return first;
 }
 
+Status ForEachIndex(ThreadPool* pool, size_t n,
+                    const std::function<Status(size_t)>& task) {
+  if (pool == nullptr || n <= 1) {
+    for (size_t i = 0; i < n; ++i) STATDB_RETURN_IF_ERROR(task(i));
+    return Status::OK();
+  }
+  std::vector<std::function<Status()>> tasks;
+  tasks.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    tasks.push_back([&task, i]() { return task(i); });
+  }
+  return pool->RunAll(std::move(tasks));
+}
+
 ThreadPoolStats ThreadPool::stats() const {
   MutexLock lock(mu_);
   return stats_;

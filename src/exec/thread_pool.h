@@ -99,6 +99,12 @@ class ThreadPool {
   LatencyHistogram* task_latency_ STATDB_GUARDED_BY(mu_) = nullptr;
 };
 
+/// Runs `task(i)` for every i in [0, n): on `pool` when there is one and
+/// more than one task, else inline in order. Returns the first error in
+/// index order; every task finishes first.
+Status ForEachIndex(ThreadPool* pool, size_t n,
+                    const std::function<Status(size_t)>& task);
+
 }  // namespace statdb
 
 #endif  // STATDB_EXEC_THREAD_POOL_H_

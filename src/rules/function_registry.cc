@@ -1,6 +1,7 @@
 #include "rules/function_registry.h"
 
 #include <charconv>
+#include <cmath>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -23,6 +24,20 @@ Result<double> FunctionParams::Get(const std::string& name) const {
 double FunctionParams::GetOr(const std::string& name, double fallback) const {
   auto it = params_.find(name);
   return it == params_.end() ? fallback : it->second;
+}
+
+Result<size_t> FunctionParams::GetCount(const std::string& name,
+                                        size_t fallback) const {
+  auto it = params_.find(name);
+  if (it == params_.end()) return fallback;
+  const double v = it->second;
+  // Negated so NaN fails too.
+  if (!(v >= 1 && v <= kMaxCount && v == std::floor(v))) {
+    return InvalidArgumentError(
+        "parameter " + name + " must be an integer in [1, " +
+        std::to_string(static_cast<size_t>(kMaxCount)) + "]");
+  }
+  return static_cast<size_t>(v);
 }
 
 namespace {
@@ -222,7 +237,7 @@ FunctionRegistry FunctionRegistry::WithBuiltins() {
   histogram.order_dependent = false;
   histogram.compute = [](const std::vector<double>& d,
                          const FunctionParams& p) -> Result<SummaryResult> {
-    size_t buckets = static_cast<size_t>(p.GetOr("buckets", 20));
+    STATDB_ASSIGN_OR_RETURN(size_t buckets, p.GetCount("buckets", 20));
     STATDB_ASSIGN_OR_RETURN(Histogram h, BuildHistogramAuto(d, buckets));
     return SummaryResult::Histo(std::move(h));
   };

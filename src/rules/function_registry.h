@@ -25,8 +25,17 @@ class FunctionParams {
     return *this;
   }
 
+  /// Largest value a count parameter (`buckets`, `window`) may take —
+  /// far above any useful histogram or order-statistic window, and small
+  /// enough that the allocation it sizes cannot fail.
+  static constexpr double kMaxCount = 1e6;
+
   Result<double> Get(const std::string& name) const;
   double GetOr(const std::string& name, double fallback) const;
+  /// A count parameter as a size: `fallback` when unset, INVALID_ARGUMENT
+  /// when the value is not finite, not integral, below 1 or above
+  /// kMaxCount.
+  Result<size_t> GetCount(const std::string& name, size_t fallback) const;
   bool empty() const { return params_.empty(); }
 
   std::string Encode() const;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "stats/histogram.h"
+#include "stats/partial_stats.h"
 
 namespace statdb {
 
@@ -16,10 +16,10 @@ Status WindowExhausted(const std::string& who) {
                                  "from the full column required");
 }
 
-/// count / sum / mean / variance share one sufficient-statistics engine:
-/// (n, sum, mean, m2) with exact insert and remove updates — the
+/// count / sum / mean / variance share one moment state: a
+/// DescriptiveStats, folded with its Add and exact Remove — the
 /// finite-differencing rules of Koenig & Paige for totals and averages,
-/// extended to second moments.
+/// extended to second moments. min/max in the state go unused.
 class MomentMaintainer : public IncrementalMaintainer {
  public:
   enum class Output { kCount, kSum, kMean, kVariance };
@@ -37,23 +37,23 @@ class MomentMaintainer : public IncrementalMaintainer {
   }
 
   Result<SummaryResult> Initialize(const std::vector<double>& data) override {
-    ++stats_.rebuilds;
-    n_ = 0;
-    sum_ = mean_ = m2_ = 0;
-    for (double x : data) Insert(x);
-    initialized_ = true;
+    Seed(ComputeDescriptive(data));
     return Current();
+  }
+
+  bool Seed(const DescriptiveStats& state) override {
+    ++stats_.rebuilds;
+    state_ = state;
+    initialized_ = true;
+    return true;
   }
 
   Status Fold(const CellDelta& delta) override {
     if (!initialized_) return WindowExhausted(name());
-    if (delta.old_value.has_value()) {
-      if (n_ == 0) return WindowExhausted(name());
-      Remove(*delta.old_value);
+    if (delta.old_value.has_value() && !state_.Remove(*delta.old_value)) {
+      return WindowExhausted(name());
     }
-    if (delta.new_value.has_value()) {
-      Insert(*delta.new_value);
-    }
+    if (delta.new_value.has_value()) state_.Add(*delta.new_value);
     ++stats_.applies;
     return Status::OK();
   }
@@ -61,53 +61,27 @@ class MomentMaintainer : public IncrementalMaintainer {
   Result<SummaryResult> Current() const override {
     switch (output_) {
       case Output::kCount:
-        return SummaryResult::Scalar(double(n_));
+        return SummaryResult::Scalar(double(state_.count));
       case Output::kSum:
-        return SummaryResult::Scalar(sum_);
+        return SummaryResult::Scalar(state_.sum);
       case Output::kMean:
-        if (n_ == 0) {
+        if (state_.count == 0) {
           return FailedPreconditionError("mean of an empty column");
         }
-        return SummaryResult::Scalar(mean_);
+        return SummaryResult::Scalar(state_.mean);
       case Output::kVariance:
-        if (n_ == 0) {
+        if (state_.count == 0) {
           return FailedPreconditionError("variance of an empty column");
         }
-        return SummaryResult::Scalar(n_ < 2 ? 0.0
-                                            : m2_ / double(n_ - 1));
+        return SummaryResult::Scalar(state_.Variance());
     }
     return InternalError("bad output kind");
   }
 
  private:
-  void Insert(double x) {
-    ++n_;
-    sum_ += x;
-    double delta = x - mean_;
-    mean_ += delta / double(n_);
-    m2_ += delta * (x - mean_);
-  }
-
-  void Remove(double x) {
-    if (n_ == 1) {
-      n_ = 0;
-      sum_ = mean_ = m2_ = 0;
-      return;
-    }
-    double old_mean = mean_;
-    mean_ = (double(n_) * mean_ - x) / double(n_ - 1);
-    m2_ -= (x - old_mean) * (x - mean_);
-    if (m2_ < 0) m2_ = 0;  // clamp FP drift
-    sum_ -= x;
-    --n_;
-  }
-
   Output output_;
   bool initialized_ = false;
-  uint64_t n_ = 0;
-  double sum_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;
+  DescriptiveStats state_;
 };
 
 /// min/max: auxiliary information is the extremum and how many copies of
@@ -396,7 +370,7 @@ class OrderStatWindowMaintainer : public IncrementalMaintainer {
   uint64_t above_ = 0;
 };
 
-/// mode / distinct via a value-frequency table.
+/// mode / distinct via the scans' value-count state.
 class FrequencyMaintainer : public IncrementalMaintainer {
  public:
   enum class Output { kMode, kDistinct };
@@ -409,25 +383,19 @@ class FrequencyMaintainer : public IncrementalMaintainer {
 
   Result<SummaryResult> Initialize(const std::vector<double>& data) override {
     ++stats_.rebuilds;
-    freq_.clear();
-    for (double x : data) ++freq_[x];
+    counts_ = ValueCounts{};
+    for (double x : data) counts_.Add(x);
     initialized_ = true;
     return Current();
   }
 
   Status Fold(const CellDelta& delta) override {
     if (!initialized_) return WindowExhausted(name());
-    if (delta.old_value.has_value()) {
-      auto it = freq_.find(*delta.old_value);
-      if (it == freq_.end()) {
-        initialized_ = false;
-        return WindowExhausted(name());
-      }
-      if (--it->second == 0) freq_.erase(it);
+    if (delta.old_value.has_value() && !counts_.Remove(*delta.old_value)) {
+      initialized_ = false;
+      return WindowExhausted(name());
     }
-    if (delta.new_value.has_value()) {
-      ++freq_[*delta.new_value];
-    }
+    if (delta.new_value.has_value()) counts_.Add(*delta.new_value);
     ++stats_.applies;
     return Status::OK();
   }
@@ -437,30 +405,20 @@ class FrequencyMaintainer : public IncrementalMaintainer {
       return FailedPreconditionError("frequency table not available");
     }
     if (output_ == Output::kDistinct) {
-      return SummaryResult::Scalar(double(freq_.size()));
+      return SummaryResult::Scalar(double(counts_.Distinct()));
     }
-    if (freq_.empty()) {
+    // Ties break toward the smaller value, matching stats::Mode.
+    Result<double> mode = counts_.ModeValue();
+    if (!mode.ok()) {
       return FailedPreconditionError("mode of an empty column");
     }
-    // Most frequent; ties break toward the smaller value (std::map is
-    // ordered), matching stats::Mode.
-    double best = freq_.begin()->first;
-    uint64_t best_count = 0;
-    for (const auto& [value, count] : freq_) {
-      if (count > best_count) {
-        best = value;
-        best_count = count;
-      }
-    }
-    return SummaryResult::Scalar(best);
+    return SummaryResult::Scalar(*mode);
   }
 
  private:
   Output output_;
   bool initialized_ = false;
-  // statdb-lint: allow(double-keyed-map) — exact-value frequency table
-  // mirroring Mode()'s semantics; keys are the column's own doubles.
-  std::map<double, uint64_t> freq_;
+  ValueCounts counts_;
 };
 
 /// Histogram with frozen edges and O(1) bucket-count deltas.
@@ -482,20 +440,8 @@ class HistogramMaintainer : public IncrementalMaintainer {
 
   Status Fold(const CellDelta& delta) override {
     if (!initialized_) return WindowExhausted(name());
-    if (delta.old_value.has_value()) {
-      STATDB_RETURN_IF_ERROR(Adjust(*delta.old_value, -1));
-    }
-    if (delta.new_value.has_value()) {
-      STATDB_RETURN_IF_ERROR(Adjust(*delta.new_value, +1));
-    }
-    // Too much mass outside the frozen range: fresh edges needed.
-    uint64_t total = hist_.TotalCount();
-    if (total > 0 &&
-        double(hist_.below + hist_.above) >
-            spill_tolerance_ * double(total)) {
-      initialized_ = false;
-      return WindowExhausted(name());
-    }
+    STATDB_RETURN_IF_ERROR(Move(delta));
+    STATDB_RETURN_IF_ERROR(CheckSpill());
     ++stats_.applies;
     return Status::OK();
   }
@@ -506,21 +452,10 @@ class HistogramMaintainer : public IncrementalMaintainer {
       const std::vector<CellDelta>& batch) override {
     if (!initialized_) return WindowExhausted(name());
     for (const CellDelta& delta : batch) {
-      if (delta.old_value.has_value()) {
-        STATDB_RETURN_IF_ERROR(Adjust(*delta.old_value, -1));
-      }
-      if (delta.new_value.has_value()) {
-        STATDB_RETURN_IF_ERROR(Adjust(*delta.new_value, +1));
-      }
+      STATDB_RETURN_IF_ERROR(Move(delta));
       ++stats_.applies;
     }
-    uint64_t total = hist_.TotalCount();
-    if (total > 0 &&
-        double(hist_.below + hist_.above) >
-            spill_tolerance_ * double(total)) {
-      initialized_ = false;
-      return WindowExhausted(name());
-    }
+    STATDB_RETURN_IF_ERROR(CheckSpill());
     return Current();
   }
 
@@ -532,6 +467,26 @@ class HistogramMaintainer : public IncrementalMaintainer {
   }
 
  private:
+  /// Moves one delta's endpoints between buckets.
+  Status Move(const CellDelta& delta) {
+    if (delta.old_value.has_value()) {
+      STATDB_RETURN_IF_ERROR(Adjust(*delta.old_value, -1));
+    }
+    if (delta.new_value.has_value()) return Adjust(*delta.new_value, +1);
+    return Status::OK();
+  }
+
+  /// Too much mass outside the frozen range: fresh edges needed.
+  Status CheckSpill() {
+    uint64_t total = hist_.TotalCount();
+    if (total > 0 && double(hist_.below + hist_.above) >
+                         spill_tolerance_ * double(total)) {
+      initialized_ = false;
+      return WindowExhausted(name());
+    }
+    return Status::OK();
+  }
+
   Status Adjust(double x, int direction) {
     auto bump = [this, direction](uint64_t& slot) -> Status {
       if (direction < 0) {

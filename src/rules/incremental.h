@@ -9,6 +9,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "stats/descriptive.h"
 #include "summary/summary_result.h"
 
 namespace statdb {
@@ -56,6 +57,12 @@ class IncrementalMaintainer {
   /// (Re)builds auxiliary state with one pass over the full column.
   virtual Result<SummaryResult> Initialize(
       const std::vector<double>& data) = 0;
+
+  /// Arms the state from a scan's moment state instead of the column's
+  /// values, as the comoment maintainer arms from a scan's co-moments.
+  /// Only the moment rules (count, sum, mean, variance) can; the others
+  /// return false, change nothing, and need Initialize.
+  virtual bool Seed(const DescriptiveStats& /*state*/) { return false; }
 
   /// Folds one delta into the state and returns the new result.
   Result<SummaryResult> Apply(const CellDelta& delta) {
@@ -107,9 +114,9 @@ std::unique_ptr<IncrementalMaintainer> MakeMinMaintainer();
 std::unique_ptr<IncrementalMaintainer> MakeMaxMaintainer();
 
 /// mode / distinct-count — auxiliary state is the full value-frequency
-/// table, so both are exact under any update stream at O(log distinct)
-/// per delta (the "record the results ... in a database" alternative the
-/// paper weighs in §3.1, automated).
+/// table (the scans' ValueCounts), so both are exact under any update
+/// stream at O(1) expected per delta (the "record the results ... in a
+/// database" alternative the paper weighs in §3.1, automated).
 std::unique_ptr<IncrementalMaintainer> MakeModeMaintainer();
 std::unique_ptr<IncrementalMaintainer> MakeDistinctMaintainer();
 

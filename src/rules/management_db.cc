@@ -71,21 +71,16 @@ ManagementDatabase::MakeMaintainer(const std::string& function,
   if (function == "variance") return MakeVarianceMaintainer();
   if (function == "min") return MakeMinMaintainer();
   if (function == "max") return MakeMaxMaintainer();
-  if (function == "median") {
+  if (function == "median" || function == "quantile") {
+    STATDB_ASSIGN_OR_RETURN(size_t window, params.GetCount("window", 100));
     return MakeOrderStatWindowMaintainer(
-        0.5, static_cast<size_t>(params.GetOr("window", 100)));
-  }
-  if (function == "quantile") {
-    return MakeOrderStatWindowMaintainer(
-        params.GetOr("p", 0.5),
-        static_cast<size_t>(params.GetOr("window", 100)));
+        function == "median" ? 0.5 : params.GetOr("p", 0.5), window);
   }
   if (function == "mode") return MakeModeMaintainer();
   if (function == "distinct") return MakeDistinctMaintainer();
   if (function == "histogram") {
-    return MakeHistogramMaintainer(
-        static_cast<size_t>(params.GetOr("buckets", 20)),
-        params.GetOr("spill", 0.1));
+    STATDB_ASSIGN_OR_RETURN(size_t buckets, params.GetCount("buckets", 20));
+    return MakeHistogramMaintainer(buckets, params.GetOr("spill", 0.1));
   }
   return NotFoundError("no incremental rule for function " + function);
 }

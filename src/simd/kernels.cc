@@ -178,38 +178,11 @@ Comoments ComomentSpan(const double* xs, const double* ys, size_t n) {
 
 DescriptiveStats DescribeRuns(const RleRun* runs, size_t n,
                               RunValueKind kind) {
-  DescriptiveStats s;
-  uint64_t count = 0;
-  double sum = 0;
-  double mn = std::numeric_limits<double>::infinity();
-  double mx = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) {
-    const RleRun& r = runs[i];
-    if (!r.present || r.length == 0) continue;
-    double v = DecodeRunValue(r.value, kind);
-    count += r.length;
-    sum += static_cast<double>(r.length) * v;
-    if (v < mn) mn = v;
-    if (v > mx) mx = v;
-  }
-  if (count == 0) return s;
-  s.count = count;
-  s.sum = sum;
-  s.mean = sum / static_cast<double>(count);
-  double m2 = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const RleRun& r = runs[i];
-    if (!r.present || r.length == 0) continue;
-    double d = DecodeRunValue(r.value, kind) - s.mean;
-    m2 += static_cast<double>(r.length) * d * d;
-  }
-  s.m2 = m2;
-  if (mn > mx) {
-    mn = mx = std::numeric_limits<double>::quiet_NaN();
-  }
-  s.min = mn;
-  s.max = mx;
-  return s;
+  return internal::DescribeWeighted(
+      n, [&](size_t i) { return DecodeRunValue(runs[i].value, kind); },
+      [&](size_t i) -> uint64_t {
+        return runs[i].present ? runs[i].length : 0;
+      });
 }
 
 }  // namespace statdb::simd

@@ -7,6 +7,7 @@
 
 #include "simd/dispatch.h"
 #include "stats/descriptive.h"
+#include "stats/partial_stats.h"
 #include "storage/rle.h"
 
 namespace statdb::simd {
@@ -51,16 +52,9 @@ inline double DecodeRunValue(int64_t raw, RunValueKind kind) {
              : std::bit_cast<double>(raw);
 }
 
-/// Bivariate partial state mirroring exec's ComomentStats field-for-field
-/// (simd sits below exec in the DAG, so it carries its own POD).
-struct Comoments {
-  uint64_t n = 0;
-  double mean_x = 0;
-  double mean_y = 0;
-  double m2x = 0;
-  double m2y = 0;
-  double cxy = 0;
-};
+/// The bivariate partial state: the kernels return stats' one
+/// co-moment state directly.
+using Comoments = ComomentStats;
 
 /// One-pass-shaped descriptive statistics of a span, via the 4-lane
 /// two-pass reduction above. Dispatches on ActiveLevel().

@@ -2,6 +2,8 @@
 #define STATDB_SIMD_KERNELS_INTERNAL_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 
 #include "simd/kernels.h"
 
@@ -40,6 +42,41 @@ inline double ReduceLanes(const double lanes[4]) {
 
 DescriptiveStats DescribeWith(const LaneOps& ops, const double* data,
                               size_t n);
+
+/// The compressed-domain moments: run i is value(i) repeated length(i)
+/// times (length 0 = skipped). count/sum/min/max in run order, then m2
+/// about the mean in a second pass. DescribeRuns and DescribeMatchedRuns
+/// both run it, so their arithmetic is one and the same.
+template <typename ValueOf, typename LengthOf>
+DescriptiveStats DescribeWeighted(size_t n, ValueOf value, LengthOf length) {
+  DescriptiveStats s;
+  double mn = std::numeric_limits<double>::infinity();
+  double mx = -std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t k = length(i);
+    if (k == 0) continue;
+    const double v = value(i);
+    s.count += k;
+    s.sum += static_cast<double>(k) * v;
+    if (v < mn) mn = v;
+    if (v > mx) mx = v;
+  }
+  if (s.count == 0) return s;
+  s.mean = s.sum / static_cast<double>(s.count);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t k = length(i);
+    if (k == 0) continue;
+    const double d = value(i) - s.mean;
+    s.m2 += static_cast<double>(k) * d * d;
+  }
+  if (mn > mx) {
+    // min stayed at +inf and max at -inf: every value was NaN.
+    mn = mx = std::numeric_limits<double>::quiet_NaN();
+  }
+  s.min = mn;
+  s.max = mx;
+  return s;
+}
 Comoments ComomentWith(const LaneOps& ops, const double* xs,
                        const double* ys, size_t n);
 

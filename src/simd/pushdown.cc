@@ -1,7 +1,8 @@
 #include "simd/pushdown.h"
 
 #include <algorithm>
-#include <limits>
+
+#include "simd/kernels_internal.h"
 
 namespace statdb::simd {
 
@@ -36,37 +37,9 @@ uint64_t MatchedRowCount(const MatchedRun* runs, size_t n) {
 }
 
 DescriptiveStats DescribeMatchedRuns(const MatchedRun* runs, size_t n) {
-  DescriptiveStats s;
-  uint64_t count = 0;
-  double sum = 0;
-  double mn = std::numeric_limits<double>::infinity();
-  double mx = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) {
-    const MatchedRun& r = runs[i];
-    if (r.length == 0) continue;
-    count += r.length;
-    sum += static_cast<double>(r.length) * r.value;
-    if (r.value < mn) mn = r.value;
-    if (r.value > mx) mx = r.value;
-  }
-  if (count == 0) return s;
-  s.count = count;
-  s.sum = sum;
-  s.mean = sum / static_cast<double>(count);
-  double m2 = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const MatchedRun& r = runs[i];
-    if (r.length == 0) continue;
-    double d = r.value - s.mean;
-    m2 += static_cast<double>(r.length) * d * d;
-  }
-  s.m2 = m2;
-  if (mn > mx) {
-    mn = mx = std::numeric_limits<double>::quiet_NaN();
-  }
-  s.min = mn;
-  s.max = mx;
-  return s;
+  return internal::DescribeWeighted(
+      n, [&](size_t i) { return runs[i].value; },
+      [&](size_t i) { return runs[i].length; });
 }
 
 }  // namespace statdb::simd

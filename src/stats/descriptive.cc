@@ -38,30 +38,26 @@ void DescriptiveStats::Merge(const DescriptiveStats& o) {
   count += o.count;
 }
 
+bool DescriptiveStats::Remove(double x) {
+  if (count == 0) return false;
+  if (count == 1) {
+    *this = DescriptiveStats{};
+    return true;
+  }
+  // Solve Add's mean update for the pre-insert mean, then undo its m2
+  // accumulation.
+  double old_mean = mean;
+  mean = (double(count) * mean - x) / double(count - 1);
+  m2 -= (x - old_mean) * (x - mean);
+  if (m2 < 0) m2 = 0;  // clamp FP drift
+  sum -= x;
+  --count;
+  return true;
+}
+
 DescriptiveStats ComputeDescriptive(const std::vector<double>& data) {
   DescriptiveStats s;
-  if (data.empty()) return s;
-  // min/max use the NaN-skipping update rule (header contract). The old
-  // "first element seeds min/max" form was sticky on a leading NaN,
-  // which made the answer depend on where the NaN sat in the column —
-  // the parity harness's first divergence.
-  double mn = std::numeric_limits<double>::infinity();
-  double mx = -std::numeric_limits<double>::infinity();
-  for (double x : data) {
-    ++s.count;
-    s.sum += x;
-    double delta = x - s.mean;
-    s.mean += delta / double(s.count);
-    s.m2 += delta * (x - s.mean);
-    if (x < mn) mn = x;
-    if (x > mx) mx = x;
-  }
-  if (mn > mx) {
-    // min stayed +inf and max -inf: every value was NaN.
-    mn = mx = std::numeric_limits<double>::quiet_NaN();
-  }
-  s.min = mn;
-  s.max = mx;
+  for (double x : data) s.Add(x);
   return s;
 }
 

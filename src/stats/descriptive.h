@@ -1,6 +1,7 @@
 #ifndef STATDB_STATS_DESCRIPTIVE_H_
 #define STATDB_STATS_DESCRIPTIVE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -9,10 +10,11 @@
 
 namespace statdb {
 
-/// Sufficient statistics of a numeric column in one pass (Welford).
-/// These are exactly the quantities the finite-differencing maintainers
-/// carry, so "recompute from scratch" and "maintain incrementally" agree
-/// bit-for-bit on count/sum/mean and to rounding on variance.
+/// Sufficient statistics of a numeric column in one pass (Welford): the
+/// one univariate moment state that scans fold (Add), merge (Merge) and
+/// maintainers unfold (Remove), so "recompute from scratch" and
+/// "maintain incrementally" agree bit-for-bit on count/sum/mean and to
+/// rounding on variance (DESIGN.md §14).
 ///
 /// NaN contract (DESIGN.md §14): min/max consider only non-NaN values —
 /// the update rule is `if (x < min) min = x` seeded from +inf/-inf, so a
@@ -28,6 +30,26 @@ struct DescriptiveStats {
   double min = 0;
   double max = 0;
 
+  /// Folds one value in: the Welford step. A fold of Add over a column
+  /// in row order is ComputeDescriptive of that column, bit for bit.
+  void Add(double x) {
+    // Seeded by the first value, re-seeded while only NaNs were seen.
+    if (count == 0 || std::isnan(min)) min = max = x;
+    if (x < min) min = x;
+    if (x > max) max = x;
+    ++count;
+    sum += x;
+    double delta = x - mean;
+    mean += delta / double(count);
+    m2 += delta * (x - mean);
+  }
+
+  /// Takes one added value back out: Add's inverse on count/sum/mean/m2
+  /// (to rounding; m2 clamps at 0). min/max go stale (extrema need
+  /// ExtremumMaintainer). Removing the last value resets the state;
+  /// false, changing nothing, when the state is empty.
+  [[nodiscard]] bool Remove(double x);
+
   /// Sample variance (n-1); 0 when count < 2.
   double Variance() const;
   double StdDev() const;
@@ -40,7 +62,7 @@ struct DescriptiveStats {
   void Merge(const DescriptiveStats& o);
 };
 
-/// One-pass descriptive statistics. Empty input yields count == 0 and
+/// A fold of DescriptiveStats::Add. Empty input yields count == 0 and
 /// zeroed fields (valid — exploration starts before data is clean).
 DescriptiveStats ComputeDescriptive(const std::vector<double>& data);
 

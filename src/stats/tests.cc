@@ -66,28 +66,30 @@ Result<TestResult> ChiSquaredGoodnessOfFit(
   return out;
 }
 
-Result<TestResult> WelchTTest(const std::vector<double>& a,
-                              const std::vector<double>& b) {
-  if (a.size() < 2 || b.size() < 2) {
+Result<TestResult> WelchTTestFromMoments(const DescriptiveStats& a,
+                                         const DescriptiveStats& b) {
+  if (a.count < 2 || b.count < 2) {
     return InvalidArgumentError("t-test needs >= 2 points per sample");
   }
-  DescriptiveStats sa = ComputeDescriptive(a);
-  DescriptiveStats sb = ComputeDescriptive(b);
-  double va = sa.Variance() / double(a.size());
-  double vb = sb.Variance() / double(b.size());
+  double va = a.Variance() / double(a.count);
+  double vb = b.Variance() / double(b.count);
   if (va + vb == 0.0) {
     return InvalidArgumentError("t-test on two constant samples");
   }
   TestResult out;
-  out.statistic = (sa.mean - sb.mean) / std::sqrt(va + vb);
+  out.statistic = (a.mean - b.mean) / std::sqrt(va + vb);
   // Welch–Satterthwaite degrees of freedom.
   out.dof = (va + vb) * (va + vb) /
-            (va * va / double(a.size() - 1) +
-             vb * vb / double(b.size() - 1));
+            (va * va / double(a.count - 1) + vb * vb / double(b.count - 1));
   STATDB_ASSIGN_OR_RETURN(double cdf,
                           StudentTCdf(std::abs(out.statistic), out.dof));
   out.p_value = 2.0 * (1.0 - cdf);
   return out;
+}
+
+Result<TestResult> WelchTTest(const std::vector<double>& a,
+                              const std::vector<double>& b) {
+  return WelchTTestFromMoments(ComputeDescriptive(a), ComputeDescriptive(b));
 }
 
 namespace {

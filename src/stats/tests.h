@@ -7,6 +7,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "stats/crosstab.h"
+#include "stats/descriptive.h"
 
 namespace statdb {
 
@@ -30,7 +31,13 @@ Result<TestResult> ChiSquaredGoodnessOfFit(
 
 /// Welch's two-sample t-test (unequal variances): "is the mean income
 /// of group A different from group B?" — a standard confirmatory-phase
-/// comparison. dof via Welch–Satterthwaite; two-sided p-value.
+/// comparison. dof via Welch–Satterthwaite; two-sided p-value. From the
+/// two samples' moment states, so a scan folds the groups without
+/// gathering them (not an overload: DescriptiveStats is an aggregate, so
+/// `WelchTTest({3, 3}, {4, 4})` would be ambiguous).
+Result<TestResult> WelchTTestFromMoments(const DescriptiveStats& a,
+                                         const DescriptiveStats& b);
+/// The same test over the samples themselves.
 Result<TestResult> WelchTTest(const std::vector<double>& a,
                               const std::vector<double>& b);
 

@@ -73,6 +73,17 @@ CI next to the thread-safety lane:
                             Layers below causal (storage, fault) stay on
                             the bare form by design: the recorder stamps
                             the ambient thread-local context for them.
+  R9 one-exec-pool          A ThreadPool is constructed in one place:
+                            the one std::make_unique<ThreadPool> in
+                            StatisticalDbms::ExecPool (src/core/dbms.cc),
+                            the pool every parallel batch shares
+                            (DESIGN.md §9.1). Any other construction — a
+                            stack pool, a std::optional<ThreadPool>, a
+                            second make_unique, `new ThreadPool` — in
+                            src/, bench/ or examples/ is a finding, so a
+                            per-batch pool (and its Quiesce-to-count
+                            dance) cannot come back. tests/ are exempt:
+                            they exercise the pool's own contract.
 
 Usage:
   scripts/statdb_lint.py             # lint the repo; exit 1 on findings
@@ -531,6 +542,45 @@ def check_causal_events(path, text):
     return findings
 
 
+# --- R9: one exec pool, owned by the DBMS -------------------------------------
+
+EXEC_POOL_OWNER = "src/core/dbms.cc"
+EXEC_POOL_EXEMPT_RE = re.compile(r"^(tests/|src/exec/thread_pool\.(h|cc)$)")
+POOL_MAKE_RE = re.compile(r"\bmake_(?:unique|shared)\s*<\s*ThreadPool\s*>")
+POOL_OTHER_CTOR_RE = re.compile(
+    r"\bnew\s+ThreadPool\b|"
+    r"\boptional\s*<\s*ThreadPool\s*>|"
+    r"\bThreadPool\s+\w+\s*[({;]"
+)
+
+
+def check_exec_pool(path, text):
+    norm = path.replace(os.sep, "/")
+    if EXEC_POOL_EXEMPT_RE.match(norm):
+        return []
+    findings = []
+    makes = 0
+    for lineno, line in enumerate(strip_comments(text).splitlines(), 1):
+        made = POOL_MAKE_RE.search(line)
+        makes += 1 if made else 0
+        if POOL_OTHER_CTOR_RE.search(line) or (
+            made and (norm != EXEC_POOL_OWNER or makes > 1)
+        ):
+            findings.append(
+                Finding(
+                    "one-exec-pool",
+                    path,
+                    lineno,
+                    "ThreadPool constructed outside StatisticalDbms::"
+                    "ExecPool — every parallel batch runs on the DBMS's "
+                    "one pool through a PoolSlice (workers cap + ledger); "
+                    "a per-batch pool needs Quiesce() to count its tasks "
+                    "and drops the submitter's trace (DESIGN.md §9.1)",
+                )
+            )
+    return findings
+
+
 # --- driver ------------------------------------------------------------------
 
 
@@ -546,6 +596,7 @@ def lint_corpus(files):
         findings += check_readpath_latch(path, text)
         findings += check_delta_routing(path, text)
         findings += check_causal_events(path, text)
+        findings += check_exec_pool(path, text)
     findings += check_nodiscard(files)
     return findings
 
@@ -637,6 +688,26 @@ SELF_TEST_SNIPPETS = [
         "void NoteDegraded(FlightRecorder* flight) {\n"
         "  flight->Record(\n"
         "      FlightEventKind::kDegraded, \"oops\");\n"
+        "}\n",
+    ),
+    (
+        "one-exec-pool",
+        # Replaces the real dbms.cc in the synthetic corpus: the per-batch
+        # pool the shared one replaced, back in the pipeline.
+        "src/core/dbms.cc",
+        "Status StatisticalDbms::RunPipeline(size_t workers) {\n"
+        "  std::optional<ThreadPool> pool;\n"
+        "  if (workers > 1) pool.emplace(workers);\n"
+        "  return Status::OK();\n"
+        "}\n",
+    ),
+    (
+        "one-exec-pool",
+        # A layer below the DBMS making its own pool.
+        "src/exec/injected_r9.cc",
+        "Status Scan(size_t workers) {\n"
+        "  ThreadPool pool(workers);\n"
+        "  return Status::OK();\n"
         "}\n",
     ),
 ]

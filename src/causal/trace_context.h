@@ -26,9 +26,11 @@ namespace causal {
 ///             thread's current id with zero signature churn.
 ///
 /// Cost discipline: minting is one relaxed fetch_add; Current() is one
-/// thread_local read. Worker threads of a parallel scan never inherit
-/// the caller's slot — events they record carry trace 0 ("unattributed")
-/// unless the call site passes the context explicitly.
+/// thread_local read. A new thread never inherits the caller's slot —
+/// events it records carry trace 0 ("unattributed") unless something
+/// installs a context there. The exec pool does: every task runs under
+/// the context its submitter had (ThreadPool::Submit), so a parallel
+/// scan's pool misses, I/O retries and faults join the query's trace.
 struct TraceContext {
   /// Process-unique, never 0 for a minted context. 0 means "no context"
   /// everywhere (flight events, spans, exports).
@@ -46,7 +48,7 @@ struct TraceContext {
 TraceContext Mint(uint64_t session_id = 0);
 
 /// The context installed on this thread, or an all-zero context when no
-/// ScopedTraceContext is live (e.g. exec-pool workers).
+/// ScopedTraceContext is live (e.g. a thread nothing installed one on).
 const TraceContext& Current();
 
 /// Shorthand for Current().trace_id — the flight recorder's stamp.

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <optional>
 #include <set>
+#include <thread>
 
 #include "check/db_auditor.h"
 #include "delta/comoment.h"
@@ -33,17 +34,31 @@ bool MeaningfulOnCategories(const std::string& function) {
 
 /// The function families of DESIGN.md §14: moments finish from one
 /// DescriptiveStats at every worker count; value counts from a
-/// ValueCounts with a pool, from gathered values at one worker; every
-/// other function is holistic and gathers.
+/// ValueCounts on the compressed route; every other function is
+/// holistic and gathers.
 bool IsMoment(const std::string& function) {
   return function == "count" || function == "sum" || function == "mean" ||
          function == "variance" || function == "stddev" ||
          function == "min" || function == "max" || function == "range";
 }
 
+/// The moments that need only count, min and max.
+bool IsExtremes(const std::string& function) {
+  return function == "count" || function == "min" || function == "max" ||
+         function == "range";
+}
+
 bool NeedsValueCounts(const std::string& function) {
   return function == "mode" || function == "distinct" ||
          function == "histogram";
+}
+
+/// On column chunks only mode and distinct merge hashed counts, and only
+/// with a pool. A histogram gathers there at every worker count: hashing
+/// a mostly-distinct column costs far more than bucketing it, and the
+/// buckets are per value, so both give the same counts.
+bool MergesCounts(const std::string& function, bool parallel) {
+  return parallel && (function == "mode" || function == "distinct");
 }
 
 TraceOutcome OutcomeOfSource(AnswerSource source) {
@@ -535,10 +550,19 @@ struct StatisticalDbms::PlannedScan {
   std::vector<size_t> members;
   bool arm = false;
   bool want_moments = false;
+  bool extremes_only = false;
   bool want_counts = false;
   bool keep_values = false;
   /// The RLE sidecar of a univariate scan's attribute, if attached.
   std::shared_ptr<const CompressedColumnFile> sidecar;
+};
+
+/// One request's finish: its answer or error, the rows it read and its
+/// own wall time (fan-out finishes only).
+struct StatisticalDbms::FinishedQuery {
+  std::optional<Result<SummaryResult>> result;
+  uint64_t rows = 0;
+  double ms = 0;
 };
 
 /// What a route's scan leaves for FinishQuery and the maintainer arm.
@@ -881,49 +905,68 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
     // retired pages alive until it finishes.
     scan.sidecar = cv->CompressedSidecarRef(head.attributes.front());
     bool holistic = false;
-    bool arm_values = false;
+    bool any_counts = false;
+    bool merge_counts = false;
+    bool gather = false;
+    bool extremes = true;
     for (size_t i : scan.members) {
       const PlannedQuery& q = batch[i];
+      const bool merges = MergesCounts(q.function, parallel);
       scan.want_moments = scan.want_moments || IsMoment(q.function);
-      scan.want_counts = scan.want_counts || NeedsValueCounts(q.function);
       holistic = holistic ||
                  !(IsMoment(q.function) || NeedsValueCounts(q.function));
-      arm_values = arm_values ||
-                   (scan.arm && delta::ArmsFromValues(mdb_, q.function,
-                                                      q.params));
+      any_counts = any_counts || NeedsValueCounts(q.function);
+      merge_counts = merge_counts || merges;
+      // Column chunks fold the moments at every worker count and merge
+      // mode/distinct with a pool; the rest gather, like the rules that
+      // arm from values.
+      gather = gather || !(IsMoment(q.function) || merges) ||
+               (scan.arm &&
+                delta::ArmsFromValues(mdb_, q.function, q.params));
+      extremes = extremes && IsExtremes(q.function);
     }
     scan.route = compressed_scan_enabled_ && scan.sidecar != nullptr &&
                          !holistic && !scan.arm
                      ? QueryRoute::kCompressedRuns
                      : QueryRoute::kColumnChunks;
-    // Column chunks fold the moments at every worker count. Value counts
-    // merge from partials with a pool; at one worker they gather, like
-    // the holistic functions and the rules that arm from values.
-    const bool gather_counts = scan.want_counts && !parallel &&
-                               scan.route == QueryRoute::kColumnChunks;
-    scan.keep_values = holistic || arm_values || gather_counts;
-    if (gather_counts) scan.want_counts = false;
+    if (scan.route == QueryRoute::kCompressedRuns) {
+      // The runs fold every value-count function (ValueCounts::AddRun).
+      scan.want_counts = any_counts;
+    } else {
+      scan.want_counts = merge_counts;
+      scan.keep_values = gather;
+      scan.extremes_only = extremes;
+    }
     scan.want_moments = scan.want_moments || scan.want_counts;
     needs_pool = true;
   }
-  std::optional<ThreadPool> pool;
-  if (parallel && needs_pool) {
-    pool.emplace(workers);
-    pool->set_task_latency_sink(obs_pool_task_ms_);
-  }
+  // The DBMS's one exec pool; this batch holds at most `workers` of its
+  // threads and reads its own counters from the ledger.
+  ThreadPoolStats ledger;
+  PoolSlice exec;
+  if (parallel && needs_pool) exec = PoolSlice(ExecPool(), workers, &ledger);
 
   // Execute, finish and insert.
   for (const PlannedScan& scan : scans) {
     ScanOutput out;
-    STATDB_RETURN_IF_ERROR(ExecuteScan(*cv, batch, scan,
-                                       pool ? &*pool : nullptr, trace, &out));
-    for (size_t i : scan.members) {
-      const PlannedQuery& q = batch[i];
-      SummaryResult result;
-      {
+    STATDB_RETURN_IF_ERROR(ExecuteScan(*cv, batch, scan, exec, trace, &out));
+    // Requests sharing a scan finish on the pool; inserts, answers and
+    // the first error stay serial in request order.
+    const bool fan_out = exec.pool != nullptr && scan.members.size() > 1;
+    std::vector<FinishedQuery> finished(scan.members.size());
+    if (fan_out) {
+      STATDB_RETURN_IF_ERROR(
+          FinishOnPool(batch, scan, out, exec, trace, &finished));
+    }
+    for (size_t k = 0; k < scan.members.size(); ++k) {
+      const PlannedQuery& q = batch[scan.members[k]];
+      if (!fan_out) {
         ScopedSpan span(trace, SpanKind::kCompute);
-        STATDB_ASSIGN_OR_RETURN(result, FinishQuery(q, scan, out, &span));
+        finished[k].result = FinishQuery(q, scan, out, &finished[k].rows);
+        span.SetRows(finished[k].rows);
       }
+      STATDB_ASSIGN_OR_RETURN(SummaryResult result,
+                              std::move(*finished[k].result));
       ++state->traffic.computed;
       if (opts.cache_result && !q.filter) {
         STATDB_RETURN_IF_ERROR(
@@ -931,9 +974,9 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
       }
       const bool pushdown =
           q.filter && scan.route == QueryRoute::kCompressedRuns;
-      answers[i] = QueryAnswer{std::move(result), AnswerSource::kComputed,
-                               true,
-                               pushdown ? "compressed-domain pushdown" : ""};
+      answers[scan.members[k]] =
+          QueryAnswer{std::move(result), AnswerSource::kComputed, true,
+                      pushdown ? "compressed-domain pushdown" : ""};
     }
     // Which scan path the planner chose, for the answered univariate scans.
     if (scan.route == QueryRoute::kCompressedRuns) {
@@ -942,17 +985,14 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
       obs_scan_materialized_->Inc();
     }
   }
-  if (pool) {
-    // The scans joined at their barriers, but a worker bumps `executed`
-    // only after the task's future resolves — Quiesce() joins the
-    // workers so the counters are exact before folding.
-    pool->Quiesce();
-    ThreadPoolStats ps = pool->stats();
-    obs_pool_submitted_->Inc(ps.submitted);
-    obs_pool_executed_->Inc(ps.executed);
-    obs_pool_rejected_->Inc(ps.rejected);
-    obs_pool_queue_max_->MaxOf(double(ps.max_queue_depth));
-    obs_pool_task_ms_total_->Add(ps.total_task_ms);
+  if (exec.pool != nullptr) {
+    // Every future of this batch has resolved, and a task is counted
+    // before its future resolves: the ledger is exact.
+    obs_pool_submitted_->Inc(ledger.submitted);
+    obs_pool_executed_->Inc(ledger.executed);
+    obs_pool_rejected_->Inc(ledger.rejected);
+    obs_pool_queue_max_->MaxOf(double(ledger.max_queue_depth));
+    obs_pool_task_ms_total_->Add(ledger.total_task_ms);
   }
 
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -961,10 +1001,52 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
   return answers;
 }
 
+ThreadPool* StatisticalDbms::ExecPool() {
+  MutexLock lock(exec_pool_mu_);
+  if (exec_pool_ == nullptr) {
+    exec_pool_ = std::make_unique<ThreadPool>(
+        std::max(1u, std::thread::hardware_concurrency()));
+    exec_pool_->set_task_latency_sink(obs_pool_task_ms_);
+  }
+  return exec_pool_.get();
+}
+
+Status StatisticalDbms::FinishOnPool(const std::vector<PlannedQuery>& batch,
+                                     const PlannedScan& scan,
+                                     const ScanOutput& out,
+                                     const PoolSlice& exec, QueryTrace* trace,
+                                     std::vector<FinishedQuery>* finished) {
+  const double phase_start = trace != nullptr ? trace->NowOffsetMs() : 0;
+  STATDB_RETURN_IF_ERROR(
+      ForEachIndex(exec, scan.members.size(), [&](size_t k) {
+        FinishedQuery& f = (*finished)[k];
+        TraceTimer timer;
+        f.result = FinishQuery(batch[scan.members[k]], scan, out, &f.rows);
+        f.ms = timer.ElapsedMs();
+        return Status::OK();
+      }));
+  if (trace == nullptr) return Status::OK();
+  // One compute span per request, tiling the fan-out's wall time in
+  // proportion to each finish's own time: the finishes overlapped, and
+  // spans that overlap would attribute more time than the call took.
+  const double wall = trace->NowOffsetMs() - phase_start;
+  double own = 0;
+  for (const FinishedQuery& f : *finished) own += f.ms;
+  double start = phase_start;
+  for (const FinishedQuery& f : *finished) {
+    const double share =
+        own > 0 ? wall * f.ms / own : wall / double(finished->size());
+    trace->Add(SpanKind::kCompute, share, f.rows, 0, -1, start);
+    start += share;
+  }
+  return Status::OK();
+}
+
 Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
                                     const std::vector<PlannedQuery>& batch,
-                                    const PlannedScan& scan, ThreadPool* pool,
-                                    QueryTrace* trace, ScanOutput* out) {
+                                    const PlannedScan& scan,
+                                    const PoolSlice& exec, QueryTrace* trace,
+                                    ScanOutput* out) {
   const PlannedQuery& head = batch[scan.members.front()];
   const uint64_t rows = cv.num_rows();
   switch (scan.route) {
@@ -988,7 +1070,7 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
           STATDB_ASSIGN_OR_RETURN(
               FilteredScanResult filtered,
               ScanCompressedFiltered(*scan.sidecar, kind, *filter,
-                                     scan.want_counts, pool));
+                                     scan.want_counts, exec));
           out->column.desc = filtered.desc;
           out->column.counts = std::move(filtered.counts);
           span.SetRows(filtered.rows);
@@ -996,7 +1078,7 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
           STATDB_ASSIGN_OR_RETURN(
               out->column,
               ScanCompressedColumn(*scan.sidecar, kind, scan.want_counts,
-                                   pool));
+                                   exec));
           span.SetRows(scan.sidecar->size());
         }
         span.SetPages(scan.sidecar->page_count());
@@ -1009,14 +1091,15 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
       ColumnScanSpec spec;
       spec.filter = filter;
       spec.want_moments = scan.want_moments;
+      spec.extremes_only = scan.extremes_only;
       spec.want_counts = scan.want_counts;
       spec.keep_values = scan.keep_values;
-      spec.time_chunks = trace != nullptr && pool != nullptr;
+      spec.time_chunks = trace != nullptr && exec.pool != nullptr;
       {
         ScopedSpan span(trace, SpanKind::kScan);
         STATDB_ASSIGN_OR_RETURN(
             out->column, ParallelScanColumn(rows, ColumnFile::kCellsPerPage,
-                                            reader, spec, pool));
+                                            reader, spec, exec));
         span.SetRowsPaged(out->column.rows, ColumnFile::kCellsPerPage);
       }
       if (trace != nullptr) {
@@ -1044,7 +1127,7 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
       if (delta::IsComomentFunction(head.function)) {
         STATDB_ASSIGN_OR_RETURN(
             out->comoments,
-            ParallelScanPairs(rows, ColumnFile::kCellsPerPage, reader, pool));
+            ParallelScanPairs(rows, ColumnFile::kCellsPerPage, reader, exec));
         pairs = out->comoments.n;
       } else if (head.group_codes) {
         // welch_t: each row's x folds into its group's moment state.
@@ -1082,31 +1165,31 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
 Result<SummaryResult> StatisticalDbms::FinishQuery(const PlannedQuery& query,
                                                    const PlannedScan& scan,
                                                    const ScanOutput& out,
-                                                   ScopedSpan* span) {
+                                                   uint64_t* rows) const {
   // One finish per family (DESIGN.md §9.1).
   const std::string& fn = query.function;
   switch (scan.route) {
     case QueryRoute::kCompressedRuns:
     case QueryRoute::kColumnChunks:
       if (scan.route == QueryRoute::kCompressedRuns || IsMoment(fn) ||
-          (scan.want_counts && NeedsValueCounts(fn))) {
-        span->SetRows(out.column.desc.count);
+          (scan.want_counts && MergesCounts(fn, /*parallel=*/true))) {
+        *rows = out.column.desc.count;
         return FinishMergeable(fn, query.params, out.column);
       }
-      span->SetRows(out.column.values.size());
+      *rows = out.column.values.size();
       return mdb_.functions().Compute(fn, out.column.values, query.params);
     case QueryRoute::kPairs:
       if (delta::IsComomentFunction(fn)) {
-        span->SetRows(out.comoments.n);
+        *rows = out.comoments.n;
         return delta::FinishComoments(fn, out.comoments);
       }
       if (query.group_codes) {
-        span->SetRows(out.group_a.count + out.group_b.count);
+        *rows = out.group_a.count + out.group_b.count;
         STATDB_ASSIGN_OR_RETURN(
             TestResult t, WelchTTestFromMoments(out.group_a, out.group_b));
         return SummaryResult::Vector({t.statistic, t.dof, t.p_value});
       }
-      span->SetRows(out.xs.size());
+      *rows = out.xs.size();
       return FinishCodePairs(fn, out.xs, out.ys);
   }
   return InternalError("unplanned query route");

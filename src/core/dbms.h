@@ -36,6 +36,7 @@
 namespace statdb {
 
 class ThreadPool;
+struct PoolSlice;
 
 namespace session {
 class SessionManager;
@@ -651,8 +652,9 @@ class StatisticalDbms {
     kColumnChunks,    // one attribute, ParallelScanColumn
     kPairs,           // two attributes, row-aligned numeric pairs
   };
-  struct PlannedScan;  // dbms.cc
-  struct ScanOutput;   // dbms.cc
+  struct PlannedScan;    // dbms.cc
+  struct ScanOutput;     // dbms.cc
+  struct FinishedQuery;  // dbms.cc
 
   /// SLO classes of the top-level operations; the query classes come
   /// first. Names in dbms.cc's kOpClassNames.
@@ -702,20 +704,35 @@ class StatisticalDbms {
       const std::string& view, const std::vector<PlannedQuery>& batch,
       const QueryOptions& opts, size_t workers, QueryTrace* trace);
 
-  /// Reads the view along `scan`'s route into `out`. `pool` is null at
-  /// one worker.
+  /// The exec pool (DESIGN.md §9.1): made by the first parallel batch,
+  /// sized from std::thread::hardware_concurrency(), shared by every
+  /// batch after it.
+  ThreadPool* ExecPool();
+
+  /// Reads the view along `scan`'s route into `out`. `exec` has no pool
+  /// at one worker.
   Status ExecuteScan(const ConcreteView& cv,
                      const std::vector<PlannedQuery>& batch,
-                     const PlannedScan& scan, ThreadPool* pool,
+                     const PlannedScan& scan, const PoolSlice& exec,
                      QueryTrace* trace, ScanOutput* out);
 
   /// Computes one request's answer from its scan's output: one finish
-  /// per family — moments and (with a pool) value counts from the scan's
-  /// states, co-moments and welch_t from theirs, the registry or stats/
-  /// on gathered values for the rest (DESIGN.md §9.1).
+  /// per family — moments, and mode/distinct with a pool, from the
+  /// scan's states (every value-count function on the compressed route),
+  /// co-moments and welch_t from theirs, the registry or stats/ on
+  /// gathered values for the rest (DESIGN.md §9.1). `*rows` is what it
+  /// read. Safe to run for several requests at once: it only reads.
   Result<SummaryResult> FinishQuery(const PlannedQuery& query,
                                     const PlannedScan& scan,
-                                    const ScanOutput& out, ScopedSpan* span);
+                                    const ScanOutput& out,
+                                    uint64_t* rows) const;
+
+  /// Runs FinishQuery for every member of `scan` on the pool, then adds
+  /// their compute spans to `trace`. Errors stay in `finished`.
+  Status FinishOnPool(const std::vector<PlannedQuery>& batch,
+                      const PlannedScan& scan, const ScanOutput& out,
+                      const PoolSlice& exec, QueryTrace* trace,
+                      std::vector<FinishedQuery>* finished);
 
   /// Cache / staleness / inference consultation. Fills `*answer` and
   /// returns true when the request is satisfied without computation;
@@ -870,6 +887,11 @@ class StatisticalDbms {
   /// unique_ptr of an incomplete type: the destructor is in dbms.cc,
   /// which includes session/session.h.
   std::unique_ptr<session::SessionManager> sessions_;
+
+  /// The exec pool (ExecPool). Declared last, so it joins its workers
+  /// before the instruments it records into go away.
+  Mutex exec_pool_mu_;
+  std::unique_ptr<ThreadPool> exec_pool_ STATDB_GUARDED_BY(exec_pool_mu_);
 };
 
 }  // namespace statdb

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <utility>
 
 #include "simd/kernels.h"
@@ -29,14 +30,14 @@ namespace {
 /// Pages per chunk of an inline (one-worker) scan: bounds its buffers.
 constexpr uint64_t kInlineChunkPages = 64;
 
-/// The chunks of one scan. With a pool, pool->size() * 4 of them: over-
+/// The chunks of one scan. With a pool, exec.workers * 4 of them: over-
 /// decomposed relative to the worker count so a slow chunk (cold pages,
 /// eviction pressure) cannot straggle the whole pass. Inline, chunks of
 /// at most kInlineChunkPages pages, or one chunk when `whole`.
 std::vector<ScanChunk> ChunksOf(uint64_t rows, size_t cells_per_page,
-                                const ThreadPool* pool, bool whole) {
-  if (pool != nullptr) {
-    return SplitPageAligned(rows, cells_per_page, pool->size() * 4);
+                                const PoolSlice& exec, bool whole) {
+  if (exec.pool != nullptr) {
+    return SplitPageAligned(rows, cells_per_page, exec.workers * 4);
   }
   const uint64_t cpp = std::max<uint64_t>(cells_per_page, 1);
   const uint64_t pages = (rows + cpp - 1) / cpp;
@@ -53,6 +54,25 @@ struct ChunkPartial {
   ValueCounts counts;
   std::vector<double> values;
 };
+
+/// count, min and max of `data` as a fold of DescriptiveStats::Add
+/// leaves them (NaN-skipping; an all-NaN span has NaN extrema), with no
+/// mean or m2 update. Merge keeps them exact across chunks.
+DescriptiveStats Extremes(const std::vector<double>& data) {
+  DescriptiveStats d;
+  if (data.empty()) return d;
+  double mn = std::numeric_limits<double>::infinity();
+  double mx = -mn;
+  for (double x : data) {
+    mn = x < mn ? x : mn;
+    mx = x > mx ? x : mx;
+  }
+  if (mn > mx) mn = mx = std::numeric_limits<double>::quiet_NaN();
+  d.count = data.size();
+  d.min = mn;
+  d.max = mx;
+  return d;
+}
 
 /// Reads one chunk and folds it into `out`. `kernel`: a worker's fresh
 /// partial, whose moments come from the span kernel; otherwise the
@@ -73,6 +93,8 @@ Status ScanOneChunk(const ScanChunk& chunk, const ColumnRangeReader& reader,
     // Span-batched kernel (simd/kernels.h): same count/min/max as the
     // serial fold, moments within the documented 4-lane tolerance.
     out->desc = simd::DescribeSpan(data.data(), data.size());
+  } else if (spec.want_moments && spec.extremes_only) {
+    out->desc.Merge(Extremes(data));
   } else if (spec.want_moments) {
     for (double x : data) out->desc.Add(x);
   }
@@ -97,16 +119,16 @@ Result<ColumnScanResult> ParallelScanColumn(uint64_t rows,
                                             size_t cells_per_page,
                                             const ColumnRangeReader& reader,
                                             const ColumnScanSpec& spec,
-                                            ThreadPool* pool) {
+                                            const PoolSlice& exec) {
   std::vector<ScanChunk> chunks =
-      ChunksOf(rows, cells_per_page, pool, spec.keep_values);
+      ChunksOf(rows, cells_per_page, exec, spec.keep_values);
   ColumnScanResult result;
   if (spec.time_chunks) result.chunk_stats.resize(chunks.size());
   // With a pool every chunk folds a private kernel partial; inline every
   // chunk folds into the one running state.
-  const bool kernel = pool != nullptr;
+  const bool kernel = exec.pool != nullptr;
   std::vector<ChunkPartial> partials(kernel ? chunks.size() : 1);
-  STATDB_RETURN_IF_ERROR(ForEachIndex(pool, chunks.size(), [&](size_t i) {
+  STATDB_RETURN_IF_ERROR(ForEachIndex(exec, chunks.size(), [&](size_t i) {
     return ScanOneChunk(
         chunks[i], reader, spec, kernel, &partials[kernel ? i : 0],
         result.chunk_stats.empty() ? nullptr : &result.chunk_stats[i]);
@@ -136,7 +158,7 @@ Result<ColumnScanResult> ParallelScanColumn(uint64_t rows,
   // every partial, so one task per shard folds its slice of all partials
   // with no cross-shard writes.
   STATDB_RETURN_IF_ERROR(
-      ForEachIndex(pool, ValueCounts::kShards, [&](size_t s) {
+      ForEachIndex(exec, ValueCounts::kShards, [&](size_t s) {
         size_t total = 0;
         for (const ChunkPartial& p : partials) {
           total += p.counts.shards[s].size();
@@ -156,7 +178,7 @@ Status FoldPairsInline(
                                const std::vector<double>& ys)>& fold) {
   std::vector<double> xs, ys;
   for (const ScanChunk& c :
-       ChunksOf(rows, cells_per_page, /*pool=*/nullptr, /*whole=*/false)) {
+       ChunksOf(rows, cells_per_page, /*exec=*/{}, /*whole=*/false)) {
     xs.clear();
     ys.clear();
     STATDB_RETURN_IF_ERROR(reader(c.begin, c.end, &xs, &ys));
@@ -167,9 +189,9 @@ Status FoldPairsInline(
 
 Result<ComomentStats> ParallelScanPairs(uint64_t rows, size_t cells_per_page,
                                         const PairRangeReader& reader,
-                                        ThreadPool* pool) {
+                                        const PoolSlice& exec) {
   ComomentStats merged;
-  if (pool == nullptr) {
+  if (exec.pool == nullptr) {
     STATDB_RETURN_IF_ERROR(FoldPairsInline(
         rows, cells_per_page, reader,
         [&merged](const std::vector<double>& xs,
@@ -180,9 +202,9 @@ Result<ComomentStats> ParallelScanPairs(uint64_t rows, size_t cells_per_page,
     return merged;
   }
   std::vector<ScanChunk> chunks =
-      ChunksOf(rows, cells_per_page, pool, /*whole=*/false);
+      ChunksOf(rows, cells_per_page, exec, /*whole=*/false);
   std::vector<ComomentStats> partials(chunks.size());
-  STATDB_RETURN_IF_ERROR(ForEachIndex(pool, chunks.size(), [&](size_t i) {
+  STATDB_RETURN_IF_ERROR(ForEachIndex(exec, chunks.size(), [&](size_t i) {
     std::vector<double> xs, ys;
     STATDB_RETURN_IF_ERROR(reader(chunks[i].begin, chunks[i].end, &xs, &ys));
     partials[i] = simd::ComomentSpan(xs.data(), ys.data(), xs.size());

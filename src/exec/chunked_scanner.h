@@ -46,10 +46,13 @@ using PairRangeReader = std::function<Status(
 struct ColumnScanSpec {
   /// Only values the predicate matches are folded, counted and kept.
   std::optional<simd::RunPredicate> filter;
-  /// Fold DescriptiveStats (mode, distinct and histogram finish from
-  /// the merged partials' count and range too).
+  /// Fold DescriptiveStats.
   bool want_moments = true;
-  /// Build the per-shard value-count maps (mode / distinct / histogram).
+  /// Inline scans fold only count, min and max, with the exact
+  /// NaN-skipping update and no mean or m2 (the members need nothing
+  /// else). Kernel partials ignore it.
+  bool extremes_only = false;
+  /// Build the per-shard value-count maps (mode / distinct).
   bool want_counts = false;
   /// Keep the column values themselves (order-dependent functions —
   /// median, quantiles — and incremental-maintainer arming need them).
@@ -79,8 +82,9 @@ struct ColumnScanResult {
   std::vector<ChunkScanStat> chunk_stats;  // spec.time_chunks only
 };
 
-/// Splits one view column into page-aligned chunks, scans them on
-/// `pool`'s workers (each folding a private span-kernel partial), and
+/// Splits one view column into `exec.workers * 4` page-aligned chunks
+/// (over-decomposed so one cold chunk cannot straggle the pass), scans
+/// them on the pool (each folding a private span-kernel partial), and
 /// merges the partials in chunk order at the join barrier. With a null
 /// pool it folds every value with DescriptiveStats::Add in row order on
 /// the caller (ComputeDescriptive's moments, bit for bit), in chunks of
@@ -89,7 +93,7 @@ Result<ColumnScanResult> ParallelScanColumn(uint64_t rows,
                                             size_t cells_per_page,
                                             const ColumnRangeReader& reader,
                                             const ColumnScanSpec& spec,
-                                            ThreadPool* pool);
+                                            const PoolSlice& exec);
 
 /// Reads the pairs of rows [0, rows) on the caller in page-aligned
 /// chunks of at most 64 pages, and hands each chunk's pairs to `fold` in
@@ -104,7 +108,7 @@ Status FoldPairsInline(
 /// FoldPairsInline (ComputeComoments of the pairs, bit for bit).
 Result<ComomentStats> ParallelScanPairs(uint64_t rows, size_t cells_per_page,
                                         const PairRangeReader& reader,
-                                        ThreadPool* pool);
+                                        const PoolSlice& exec);
 
 }  // namespace statdb
 

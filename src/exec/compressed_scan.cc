@@ -8,12 +8,12 @@ namespace statdb {
 
 Result<FilteredScanResult> ScanCompressedFiltered(
     const CompressedColumnFile& file, simd::RunValueKind kind,
-    const simd::RunPredicate& pred, bool want_counts, ThreadPool* pool) {
+    const simd::RunPredicate& pred, bool want_counts, const PoolSlice& exec) {
   // Whole pages per chunk (runs never straddle pages), 4 chunks per
   // worker like ParallelScanColumn so one cold chunk cannot straggle.
   const std::vector<ScanChunk> chunks = SplitPageAligned(
       file.page_count(), /*cells_per_page=*/1,
-      pool == nullptr ? 1 : pool->size() * 4);
+      exec.pool == nullptr ? 1 : exec.workers * 4);
   const std::vector<uint64_t>& starts = file.page_starts();
 
   struct ChunkPartial {
@@ -23,7 +23,7 @@ Result<FilteredScanResult> ScanCompressedFiltered(
   };
   std::vector<ChunkPartial> partials(chunks.size());
   STATDB_RETURN_IF_ERROR(ForEachIndex(
-      pool, chunks.size(),
+      exec, chunks.size(),
       [&chunks, &partials, &starts, &file, kind, &pred,
        want_counts](size_t i) -> Status {
         STATDB_ASSIGN_OR_RETURN(
@@ -57,12 +57,12 @@ Result<FilteredScanResult> ScanCompressedFiltered(
 Result<ColumnScanResult> ScanCompressedColumn(const CompressedColumnFile& file,
                                               simd::RunValueKind kind,
                                               bool want_counts,
-                                              ThreadPool* pool) {
+                                              const PoolSlice& exec) {
   // The trivial predicate matches every present run, unclipped.
   STATDB_ASSIGN_OR_RETURN(
       FilteredScanResult all,
       ScanCompressedFiltered(file, kind, simd::RunPredicate{}, want_counts,
-                             pool));
+                             exec));
   ColumnScanResult result;
   result.rows = all.rows;
   result.desc = all.desc;

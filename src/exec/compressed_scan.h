@@ -28,7 +28,7 @@ namespace statdb {
 Result<ColumnScanResult> ScanCompressedColumn(const CompressedColumnFile& file,
                                               simd::RunValueKind kind,
                                               bool want_counts,
-                                              ThreadPool* pool);
+                                              const PoolSlice& exec);
 
 /// Result of a filtered compressed-domain scan: how many rows matched,
 /// plus the aggregate partials over exactly those rows.
@@ -48,7 +48,7 @@ struct FilteredScanResult {
 /// the kAll predicate, exactly like a double comparison would decide).
 Result<FilteredScanResult> ScanCompressedFiltered(
     const CompressedColumnFile& file, simd::RunValueKind kind,
-    const simd::RunPredicate& pred, bool want_counts, ThreadPool* pool);
+    const simd::RunPredicate& pred, bool want_counts, const PoolSlice& exec);
 
 }  // namespace statdb
 

@@ -1,11 +1,34 @@
 #include "exec/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <string>
 #include <utility>
 
+#include "causal/trace_context.h"
+
 namespace statdb {
+
+namespace {
+
+/// Runs `f`, converting a thrown exception into INTERNAL: a worker must
+/// never unwind into the pool machinery (std::packaged_task would stash
+/// the exception in the future, but callers here consume plain Status
+/// values).
+template <typename F>
+Status RunCapturing(const F& f) {
+  try {
+    return f();
+  } catch (const std::exception& e) {
+    return InternalError(std::string("worker task threw: ") + e.what());
+  } catch (...) {
+    return InternalError("worker task threw a non-standard exception");
+  }
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
@@ -15,13 +38,9 @@ ThreadPool::ThreadPool(size_t num_threads) {
   }
 }
 
-ThreadPool::~ThreadPool() { Quiesce(); }
-
-void ThreadPool::Quiesce() {
+ThreadPool::~ThreadPool() {
   Shutdown();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
+  for (std::thread& w : workers_) w.join();
 }
 
 void ThreadPool::Shutdown() {
@@ -51,35 +70,40 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    auto start = std::chrono::steady_clock::now();
     task();
-    double ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    LatencyHistogram* sink;
-    {
-      MutexLock lock(mu_);
-      ++stats_.executed;
-      stats_.total_task_ms += ms;
-      sink = task_latency_;
-    }
-    if (sink != nullptr) sink->Record(ms);
   }
 }
 
-std::future<Status> ThreadPool::Submit(std::function<Status()> task) {
-  // Exception -> Status capture: a worker must never unwind into the
-  // pool machinery (std::packaged_task would stash the exception in the
-  // future, but callers here consume plain Status values).
+void ThreadPool::Account(double ms, ThreadPoolStats* ledger) {
+  LatencyHistogram* sink;
+  {
+    MutexLock lock(mu_);
+    ++stats_.executed;
+    stats_.total_task_ms += ms;
+    if (ledger != nullptr) {
+      ++ledger->executed;
+      ledger->total_task_ms += ms;
+    }
+    sink = task_latency_;
+  }
+  if (sink != nullptr) sink->Record(ms);
+}
+
+std::future<Status> ThreadPool::Submit(std::function<Status()> task,
+                                       ThreadPoolStats* ledger) {
+  // The task runs under the submitter's trace context and is accounted
+  // before it returns, i.e. before packaged_task resolves the future.
   std::packaged_task<Status()> wrapped(
-      [task = std::move(task)]() -> Status {
-        try {
-          return task();
-        } catch (const std::exception& e) {
-          return InternalError(std::string("worker task threw: ") + e.what());
-        } catch (...) {
-          return InternalError("worker task threw a non-standard exception");
-        }
+      [this, task = std::move(task), ledger,
+       ctx = causal::Current()]() -> Status {
+        causal::ScopedTraceContext scope(ctx);
+        const auto start = std::chrono::steady_clock::now();
+        Status s = RunCapturing(task);
+        Account(std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count(),
+                ledger);
+        return s;
       });
   std::future<Status> fut = wrapped.get_future();
   {
@@ -90,15 +114,19 @@ std::future<Status> ThreadPool::Submit(std::function<Status()> task) {
       // throw broken_promise once the queue is destroyed). Refuse with a
       // future that is ready immediately instead.
       ++stats_.rejected;
+      if (ledger != nullptr) ++ledger->rejected;
       std::promise<Status> refused;
       refused.set_value(FailedPreconditionError(
           "ThreadPool::Submit after Shutdown: task rejected"));
       return refused.get_future();
     }
     queue_.push_back(std::move(wrapped));
+    const uint64_t depth = queue_.size();
     ++stats_.submitted;
-    if (queue_.size() > stats_.max_queue_depth) {
-      stats_.max_queue_depth = queue_.size();
+    stats_.max_queue_depth = std::max(stats_.max_queue_depth, depth);
+    if (ledger != nullptr) {
+      ++ledger->submitted;
+      ledger->max_queue_depth = std::max(ledger->max_queue_depth, depth);
     }
   }
   cv_.NotifyOne();
@@ -119,18 +147,35 @@ Status ThreadPool::RunAll(std::vector<std::function<Status()>> tasks) {
   return first;
 }
 
-Status ForEachIndex(ThreadPool* pool, size_t n,
+Status ForEachIndex(const PoolSlice& slice, size_t n,
                     const std::function<Status(size_t)>& task) {
-  if (pool == nullptr || n <= 1) {
+  if (slice.pool == nullptr || n <= 1) {
     for (size_t i = 0; i < n; ++i) STATDB_RETURN_IF_ERROR(task(i));
     return Status::OK();
   }
-  std::vector<std::function<Status()>> tasks;
-  tasks.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    tasks.push_back([&task, i]() { return task(i); });
+  std::vector<Status> status(n);
+  std::atomic<size_t> next{0};
+  auto claim = [&]() -> Status {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      status[i] = RunCapturing([&] { return task(i); });
+    }
+    return Status::OK();
+  };
+  const size_t claimers = std::min(std::max<size_t>(slice.workers, 1), n);
+  std::vector<std::future<Status>> futures;
+  futures.reserve(claimers);
+  for (size_t c = 0; c < claimers; ++c) {
+    futures.push_back(slice.pool->Submit(claim, slice.ledger));
   }
-  return pool->RunAll(std::move(tasks));
+  Status refused = Status::OK();
+  for (std::future<Status>& f : futures) {
+    Status s = f.get();
+    if (refused.ok() && !s.ok()) refused = s;
+  }
+  STATDB_RETURN_IF_ERROR(refused);
+  for (const Status& s : status) STATDB_RETURN_IF_ERROR(s);
+  return Status::OK();
 }
 
 ThreadPoolStats ThreadPool::stats() const {

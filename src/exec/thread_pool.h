@@ -13,8 +13,10 @@
 
 namespace statdb {
 
-/// Work-queue behavior counters for one pool (the thread-pool section of
-/// Dbms::DumpMetrics). Snapshot by value via ThreadPool::stats().
+/// Work-queue behavior counters, in one shape for two scopes: a pool's
+/// lifetime totals (ThreadPool::stats()) and one submitter's ledger
+/// (Submit's `ledger`), which is how a batch on a shared pool reads
+/// exactly its own share.
 struct ThreadPoolStats {
   uint64_t submitted = 0;        // tasks accepted into the queue
   uint64_t executed = 0;         // tasks that ran to completion
@@ -28,13 +30,21 @@ struct ThreadPoolStats {
 /// Tasks are `Status()` callables; a task that throws is captured and
 /// surfaced as an INTERNAL Status instead of terminating the process, so
 /// the Status-based error discipline of the rest of the system holds
-/// across thread boundaries. Destruction is graceful: every task already
-/// queued still runs before the workers join.
+/// across thread boundaries. Every task runs under the causal
+/// TraceContext of the thread that submitted it, so what it records
+/// (I/O retries, pool misses, faults) joins the submitter's trace.
+/// Destruction is graceful: every task already queued still runs before
+/// the workers join.
 ///
 /// The pool itself is thread-safe (any thread may Submit), but it is not
-/// re-entrant: a task must not block on the future of another task
-/// submitted to the same pool, or the pool can deadlock with all workers
-/// waiting.
+/// re-entrant: a task must never wait on the pool — on the future of
+/// another task, or through ForEachIndex — or the pool can deadlock with
+/// all workers waiting.
+///
+/// Accounting: a task's `executed` and `total_task_ms` bumps (in stats()
+/// and in its ledger) land before its future resolves, so a submitter
+/// that has joined its futures reads exact figures without draining the
+/// pool.
 ///
 /// Shutdown discipline: once Shutdown() runs (the destructor calls it),
 /// Submit refuses new work with an immediately-ready FAILED_PRECONDITION
@@ -60,17 +70,15 @@ class ThreadPool {
   /// so tests can pin down the Submit-after-shutdown contract.
   void Shutdown();
 
-  /// Shutdown() plus joining every worker: on return the queue is fully
-  /// drained and the final `executed`/`total_task_ms` bumps have landed,
-  /// so stats() is exact. Idempotent, but only the owning thread may
-  /// call it (it joins the worker threads).
-  void Quiesce();
-
   /// Enqueues one task; the future carries its Status (or the Status a
   /// thrown exception was converted to). After Shutdown the task is NOT
   /// enqueued and the returned future is already ready with
-  /// FAILED_PRECONDITION.
-  std::future<Status> Submit(std::function<Status()> task);
+  /// FAILED_PRECONDITION. A non-null `ledger` is charged like stats():
+  /// submitted (or rejected) now, executed and task time before the
+  /// future resolves; bumps land under the pool's lock, and the ledger
+  /// must outlive the future.
+  std::future<Status> Submit(std::function<Status()> task,
+                             ThreadPoolStats* ledger = nullptr);
 
   /// Submits every task, waits for all of them, and returns the first
   /// non-OK Status in task order (OK if all succeeded). Unlike a bare
@@ -78,7 +86,8 @@ class ThreadPool {
   /// before RunAll returns, even on error.
   Status RunAll(std::vector<std::function<Status()>> tasks);
 
-  /// Counter snapshot (exact once the pool is quiescent or destroyed).
+  /// Lifetime counter snapshot. Exact for every task whose future has
+  /// resolved.
   ThreadPoolStats stats() const;
 
   /// Optional per-task latency sink: every completed task records its
@@ -89,6 +98,8 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
+  /// Charges one finished task to stats() and `ledger`.
+  void Account(double ms, ThreadPoolStats* ledger);
 
   std::vector<std::thread> workers_;
   mutable Mutex mu_;
@@ -99,10 +110,30 @@ class ThreadPool {
   LatencyHistogram* task_latency_ STATDB_GUARDED_BY(mu_) = nullptr;
 };
 
-/// Runs `task(i)` for every i in [0, n): on `pool` when there is one and
-/// more than one task, else inline in order. Returns the first error in
-/// index order; every task finishes first.
-Status ForEachIndex(ThreadPool* pool, size_t n,
+/// One submitter's share of a pool: at most `workers` of its tasks run
+/// at once, and `ledger` (optional) is charged for them. A null pool
+/// runs everything inline on the caller.
+struct PoolSlice {
+  PoolSlice() = default;
+  /// The whole pool, unledgered (null: inline).
+  PoolSlice(ThreadPool* p)  // NOLINT(google-explicit-constructor)
+      : pool(p), workers(p == nullptr ? 1 : p->size()) {}
+  PoolSlice(ThreadPool* p, size_t w, ThreadPoolStats* l)
+      : pool(p), workers(w), ledger(l) {}
+
+  ThreadPool* pool = nullptr;
+  size_t workers = 1;
+  ThreadPoolStats* ledger = nullptr;
+};
+
+/// Runs `task(i)` for every i in [0, n): on the slice's pool when there
+/// is one and more than one task, else inline in order. On the pool, at
+/// most `slice.workers` claimer tasks pull the indices in ascending
+/// order, so however many indices there are, the slice never holds more
+/// than its workers. A task that throws fails its index with INTERNAL.
+/// Returns the first error in index order (a claimer the pool refused
+/// fails the call first); every index runs before it returns.
+Status ForEachIndex(const PoolSlice& slice, size_t n,
                     const std::function<Status(size_t)>& task);
 
 }  // namespace statdb

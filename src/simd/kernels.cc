@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "simd/kernels_internal.h"
 
@@ -91,6 +92,20 @@ const LaneOps& ScalarOps() {
   return ops;
 }
 
+namespace {
+
+/// The one value of a constant span: its exact min when that equals its
+/// exact max and is finite, and no value is NaN (`sum` is the lane sum,
+/// which a NaN makes NaN). A lane-summed mean of such a span need not be
+/// the value (2,000 × 0.1), so the callers take the value itself and a
+/// spread of exactly 0, as the Welford fold does.
+std::optional<double> ConstantValue(double mn, double mx, double sum) {
+  if (mn == mx && std::isfinite(mn) && !std::isnan(sum)) return mn;
+  return std::nullopt;
+}
+
+}  // namespace
+
 DescriptiveStats DescribeWith(const LaneOps& ops, const double* data,
                               size_t n) {
   DescriptiveStats s;
@@ -99,11 +114,15 @@ DescriptiveStats DescribeWith(const LaneOps& ops, const double* data,
   double lanes[4];
   ops.lane_sum(data, n, lanes);
   s.sum = ReduceLanes(lanes);
-  s.mean = s.sum / static_cast<double>(n);
-  ops.lane_sum_sq_dev(data, n, s.mean, lanes);
-  s.m2 = ReduceLanes(lanes);
   double mn, mx;
   ops.min_max(data, n, &mn, &mx);
+  if (std::optional<double> v = ConstantValue(mn, mx, s.sum)) {
+    s.mean = *v;
+  } else {
+    s.mean = s.sum / static_cast<double>(n);
+    ops.lane_sum_sq_dev(data, n, s.mean, lanes);
+    s.m2 = ReduceLanes(lanes);
+  }
   if (mn > mx) {
     // min stayed at +inf and max at -inf: every value was NaN.
     mn = mx = std::numeric_limits<double>::quiet_NaN();
@@ -119,16 +138,29 @@ Comoments ComomentWith(const LaneOps& ops, const double* xs,
   if (n == 0) return c;
   c.n = n;
   double lanes[4];
+  double mn, mx;
   ops.lane_sum(xs, n, lanes);
-  c.mean_x = ReduceLanes(lanes) / static_cast<double>(n);
+  const double sum_x = ReduceLanes(lanes);
+  ops.min_max(xs, n, &mn, &mx);
+  const std::optional<double> const_x = ConstantValue(mn, mx, sum_x);
+  c.mean_x = const_x ? *const_x : sum_x / static_cast<double>(n);
   ops.lane_sum(ys, n, lanes);
-  c.mean_y = ReduceLanes(lanes) / static_cast<double>(n);
-  ops.lane_sum_sq_dev(xs, n, c.mean_x, lanes);
-  c.m2x = ReduceLanes(lanes);
-  ops.lane_sum_sq_dev(ys, n, c.mean_y, lanes);
-  c.m2y = ReduceLanes(lanes);
-  ops.lane_sum_prod_dev(xs, ys, n, c.mean_x, c.mean_y, lanes);
-  c.cxy = ReduceLanes(lanes);
+  const double sum_y = ReduceLanes(lanes);
+  ops.min_max(ys, n, &mn, &mx);
+  const std::optional<double> const_y = ConstantValue(mn, mx, sum_y);
+  c.mean_y = const_y ? *const_y : sum_y / static_cast<double>(n);
+  if (!const_x) {
+    ops.lane_sum_sq_dev(xs, n, c.mean_x, lanes);
+    c.m2x = ReduceLanes(lanes);
+  }
+  if (!const_y) {
+    ops.lane_sum_sq_dev(ys, n, c.mean_y, lanes);
+    c.m2y = ReduceLanes(lanes);
+  }
+  if (!const_x && !const_y) {
+    ops.lane_sum_prod_dev(xs, ys, n, c.mean_x, c.mean_y, lanes);
+    c.cxy = ReduceLanes(lanes);
+  }
   return c;
 }
 

@@ -31,7 +31,10 @@ namespace statdb::simd {
 ///
 /// Moments use two passes (lane-summed mean, then lane-summed squared
 /// deviations about it) rather than sumsq - sum²/n, so the kernel's m2
-/// is at least as well-conditioned as Welford's.
+/// is at least as well-conditioned as Welford's. A constant span (exact
+/// min == max, finite, no NaN) takes that value as its mean and 0 as its
+/// m2 (and co-moment), as the Welford fold does; a lane sum of 2,000 ×
+/// 0.1 divided back is not 0.1, and its spread would not be 0.
 ///
 /// NaN contract: min/max consider only non-NaN values (update rule
 /// `if (x < min) min = x` seeded from +inf/-inf). A non-empty span whose

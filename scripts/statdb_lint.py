@@ -84,6 +84,18 @@ CI next to the thread-safety lane:
                             per-batch pool (and its Quiesce-to-count
                             dance) cannot come back. tests/ are exempt:
                             they exercise the pool's own contract.
+  R10 function-table        Function-family knowledge lives in src/rules:
+                            the function table (FunctionDescriptor) says
+                            each statistic's family, arity, category role,
+                            finish and rule. src/core/dbms.cc, src/delta/,
+                            src/exec/ and src/session/ never compare a
+                            function name against a string literal
+                            (`function == "mean"`), so no per-name family
+                            list grows beside the table. Named constants
+                            (kNoteFunction) are fine. core/inference.cc
+                            (the Database-Abstract rules, per-name by
+                            nature) and src/check (the independent
+                            oracle) are outside the scope.
 
 Usage:
   scripts/statdb_lint.py             # lint the repo; exit 1 on findings
@@ -581,6 +593,42 @@ def check_exec_pool(path, text):
     return findings
 
 
+# --- R10: function-family knowledge lives in the function table --------------
+
+FUNCTION_TABLE_SCOPE_RE = re.compile(
+    r"^(src/core/dbms\.cc$|src/delta/|src/exec/|src/session/)"
+)
+# An identifier holding a function name: `function`, `key.function`,
+# `q.function_name`, `fn`, `head->fn`. Literals are blanked by
+# strip_comments, but their quotes stay.
+_FN_NAME = r"(?:[A-Za-z_]\w*(?:\.|->))*(?:\w*function\w*|fn\w*)"
+FUNCTION_LITERAL_RE = re.compile(
+    r"\b" + _FN_NAME + r"\s*(?:==|!=)\s*\""
+    r"|\"\s*(?:==|!=)\s*" + _FN_NAME + r"\b"
+)
+
+
+def check_function_table(path, text):
+    norm = path.replace(os.sep, "/")
+    if not FUNCTION_TABLE_SCOPE_RE.match(norm):
+        return []
+    findings = []
+    for lineno, line in enumerate(strip_comments(text).splitlines(), 1):
+        if FUNCTION_LITERAL_RE.search(line):
+            findings.append(
+                Finding(
+                    "function-table",
+                    path,
+                    lineno,
+                    "function name compared against a string literal — "
+                    "a function's family, arity, category role, finish "
+                    "and rule come from its FunctionDescriptor "
+                    "(src/rules/function_registry.h, DESIGN.md §9.1)",
+                )
+            )
+    return findings
+
+
 # --- driver ------------------------------------------------------------------
 
 
@@ -597,6 +645,7 @@ def lint_corpus(files):
         findings += check_delta_routing(path, text)
         findings += check_causal_events(path, text)
         findings += check_exec_pool(path, text)
+        findings += check_function_table(path, text)
     findings += check_nodiscard(files)
     return findings
 
@@ -708,6 +757,24 @@ SELF_TEST_SNIPPETS = [
         "Status Scan(size_t workers) {\n"
         "  ThreadPool pool(workers);\n"
         "  return Status::OK();\n"
+        "}\n",
+    ),
+    (
+        "function-table",
+        # Replaces the real dbms.cc in the synthetic corpus: a per-name
+        # family list beside the function table.
+        "src/core/dbms.cc",
+        "bool IsMoment(const std::string& function) {\n"
+        "  return function == \"count\" || function == \"sum\" ||\n"
+        "         function == \"mean\";\n"
+        "}\n",
+    ),
+    (
+        "function-table",
+        # The flush engine keying a rule off a name, literal first.
+        "src/delta/injected_r10.cc",
+        "bool Pair(const SummaryKey& key) {\n"
+        "  return \"correlation\" == key.function;\n"
         "}\n",
     ),
 ]

@@ -1004,7 +1004,7 @@ Status AuditSummaryAgainstView(SummaryDatabase* summary,
   };
 
   for (const SummaryEntry& e : entries) {
-    if (e.key.function == "note" ||
+    if (e.key.function == kNoteFunction ||
         e.result.kind() == SummaryResultKind::kText) {
       continue;  // annotations have no ground truth in the view
     }

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "check/db_auditor.h"
-#include "delta/comoment.h"
 #include "delta/maintenance.h"
 #include "exec/chunked_scanner.h"
 #include "exec/compressed_scan.h"
@@ -20,46 +19,10 @@
 #include "stats/descriptive.h"
 #include "stats/crosstab.h"
 #include "stats/regression.h"
-#include "stats/tests.h"
 
 namespace statdb {
 
 namespace {
-
-/// Functions that are still meaningful on encoded category attributes.
-bool MeaningfulOnCategories(const std::string& function) {
-  return function == "count" || function == "distinct" ||
-         function == "mode" || function == "histogram";
-}
-
-/// The function families of DESIGN.md §14: moments finish from one
-/// DescriptiveStats at every worker count; value counts from a
-/// ValueCounts on the compressed route; every other function is
-/// holistic and gathers.
-bool IsMoment(const std::string& function) {
-  return function == "count" || function == "sum" || function == "mean" ||
-         function == "variance" || function == "stddev" ||
-         function == "min" || function == "max" || function == "range";
-}
-
-/// The moments that need only count, min and max.
-bool IsExtremes(const std::string& function) {
-  return function == "count" || function == "min" || function == "max" ||
-         function == "range";
-}
-
-bool NeedsValueCounts(const std::string& function) {
-  return function == "mode" || function == "distinct" ||
-         function == "histogram";
-}
-
-/// On column chunks only mode and distinct merge hashed counts, and only
-/// with a pool. A histogram gathers there at every worker count: hashing
-/// a mostly-distinct column costs far more than bucketing it, and the
-/// buckets are per value, so both give the same counts.
-bool MergesCounts(const std::string& function, bool parallel) {
-  return parallel && (function == "mode" || function == "distinct");
-}
 
 TraceOutcome OutcomeOfSource(AnswerSource source) {
   switch (source) {
@@ -163,56 +126,11 @@ Result<QueryAnswer> SingleAnswer(Result<std::vector<QueryAnswer>> answers) {
   return std::move(answers.value().front());
 }
 
-/// Finishes crosstab / chi2_independence from the gathered code pairs.
-Result<SummaryResult> FinishCodePairs(const std::string& function,
-                                      const std::vector<double>& xs,
-                                      const std::vector<double>& ys) {
-  STATDB_ASSIGN_OR_RETURN(CrossTab ct, CountCodePairs(xs, ys));
-  if (function == "crosstab") {
-    return SummaryResult::Contingency(std::move(ct));
-  }
-  STATDB_ASSIGN_OR_RETURN(TestResult t, ChiSquaredIndependence(ct));
-  return SummaryResult::Vector({t.statistic, t.dof, t.p_value});
-}
-
-/// Finishes one mergeable statistic from the merged scan state,
-/// reproducing the serial functions' values and domain errors (empty
-/// columns fail with the exact strings the serial path uses).
-Result<SummaryResult> FinishMergeable(const std::string& function,
-                                      const FunctionParams& params,
-                                      const ColumnScanResult& scan) {
-  const DescriptiveStats& d = scan.desc;
-  if (function == "count") return SummaryResult::Scalar(double(d.count));
-  if (function == "sum") return SummaryResult::Scalar(d.sum);
-  if (function == "distinct") {
-    return SummaryResult::Scalar(double(scan.counts.Distinct()));
-  }
-  if (function == "mode") {
-    STATDB_ASSIGN_OR_RETURN(double m, scan.counts.ModeValue());
-    return SummaryResult::Scalar(m);
-  }
-  if (function == "histogram") {
-    STATDB_ASSIGN_OR_RETURN(size_t buckets, params.GetCount("buckets", 20));
-    if (d.count == 0) {
-      return InvalidArgumentError("histogram of an empty column");
-    }
-    double lo = d.min;
-    double hi = d.max;
-    if (lo == hi) hi = lo + 1.0;  // degenerate constant column
-    STATDB_ASSIGN_OR_RETURN(Histogram h,
-                            scan.counts.ToHistogram(buckets, lo, hi));
-    return SummaryResult::Histo(std::move(h));
-  }
-  if (d.count == 0) {
-    return InvalidArgumentError("statistic of an empty column");
-  }
-  if (function == "mean") return SummaryResult::Scalar(d.mean);
-  if (function == "variance") return SummaryResult::Scalar(d.Variance());
-  if (function == "stddev") return SummaryResult::Scalar(d.StdDev());
-  if (function == "min") return SummaryResult::Scalar(d.min);
-  if (function == "max") return SummaryResult::Scalar(d.max);
-  if (function == "range") return SummaryResult::Scalar(d.max - d.min);
-  return InternalError("FinishMergeable on non-mergeable " + function);
+/// Moves a column scan's states into the output's family state.
+void TakeColumn(ColumnScanResult&& column, FamilyState* out) {
+  out->moments = column.desc;
+  out->counts = std::move(column.counts);
+  out->values = std::move(column.values);
 }
 
 }  // namespace
@@ -524,7 +442,7 @@ Result<Table> StatisticalDbms::RematerializeFromTape(
 
 Status StatisticalDbms::CheckQueryable(const Schema& schema,
                                        const std::string& function,
-                                       const std::string& attribute) {
+                                       const std::string& attribute) const {
   // Meta-data gate (§3.2): no medians of AGE_GROUP codes.
   STATDB_ASSIGN_OR_RETURN(size_t attr_idx, schema.IndexOf(attribute));
   const Attribute& attr = schema.attr(attr_idx);
@@ -534,8 +452,9 @@ Status StatisticalDbms::CheckQueryable(const Schema& schema,
     return InvalidArgumentError("attribute " + attribute +
                                 " is not numeric");
   }
+  Result<const FunctionDescriptor*> fn = mdb_.functions().Find(function, 1);
   if ((!attr.summarizable || attr.kind == AttributeKind::kCategory) &&
-      !MeaningfulOnCategories(function)) {
+      !(fn.ok() && fn.value()->on_categories)) {
     return InvalidArgumentError(
         "summary statistic '" + function +
         "' is not meaningful for category attribute " + attribute);
@@ -548,6 +467,8 @@ Status StatisticalDbms::CheckQueryable(const Schema& schema,
 struct StatisticalDbms::PlannedScan {
   QueryRoute route = QueryRoute::kColumnChunks;
   std::vector<size_t> members;
+  /// Each member's function, from the gate.
+  std::vector<const FunctionDescriptor*> fns;
   bool arm = false;
   bool want_moments = false;
   bool extremes_only = false;
@@ -565,37 +486,42 @@ struct StatisticalDbms::FinishedQuery {
   double ms = 0;
 };
 
-/// What a route's scan leaves for FinishQuery and the maintainer arm.
-struct StatisticalDbms::ScanOutput {
-  ColumnScanResult column;   // compressed runs / column chunks
-  ComomentStats comoments;   // correlation, covariance, regression
-  DescriptiveStats group_a;  // welch_t: x of the rows coded a
-  DescriptiveStats group_b;  //   and of the rows coded b
-  std::vector<double> xs;    // crosstab, chi2_independence: code pairs
-  std::vector<double> ys;
+/// What a route's scan leaves for FinishQuery and the maintainer arm:
+/// the family states it folded (welch_t's groups are `moments` and
+/// `group_b`) and the values it gathered.
+struct StatisticalDbms::ScanOutput : FamilyState {
+  uint64_t rows = 0;  // cells a column route read, before any filter
 };
 
-Status StatisticalDbms::PlannedQuery::Gate(const Schema& schema) const {
+Result<const FunctionDescriptor*> StatisticalDbms::Gate(
+    const Schema& schema, const PlannedQuery& query) const {
   // The meta-data gate, by attribute role: a summarized attribute must be
   // queryable (§3.2); pair and group requests keep their historical
   // acceptance — a cross-tab of category codes is the point — and need
   // only a known function. A cross-tab counts integer codes, so both of
   // its attributes must be stored as integers.
-  if (attributes.size() == 1) {
-    return CheckQueryable(schema, function, attributes.front());
+  if (query.attributes.size() == 1) {
+    STATDB_RETURN_IF_ERROR(
+        CheckQueryable(schema, query.function, query.attributes.front()));
+    return mdb_.functions().Find(query.function, 1);
   }
-  if (function == "crosstab" || function == "chi2_independence") {
-    for (const std::string& attr : attributes) {
+  Result<const FunctionDescriptor*> fn =
+      mdb_.functions().Find(query.function, 2);
+  if (!fn.ok() || (fn.value()->family == FunctionFamily::kGroupMoments) !=
+                      query.group_codes.has_value()) {
+    return InvalidArgumentError("unknown bivariate function " +
+                                query.function);
+  }
+  if (fn.value()->family == FunctionFamily::kCodePairs) {
+    for (const std::string& attr : query.attributes) {
       STATDB_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(attr));
       if (schema.attr(idx).type != DataType::kInt64) {
         return InvalidArgumentError(
             "bivariate cross-tab needs integer-coded attributes");
       }
     }
-    return Status::OK();
   }
-  if (group_codes || delta::IsComomentFunction(function)) return Status::OK();
-  return InvalidArgumentError("unknown bivariate function " + function);
+  return fn;
 }
 
 Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
@@ -667,6 +593,7 @@ Result<bool> StatisticalDbms::TryAnswerWithoutComputing(
 Status StatisticalDbms::CacheComputedResult(const std::string& view,
                                             ViewState* state,
                                             const SummaryKey& key,
+                                            const FunctionDescriptor& fn,
                                             const SummaryResult& result,
                                             const ScanOutput& out,
                                             QueryTrace* trace) {
@@ -675,26 +602,20 @@ Status StatisticalDbms::CacheComputedResult(const std::string& view,
     STATDB_RETURN_IF_ERROR(
         state->summary->Insert(key, result, state->view->version()));
   }
-  // Arm an incremental rule for this entry when one exists and the
-  // view maintains incrementally, from the scan's own states (§16).
+  // Arm the function's incremental rule when it has one and the view
+  // maintains incrementally, from the scan's own states (§16).
   STATDB_ASSIGN_OR_RETURN(const ViewRecord* rec, mdb_.GetView(view));
-  const bool pair = key.attributes.size() == 2;
-  if (rec->policy != MaintenancePolicy::kIncremental ||
-      (pair && !delta::IsComomentFunction(key.function))) {
+  if (rec->policy != MaintenancePolicy::kIncremental || fn.rule == nullptr) {
     return Status::OK();
   }
   ScopedSpan span(trace, SpanKind::kMaintainerArm);
-  const uint64_t rows = pair ? out.comoments.n : out.column.rows;
+  const uint64_t rows = fn.arity == 2 ? out.comoments.n : out.rows;
   span.SetRows(rows);
   // Arming routes through the delta engine (R7: dbms never drives
   // maintainer arms directly), so the flush path owns every maintainer
   // lifecycle transition.
-  const bool armed =
-      pair ? delta::ArmComomentMaintainer(key, out.comoments,
-                                          &state->comaintainers)
-           : delta::ArmMaintainer(mdb_, key, out.column.desc,
-                                  out.column.values, &state->maintainers);
-  if (armed && flight_.enabled()) {
+  if (delta::ArmMaintainer(mdb_, key, out, &state->maintainers) &&
+      flight_.enabled()) {
     flight_.Record(causal::Current(), FlightEventKind::kMaintainerArm,
                    QueryLabel(view, key.function,
                               AttributeLabel(key.attributes)),
@@ -851,7 +772,7 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
     for (const std::string& attr : q.attributes) {
       ++state->traffic.attribute_accesses[attr];
     }
-    STATDB_RETURN_IF_ERROR(q.Gate(schema));
+    STATDB_ASSIGN_OR_RETURN(const FunctionDescriptor* fn, Gate(schema, q));
     if (!q.filter) {
       SummaryKey key = q.Key();
       auto [owner, first] = primary.emplace(key.Encode(), i);
@@ -871,6 +792,7 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
     }
     if (s == scans.size()) scans.emplace_back();
     scans[s].members.push_back(i);
+    scans[s].fns.push_back(fn);
   }
 
   // Flush before compute, even under allow_stale (which only relaxes
@@ -897,7 +819,8 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
                rec->policy == MaintenancePolicy::kIncremental;
     if (head.attributes.size() == 2) {
       scan.route = QueryRoute::kPairs;
-      needs_pool = needs_pool || delta::IsComomentFunction(head.function);
+      needs_pool = needs_pool ||
+                   scan.fns.front()->family == FunctionFamily::kComoments;
       continue;
     }
     // Shared ref, not the raw pointer: a concurrent Install/Append
@@ -909,21 +832,20 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
     bool merge_counts = false;
     bool gather = false;
     bool extremes = true;
-    for (size_t i : scan.members) {
-      const PlannedQuery& q = batch[i];
-      const bool merges = MergesCounts(q.function, parallel);
-      scan.want_moments = scan.want_moments || IsMoment(q.function);
-      holistic = holistic ||
-                 !(IsMoment(q.function) || NeedsValueCounts(q.function));
-      any_counts = any_counts || NeedsValueCounts(q.function);
+    for (const FunctionDescriptor* fn : scan.fns) {
+      const bool moment = fn->family == FunctionFamily::kMoments;
+      const bool counts = fn->family == FunctionFamily::kValueCounts;
+      const bool merges = parallel && fn->hashes_counts;
+      scan.want_moments = scan.want_moments || moment;
+      holistic = holistic || !(moment || counts);
+      any_counts = any_counts || counts;
       merge_counts = merge_counts || merges;
       // Column chunks fold the moments at every worker count and merge
       // mode/distinct with a pool; the rest gather, like the rules that
       // arm from values.
-      gather = gather || !(IsMoment(q.function) || merges) ||
-               (scan.arm &&
-                delta::ArmsFromValues(mdb_, q.function, q.params));
-      extremes = extremes && IsExtremes(q.function);
+      gather = gather || !(moment || merges) ||
+               (scan.arm && fn->rule != nullptr && fn->rule_needs_values);
+      extremes = extremes && fn->extremes_only;
     }
     scan.route = compressed_scan_enabled_ && scan.sidecar != nullptr &&
                          !holistic && !scan.arm
@@ -962,15 +884,16 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
       const PlannedQuery& q = batch[scan.members[k]];
       if (!fan_out) {
         ScopedSpan span(trace, SpanKind::kCompute);
-        finished[k].result = FinishQuery(q, scan, out, &finished[k].rows);
+        finished[k].result =
+            FinishQuery(q, *scan.fns[k], scan, out, &finished[k].rows);
         span.SetRows(finished[k].rows);
       }
       STATDB_ASSIGN_OR_RETURN(SummaryResult result,
                               std::move(*finished[k].result));
       ++state->traffic.computed;
       if (opts.cache_result && !q.filter) {
-        STATDB_RETURN_IF_ERROR(
-            CacheComputedResult(view, state, q.Key(), result, out, trace));
+        STATDB_RETURN_IF_ERROR(CacheComputedResult(
+            view, state, q.Key(), *scan.fns[k], result, out, trace));
       }
       const bool pushdown =
           q.filter && scan.route == QueryRoute::kCompressedRuns;
@@ -1021,7 +944,9 @@ Status StatisticalDbms::FinishOnPool(const std::vector<PlannedQuery>& batch,
       ForEachIndex(exec, scan.members.size(), [&](size_t k) {
         FinishedQuery& f = (*finished)[k];
         TraceTimer timer;
-        f.result = FinishQuery(batch[scan.members[k]], scan, out, &f.rows);
+        f.result =
+            FinishQuery(batch[scan.members[k]], *scan.fns[k], scan, out,
+                        &f.rows);
         f.ms = timer.ElapsedMs();
         return Status::OK();
       }));
@@ -1071,14 +996,16 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
               FilteredScanResult filtered,
               ScanCompressedFiltered(*scan.sidecar, kind, *filter,
                                      scan.want_counts, exec));
-          out->column.desc = filtered.desc;
-          out->column.counts = std::move(filtered.counts);
+          out->moments = filtered.desc;
+          out->counts = std::move(filtered.counts);
           span.SetRows(filtered.rows);
         } else {
           STATDB_ASSIGN_OR_RETURN(
-              out->column,
+              ColumnScanResult column,
               ScanCompressedColumn(*scan.sidecar, kind, scan.want_counts,
                                    exec));
+          out->rows = column.rows;
+          TakeColumn(std::move(column), out);
           span.SetRows(scan.sidecar->size());
         }
         span.SetPages(scan.sidecar->page_count());
@@ -1095,20 +1022,23 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
       spec.want_counts = scan.want_counts;
       spec.keep_values = scan.keep_values;
       spec.time_chunks = trace != nullptr && exec.pool != nullptr;
+      ColumnScanResult column;
       {
         ScopedSpan span(trace, SpanKind::kScan);
         STATDB_ASSIGN_OR_RETURN(
-            out->column, ParallelScanColumn(rows, ColumnFile::kCellsPerPage,
-                                            reader, spec, exec));
-        span.SetRowsPaged(out->column.rows, ColumnFile::kCellsPerPage);
+            column, ParallelScanColumn(rows, ColumnFile::kCellsPerPage,
+                                       reader, spec, exec));
+        span.SetRowsPaged(column.rows, ColumnFile::kCellsPerPage);
       }
       if (trace != nullptr) {
-        for (size_t c = 0; c < out->column.chunk_stats.size(); ++c) {
-          const ChunkScanStat& cs = out->column.chunk_stats[c];
+        for (size_t c = 0; c < column.chunk_stats.size(); ++c) {
+          const ChunkScanStat& cs = column.chunk_stats[c];
           trace->Add(SpanKind::kScanChunk, cs.wall_ms, cs.rows,
                      PagesOf(cs.rows), int32_t(c));
         }
       }
+      out->rows = column.rows;
+      TakeColumn(std::move(column), out);
       return Status::OK();
     }
     case QueryRoute::kPairs: {
@@ -1124,12 +1054,13 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
       };
       ScopedSpan span(trace, SpanKind::kScan);
       uint64_t pairs = 0;
-      if (delta::IsComomentFunction(head.function)) {
+      const FunctionFamily family = scan.fns.front()->family;
+      if (family == FunctionFamily::kComoments) {
         STATDB_ASSIGN_OR_RETURN(
             out->comoments,
             ParallelScanPairs(rows, ColumnFile::kCellsPerPage, reader, exec));
         pairs = out->comoments.n;
-      } else if (head.group_codes) {
+      } else if (family == FunctionFamily::kGroupMoments) {
         // welch_t: each row's x folds into its group's moment state.
         const auto [code_a, code_b] = *head.group_codes;
         STATDB_RETURN_IF_ERROR(FoldPairsInline(
@@ -1143,7 +1074,7 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
                 }
                 // Truncates like Value::ToInt.
                 const int64_t code = static_cast<int64_t>(ys[i]);
-                if (code == code_a) out->group_a.Add(xs[i]);
+                if (code == code_a) out->moments.Add(xs[i]);
                 if (code == code_b) out->group_b.Add(xs[i]);
               }
               pairs += xs.size();
@@ -1162,37 +1093,39 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
   return InternalError("unplanned query route");
 }
 
-Result<SummaryResult> StatisticalDbms::FinishQuery(const PlannedQuery& query,
-                                                   const PlannedScan& scan,
-                                                   const ScanOutput& out,
-                                                   uint64_t* rows) const {
-  // One finish per family (DESIGN.md §9.1).
-  const std::string& fn = query.function;
-  switch (scan.route) {
-    case QueryRoute::kCompressedRuns:
-    case QueryRoute::kColumnChunks:
-      if (scan.route == QueryRoute::kCompressedRuns || IsMoment(fn) ||
-          (scan.want_counts && MergesCounts(fn, /*parallel=*/true))) {
-        *rows = out.column.desc.count;
-        return FinishMergeable(fn, query.params, out.column);
+Result<SummaryResult> StatisticalDbms::FinishQuery(
+    const PlannedQuery& query, const FunctionDescriptor& fn,
+    const PlannedScan& scan, const ScanOutput& out, uint64_t* rows) const {
+  // One finish per function (DESIGN.md §9.1): from the family state the
+  // scan folded, or over the values it gathered. Value counts fold on
+  // the compressed route, and on column chunks when they hash there.
+  const bool folded_counts = scan.route == QueryRoute::kCompressedRuns ||
+                             (scan.want_counts && fn.hashes_counts);
+  switch (fn.family) {
+    case FunctionFamily::kMoments:
+      *rows = out.moments.count;
+      break;
+    case FunctionFamily::kValueCounts:
+      if (!folded_counts) {
+        *rows = out.values.size();
+        return fn.compute(out.values, query.params);
       }
-      *rows = out.column.values.size();
-      return mdb_.functions().Compute(fn, out.column.values, query.params);
-    case QueryRoute::kPairs:
-      if (delta::IsComomentFunction(fn)) {
-        *rows = out.comoments.n;
-        return delta::FinishComoments(fn, out.comoments);
-      }
-      if (query.group_codes) {
-        *rows = out.group_a.count + out.group_b.count;
-        STATDB_ASSIGN_OR_RETURN(
-            TestResult t, WelchTTestFromMoments(out.group_a, out.group_b));
-        return SummaryResult::Vector({t.statistic, t.dof, t.p_value});
-      }
+      *rows = out.moments.count;
+      break;
+    case FunctionFamily::kComoments:
+      *rows = out.comoments.n;
+      break;
+    case FunctionFamily::kCodePairs:
       *rows = out.xs.size();
-      return FinishCodePairs(fn, out.xs, out.ys);
+      break;
+    case FunctionFamily::kGroupMoments:
+      *rows = out.moments.count + out.group_b.count;
+      break;
+    case FunctionFamily::kHolistic:
+      *rows = out.values.size();
+      return fn.compute(out.values, query.params);
   }
-  return InternalError("unplanned query route");
+  return fn.finish(out, query.params);
 }
 
 Result<FilterPredicate> StatisticalDbms::CoerceFilter(
@@ -1399,7 +1332,7 @@ Status StatisticalDbms::AnnotateAttribute(const std::string& view,
                                           std::string note) {
   STATDB_RETURN_IF_ERROR(GuardMutable());
   STATDB_ASSIGN_OR_RETURN(ViewState * state, GetState(view));
-  SummaryKey key = SummaryKey::Of("note", attribute);
+  SummaryKey key = SummaryKey::Of(std::string(kNoteFunction), attribute);
   STATDB_RETURN_IF_ERROR(state->summary->Insert(
       key, SummaryResult::Text(std::move(note)), state->view->version()));
   return CommitDurable(/*attr_hint=*/attribute, /*force=*/false);
@@ -1424,7 +1357,7 @@ Status StatisticalDbms::MaintainSummaries(const std::string& view_name,
       STATDB_ASSIGN_OR_RETURN(std::vector<double> data,
                               state->view->ReadNumericColumn(attribute));
       for (const SummaryEntry& e : entries) {
-        if (e.key.attributes.size() != 1 || e.key.function == "note") {
+        if (e.key.attributes.size() != 1 || e.key.function == kNoteFunction) {
           // Cross-column results are recomputed lazily.
           STATDB_RETURN_IF_ERROR(state->summary->MarkStale(e.key));
           continue;
@@ -1471,18 +1404,12 @@ Status StatisticalDbms::MaintainSummaries(const std::string& view_name,
       // the rules *before* invalidating keeps the no-resurrection
       // invariant: a later flush can never refresh these entries.
       state->deltas.Discard(attribute);
-      std::string prefix = SummaryKey::AttributePrefix(attribute);
-      auto mit = state->maintainers.lower_bound(prefix);
-      while (mit != state->maintainers.end() &&
-             mit->first.compare(0, prefix.size(), prefix) == 0) {
-        mit = state->maintainers.erase(mit);
-      }
-      for (auto cit = state->comaintainers.begin();
-           cit != state->comaintainers.end();) {
-        cit = cit->second->Touches(attribute)
-                  ? state->comaintainers.erase(cit)
-                  : std::next(cit);
-      }
+      std::erase_if(state->maintainers, [&attribute](const auto& rule) {
+        Result<SummaryKey> key = SummaryKey::Decode(rule.first);
+        return !key.ok() ||
+               std::ranges::find(key->attributes, attribute) !=
+                   key->attributes.end();
+      });
     }
   }
   if (decision.strategy == delta::MaintenanceStrategy::kInvalidateLazy) {
@@ -1516,7 +1443,6 @@ Status StatisticalDbms::FlushAttributeDeltas(const std::string& view_name,
   env.view_name = view_name;
   env.summary = state->summary.get();
   env.maintainers = &state->maintainers;
-  env.comaintainers = &state->comaintainers;
   env.view_version = state->view->version();
   env.load_column = [state, attribute]() {
     return state->view->ReadNumericColumn(attribute);
@@ -1770,7 +1696,6 @@ Status StatisticalDbms::RollbackUnderContext(const std::string& view,
     // discard them and stamp their attributes stale (they may not be in
     // `affected` when the pending update predates the rollback window).
     state->maintainers.clear();
-    state->comaintainers.clear();
     for (const std::string& attr : state->deltas.PendingAttributes()) {
       state->deltas.Discard(attr);
       STATDB_RETURN_IF_ERROR(

@@ -16,7 +16,6 @@
 #include "core/inference.h"
 #include "core/view.h"
 #include "core/view_def.h"
-#include "delta/comoment.h"
 #include "delta/delta_buffer.h"
 #include "delta/policy.h"
 #include "fault/wal.h"
@@ -536,12 +535,11 @@ class StatisticalDbms {
   session::SessionManager* sessions() { return sessions_.get(); }
 
   /// The meta-data gate shared by the univariate queries and the session
-  /// query path: numeric only, and no order statistics of category codes
-  /// (§3.2). Public so Session can apply the identical rule to the
-  /// schema entry at its pinned seq.
-  static Status CheckQueryable(const Schema& schema,
-                               const std::string& function,
-                               const std::string& attribute);
+  /// query path: numeric only, and on category codes only the functions
+  /// the function table marks meaningful there (§3.2). Public so Session
+  /// can apply the identical rule to the schema entry at its pinned seq.
+  Status CheckQueryable(const Schema& schema, const std::string& function,
+                        const std::string& attribute) const;
 
  private:
   /// The auditor's summary oracle skips entries whose attribute has
@@ -551,7 +549,8 @@ class StatisticalDbms {
   struct ViewState {
     std::unique_ptr<ConcreteView> view;
     std::unique_ptr<SummaryDatabase> summary;
-    /// Live maintainers keyed by encoded SummaryKey (kIncremental only).
+    /// Live maintainers — one- and two-attribute rules in one map —
+    /// keyed by encoded SummaryKey (kIncremental only).
     std::map<std::string, std::unique_ptr<IncrementalMaintainer>>
         maintainers;
     /// Secondary indexes keyed by attribute name.
@@ -559,10 +558,6 @@ class StatisticalDbms {
     /// Pending (unflushed) update deltas per attribute — the write side
     /// of the delta-batched maintenance engine (src/delta, §16).
     delta::DeltaBuffer deltas;
-    /// Bivariate comoment maintainers keyed by encoded SummaryKey
-    /// (kIncremental only), peers of `maintainers`.
-    std::map<std::string, std::unique_ptr<delta::ComomentMaintainer>>
-        comaintainers;
     ViewTrafficStats traffic;
   };
 
@@ -642,8 +637,6 @@ class StatisticalDbms {
     SummaryKey Key() const {
       return {function, attributes, params.Encode()};
     }
-    /// The meta-data gate for this request's attribute roles.
-    Status Gate(const Schema& schema) const;
   };
 
   /// How a planned scan reads the view.
@@ -716,13 +709,20 @@ class StatisticalDbms {
                      const PlannedScan& scan, const PoolSlice& exec,
                      QueryTrace* trace, ScanOutput* out);
 
-  /// Computes one request's answer from its scan's output: one finish
-  /// per family — moments, and mode/distinct with a pool, from the
-  /// scan's states (every value-count function on the compressed route),
-  /// co-moments and welch_t from theirs, the registry or stats/ on
-  /// gathered values for the rest (DESIGN.md §9.1). `*rows` is what it
-  /// read. Safe to run for several requests at once: it only reads.
+  /// The meta-data gate for one request, by the function table: its
+  /// function of the request's arity, and for one attribute
+  /// CheckQueryable; a cross-tab reads integer codes. Returns the
+  /// request's descriptor.
+  Result<const FunctionDescriptor*> Gate(const Schema& schema,
+                                         const PlannedQuery& query) const;
+
+  /// Computes one request's answer from its scan's output: the
+  /// descriptor's finish from the family state the scan folded, or its
+  /// compute over the values the scan gathered (DESIGN.md §9.1). `*rows`
+  /// is what it read. Safe to run for several requests at once: it only
+  /// reads.
   Result<SummaryResult> FinishQuery(const PlannedQuery& query,
+                                    const FunctionDescriptor& fn,
                                     const PlannedScan& scan,
                                     const ScanOutput& out,
                                     uint64_t* rows) const;
@@ -758,14 +758,14 @@ class StatisticalDbms {
   /// the whole-view barrier (explicit FlushDeltas, audits, reorganize).
   Status FlushViewDeltas(const std::string& view_name, ViewState* state);
 
-  /// Caches a computed result and arms an incremental maintainer when
-  /// the view's policy wants one — the pipeline's tail. The maintainer
-  /// arms from the scan's output `out`: a moment rule from its
-  /// DescriptiveStats, another univariate rule from its kept values, a
-  /// comoment maintainer from its co-moments. `trace` (nullable)
-  /// receives summary-insert / maintainer-arm spans.
+  /// Caches a computed result and arms the function's incremental rule
+  /// when the view's policy wants one — the pipeline's tail. The rule
+  /// arms from the scan's output `out`: seeded from its family state, or
+  /// initialized from its kept values. `trace` (nullable) receives
+  /// summary-insert / maintainer-arm spans.
   Status CacheComputedResult(const std::string& view, ViewState* state,
                              const SummaryKey& key,
+                             const FunctionDescriptor& fn,
                              const SummaryResult& result,
                              const ScanOutput& out, QueryTrace* trace);
 

@@ -9,116 +9,48 @@ std::string FireLabel(const std::string& view, const std::string& function,
   return view + "." + function + "(" + attribute + ")";
 }
 
-/// Marks the entry stale and forgets its maintainer (if any); a stale
-/// entry recomputes lazily and re-arms from the fresh column.
-template <typename Map>
-Status Demote(const SummaryEntry& e, const std::string& encoded,
-              const FlushEnv& env, Map* map, FlushCounters* counters) {
-  if (map != nullptr) map->erase(encoded);
-  ++counters->invalidated;
-  return env.summary->MarkStale(e.key);
-}
-
-Status FlushUnivariate(const std::string& attribute, const SummaryEntry& e,
-                       const std::vector<CellDelta>& cell_batch,
-                       const FlushEnv& env, FlushCounters* counters,
-                       std::vector<double>* column,
-                       bool* column_loaded) {
-  std::string encoded = e.key.Encode();
-  auto mit = env.maintainers->find(encoded);
-  if (e.stale) {
-    // Invalidated between buffer and flush (rollback, derived-column
-    // regeneration, non-numeric fallback): the maintainer's state never
-    // saw the invalidation's cause, so it must not resurrect the entry.
-    if (mit != env.maintainers->end()) env.maintainers->erase(mit);
-    return Status::OK();
-  }
-  if (mit == env.maintainers->end()) {
-    // No incremental rule armed (none exists, or the entry predates this
-    // process): mark stale, recompute lazily on next query.
-    ++counters->invalidated;
-    return env.summary->MarkStale(e.key);
-  }
-  IncrementalMaintainer* m = mit->second.get();
-  Result<SummaryResult> updated = m->ApplyBatch(cell_batch);
-  bool rebuilt = false;
-  if (!updated.ok()) {
-    // Auxiliary state exhausted: one full pass rebuilds it (§4.2).
-    if (!*column_loaded) {
-      STATDB_ASSIGN_OR_RETURN(*column, env.load_column());
-      *column_loaded = true;
-    }
-    updated = m->Initialize(*column);
-    rebuilt = true;
-    ++counters->rebuilds;
-    if (!updated.ok()) {
-      return Demote(e, encoded, env, env.maintainers, counters);
-    }
-  } else {
-    counters->applied += cell_batch.size();
-  }
-  STATDB_RETURN_IF_ERROR(
-      env.summary->Refresh(e.key, updated.value(), env.view_version));
-  ++counters->refreshed;
-  if (env.flight != nullptr && env.flight->enabled()) {
-    // b distinguishes the cheap differencing path (0) from a §4.2
-    // full-column rebuild (1) — the economics the §4.3 choice weighs.
-    env.flight->Record(
-        env.ctx, FlightEventKind::kMaintainerFire,
-        FireLabel(env.view_name, e.key.function, attribute),
-        int64_t(cell_batch.size()), rebuilt ? 1 : 0);
-  }
-  return Status::OK();
-}
-
-Status FlushBivariate(const std::string& attribute, const SummaryEntry& e,
-                      const std::vector<RowDelta>& batch, const FlushEnv& env,
-                      FlushCounters* counters) {
-  std::string encoded = e.key.Encode();
-  auto cit = env.comaintainers->find(encoded);
-  if (e.stale) {
-    if (cit != env.comaintainers->end()) env.comaintainers->erase(cit);
-    return Status::OK();
-  }
-  if (cit == env.comaintainers->end() || !cit->second->Touches(attribute)) {
-    ++counters->invalidated;
-    return env.summary->MarkStale(e.key);
-  }
-  ComomentMaintainer* cm = cit->second.get();
-  const std::string& co_attr = cm->CoAttribute(attribute);
-  // Soundness gate: the live co-value stands in for the co-attribute at
-  // both delta endpoints only while the co-attribute itself has nothing
-  // pending. When both sides are behind, whichever flushes first lands
-  // here and demotes the entry — co-reads therefore only ever happen
-  // against fully-flushed co-attributes.
-  if (env.has_pending && env.has_pending(co_attr)) {
-    return Demote(e, encoded, env, env.comaintainers, counters);
-  }
+/// The changes a pair rule folds for `batch` on `attribute`: each with
+/// the row's co-value as the pair's other coordinate, oriented as the
+/// key names the pair. A pair over one attribute twice takes the
+/// change's own endpoints for both coordinates — its live cell already
+/// holds the new value. nullopt when a co-value is missing or unreadable.
+std::optional<std::vector<CellDelta>> PairChanges(
+    const SummaryKey& key, const std::string& attribute,
+    const std::string& co_attr, const std::vector<RowDelta>& batch,
+    const FlushEnv& env) {
+  const bool changes_x = key.attributes[0] == attribute;
+  std::vector<CellDelta> out;
+  out.reserve(batch.size());
   for (const RowDelta& d : batch) {
     if (d.IsNoOp()) continue;
+    if (co_attr == attribute) {
+      out.push_back({d.old_value, d.new_value, d.old_value.value_or(0),
+                     d.new_value.value_or(0)});
+      continue;
+    }
     Result<std::optional<double>> co = env.read_cell(d.row, co_attr);
-    if (!co.ok() || !co.value().has_value()) {
-      return Demote(e, encoded, env, env.comaintainers, counters);
+    if (!co.ok() || !co.value().has_value()) return std::nullopt;
+    const double c = *co.value();
+    if (changes_x) {
+      out.push_back({d.old_value, d.new_value, c, c});
+    } else {
+      auto at = [c](const std::optional<double>& v) {
+        return v.has_value() ? std::optional<double>(c) : std::nullopt;
+      };
+      out.push_back({at(d.old_value), at(d.new_value),
+                     d.old_value.value_or(0), d.new_value.value_or(0)});
     }
-    if (Status st = cm->Apply(attribute, d, *co.value()); !st.ok()) {
-      return Demote(e, encoded, env, env.comaintainers, counters);
-    }
-    ++counters->applied;
   }
-  Result<SummaryResult> rendered = cm->Render();
-  if (!rendered.ok()) {
-    return Demote(e, encoded, env, env.comaintainers, counters);
-  }
-  STATDB_RETURN_IF_ERROR(
-      env.summary->Refresh(e.key, rendered.value(), env.view_version));
-  ++counters->refreshed;
-  if (env.flight != nullptr && env.flight->enabled()) {
-    env.flight->Record(
-        env.ctx, FlightEventKind::kMaintainerFire,
-        FireLabel(env.view_name, e.key.function, attribute),
-        int64_t(batch.size()), 0);
-  }
-  return Status::OK();
+  return out;
+}
+
+/// Marks the entry stale and forgets its rule; a stale entry recomputes
+/// lazily and re-arms from the fresh column.
+Status Demote(const SummaryEntry& e, const std::string& encoded,
+              const FlushEnv& env, FlushCounters* counters) {
+  env.maintainers->erase(encoded);
+  ++counters->invalidated;
+  return env.summary->MarkStale(e.key);
 }
 
 }  // namespace
@@ -146,15 +78,71 @@ Status FlushAttribute(const std::string& attribute,
   bool column_loaded = false;
 
   for (const SummaryEntry& e : entries) {
-    if (e.key.function == "note") continue;
-    if (e.key.attributes.size() != 1) {
-      STATDB_RETURN_IF_ERROR(
-          FlushBivariate(attribute, e, batch, env, counters));
+    if (e.key.function == kNoteFunction) continue;
+    const std::string encoded = e.key.Encode();
+    auto mit = env.maintainers->find(encoded);
+    if (e.stale) {
+      // Invalidated between buffer and flush (rollback, derived-column
+      // regeneration, non-numeric fallback): the rule's state never saw
+      // the invalidation's cause, so it must not resurrect the entry.
+      if (mit != env.maintainers->end()) env.maintainers->erase(mit);
       continue;
     }
-    STATDB_RETURN_IF_ERROR(FlushUnivariate(attribute, e, cell_batch, env,
-                                           counters, &column,
-                                           &column_loaded));
+    if (mit == env.maintainers->end()) {
+      // No incremental rule armed (none exists, or the entry predates this
+      // process): mark stale, recompute lazily on next query.
+      ++counters->invalidated;
+      STATDB_RETURN_IF_ERROR(env.summary->MarkStale(e.key));
+      continue;
+    }
+    IncrementalMaintainer* m = mit->second.get();
+    const std::vector<CellDelta>* changes = &cell_batch;
+    std::optional<std::vector<CellDelta>> pairs;
+    const std::string* co_attr = m->CoAttribute(attribute);
+    if (co_attr != nullptr) {
+      // Soundness gate: when both sides of the pair are behind, whichever
+      // flushes first lands here and demotes the entry — co-reads only
+      // ever happen against fully flushed co-attributes.
+      if (*co_attr != attribute && env.has_pending(*co_attr)) {
+        STATDB_RETURN_IF_ERROR(Demote(e, encoded, env, counters));
+        continue;
+      }
+      pairs = PairChanges(e.key, attribute, *co_attr, batch, env);
+      if (!pairs) {
+        STATDB_RETURN_IF_ERROR(Demote(e, encoded, env, counters));
+        continue;
+      }
+      changes = &*pairs;
+    }
+    Result<SummaryResult> updated = m->ApplyBatch(*changes);
+    bool rebuilt = false;
+    if (!updated.ok() && co_attr == nullptr) {
+      // Auxiliary state exhausted: one full pass rebuilds it (§4.2).
+      if (!column_loaded) {
+        STATDB_ASSIGN_OR_RETURN(column, env.load_column());
+        column_loaded = true;
+      }
+      updated = m->Initialize(column);
+      rebuilt = true;
+      ++counters->rebuilds;
+    } else if (updated.ok()) {
+      counters->applied += changes->size();
+    }
+    if (!updated.ok()) {
+      STATDB_RETURN_IF_ERROR(Demote(e, encoded, env, counters));
+      continue;
+    }
+    STATDB_RETURN_IF_ERROR(
+        env.summary->Refresh(e.key, updated.value(), env.view_version));
+    ++counters->refreshed;
+    if (env.flight != nullptr && env.flight->enabled()) {
+      // b distinguishes the cheap differencing path (0) from a §4.2
+      // full-column rebuild (1) — the economics the §4.3 choice weighs.
+      env.flight->Record(
+          env.ctx, FlightEventKind::kMaintainerFire,
+          FireLabel(env.view_name, e.key.function, attribute),
+          int64_t(changes->size()), rebuilt ? 1 : 0);
+    }
   }
 
   if (env.flight != nullptr && env.flight->enabled()) {
@@ -167,40 +155,19 @@ Status FlushAttribute(const std::string& attribute,
 
 bool ArmMaintainer(
     const ManagementDatabase& mdb, const SummaryKey& key,
-    const DescriptiveStats& state, const std::vector<double>& values,
+    const FamilyState& state,
     std::map<std::string, std::unique_ptr<IncrementalMaintainer>>*
         maintainers) {
   Result<FunctionParams> params = FunctionParams::Decode(key.params);
   if (!params.ok()) return false;
   Result<std::unique_ptr<IncrementalMaintainer>> m =
-      mdb.MakeMaintainer(key.function, params.value());
+      mdb.MakeMaintainer(key.function, params.value(), key.attributes);
   if (!m.ok()) return false;
   IncrementalMaintainer& rule = *m.value();
   Result<SummaryResult> init =
-      rule.Seed(state) ? rule.Current() : rule.Initialize(values);
+      rule.Seed(state) ? rule.Current() : rule.Initialize(state.values);
   if (!init.ok()) return false;
   (*maintainers)[key.Encode()] = std::move(m).value();
-  return true;
-}
-
-bool ArmsFromValues(const ManagementDatabase& mdb,
-                    const std::string& function,
-                    const FunctionParams& params) {
-  Result<std::unique_ptr<IncrementalMaintainer>> m =
-      mdb.MakeMaintainer(function, params);
-  // Seed on a throwaway rule: true exactly for the moment rules.
-  return m.ok() && !m.value()->Seed(DescriptiveStats{});
-}
-
-bool ArmComomentMaintainer(
-    const SummaryKey& key, const ComomentStats& seed,
-    std::map<std::string, std::unique_ptr<ComomentMaintainer>>*
-        comaintainers) {
-  if (key.attributes.size() != 2 || !IsComomentFunction(key.function)) {
-    return false;
-  }
-  (*comaintainers)[key.Encode()] = std::make_unique<ComomentMaintainer>(
-      key.function, key.attributes[0], key.attributes[1], seed);
   return true;
 }
 

@@ -12,7 +12,6 @@
 #include "causal/trace_context.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "delta/comoment.h"
 #include "delta/delta_buffer.h"
 #include "flight/flight_recorder.h"
 #include "rules/incremental.h"
@@ -27,23 +26,21 @@ namespace statdb::delta {
 struct FlushEnv {
   std::string view_name;
   SummaryDatabase* summary = nullptr;
-  /// Univariate maintainers keyed by encoded SummaryKey (the ViewState
-  /// map). The flush erases entries it can no longer keep honest.
+  /// The view's maintainers, one- and two-attribute rules alike, keyed
+  /// by encoded SummaryKey (the ViewState map). The flush erases entries
+  /// it can no longer keep honest.
   std::map<std::string, std::unique_ptr<IncrementalMaintainer>>*
       maintainers = nullptr;
-  /// Bivariate comoment maintainers, same keying.
-  std::map<std::string, std::unique_ptr<ComomentMaintainer>>* comaintainers =
-      nullptr;
   uint64_t view_version = 0;
   /// Loads the flushed attribute's full numeric column (rebuild path).
   std::function<Result<std::vector<double>>()> load_column;
-  /// Reads one live cell of another attribute (bivariate co-values).
+  /// Reads one live cell of another attribute (pair rules' co-values).
   /// nullopt = the cell is null.
   std::function<Result<std::optional<double>>(uint64_t row,
                                               const std::string& attr)>
       read_cell;
-  /// True when `attr` still has pending deltas of its own — the
-  /// bivariate soundness gate (see ComomentMaintainer's contract).
+  /// True when `attr` still has pending deltas of its own — the pair
+  /// rules' soundness gate (see FlushAttribute).
   std::function<bool(const std::string& attr)> has_pending;
   FlightRecorder* flight = nullptr;  // nullable
   /// Causal context of the operation that triggered this flush (the
@@ -63,44 +60,34 @@ struct FlushCounters {
 };
 
 /// Applies one drained batch to every summary entry on `attribute` in a
-/// single amortized pass: mergeable univariate entries go through their
-/// maintainer's ApplyBatch arm (rebuilding from the column when the
-/// auxiliary state refuses), bivariate comoment entries fold the batch
-/// with live co-values, and everything else — order statistics past the
-/// window contract, entries with no armed rule, crosstabs — is marked
-/// stale for lazy recomputation. Stale entries are never resurrected:
-/// the flush skips them and drops their maintainers, so an invalidation
-/// issued between buffer and flush sticks.
+/// single amortized pass. An entry with an armed rule folds the batch
+/// through the rule's ApplyBatch arm, rebuilding a one-attribute rule
+/// from the column when its auxiliary state refuses. A pair rule folds
+/// each change with the row's co-value, read live: that stands for the
+/// co-attribute at both endpoints only while the co-attribute has no
+/// pending deltas of its own (data writes are immediate; only summary
+/// maintenance defers), so otherwise the entry is marked stale instead.
+/// Everything else — entries with no armed rule, order statistics past
+/// the window contract, cross-tabs — is marked stale for lazy
+/// recomputation. Stale entries are never resurrected: the flush skips
+/// them and drops their rules, so an invalidation issued between buffer
+/// and flush sticks.
 Status FlushAttribute(const std::string& attribute,
                       const std::vector<RowDelta>& batch, const FlushEnv& env,
                       FlushCounters* counters);
 
-/// Arms (or replaces) the incremental maintainer for `key` — the
-/// cache-tail arm shared by every compute path. A moment rule is seeded
-/// from the scan's `state`; any other rule initializes from the column's
-/// `values`. Returns true when a rule exists and armed cleanly; false
-/// (not an error) when the function has no incremental rule, its
-/// parameters are invalid, or the arming refused.
+/// Arms (or replaces) the incremental rule for `key` — the cache-tail arm
+/// shared by every compute path — from the scan's family state: a rule
+/// that can is seeded from it (the moments, the co-moments), any other
+/// initializes from its gathered `values`. Returns true when a rule
+/// exists and armed cleanly; false (not an error) when the function has
+/// no incremental rule, its parameters are invalid, or the arming
+/// refused.
 bool ArmMaintainer(
     const ManagementDatabase& mdb, const SummaryKey& key,
-    const DescriptiveStats& state, const std::vector<double>& values,
+    const FamilyState& state,
     std::map<std::string, std::unique_ptr<IncrementalMaintainer>>*
         maintainers);
-
-/// True when arming `function`'s rule needs the column's values: a rule
-/// exists and cannot be seeded from a moment state. The planner keeps a
-/// scan's values only then.
-bool ArmsFromValues(const ManagementDatabase& mdb,
-                    const std::string& function,
-                    const FunctionParams& params);
-
-/// Arms (or replaces) the comoment maintainer for a bivariate `key`,
-/// seeded with the just-computed partial state. Returns false when the
-/// function is not comoment-maintainable.
-bool ArmComomentMaintainer(
-    const SummaryKey& key, const ComomentStats& seed,
-    std::map<std::string, std::unique_ptr<ComomentMaintainer>>*
-        comaintainers);
 
 }  // namespace statdb::delta
 

@@ -6,10 +6,12 @@
 #include <sstream>
 #include <string_view>
 
+#include "stats/crosstab.h"
 #include "stats/descriptive.h"
 #include "stats/histogram.h"
 #include "stats/order.h"
 #include "stats/outliers.h"
+#include "stats/tests.h"
 
 namespace statdb {
 
@@ -119,6 +121,15 @@ Result<const FunctionDescriptor*> FunctionRegistry::Find(
   return &it->second;
 }
 
+Result<const FunctionDescriptor*> FunctionRegistry::Find(
+    const std::string& name, size_t arity) const {
+  Result<const FunctionDescriptor*> fn = Find(name);
+  if (fn.ok() && fn.value()->arity != arity) {
+    return NotFoundError("no function named " + name);
+  }
+  return fn;
+}
+
 std::vector<std::string> FunctionRegistry::Names() const {
   std::vector<std::string> out;
   out.reserve(functions_.size());
@@ -129,19 +140,139 @@ std::vector<std::string> FunctionRegistry::Names() const {
 Result<SummaryResult> FunctionRegistry::Compute(
     const std::string& function, const std::vector<double>& data,
     const FunctionParams& params) const {
-  STATDB_ASSIGN_OR_RETURN(const FunctionDescriptor* desc, Find(function));
+  STATDB_ASSIGN_OR_RETURN(const FunctionDescriptor* desc, Find(function, 1));
   return desc->compute(data, params);
 }
 
 namespace {
 
+using Finish = FunctionDescriptor::Finish;
+
+/// The rule of a family whose state has an exact Add and Remove: the
+/// moments, value counts and co-moments (§4.2's finite differencing). It
+/// holds the family state, folds each delta with the state's own Add and
+/// Remove, and answers with the descriptor's finish, the body a scan's
+/// state finishes through. A pair rule folds (x, y) pairs.
+class StateRule : public IncrementalMaintainer {
+ public:
+  StateRule(const FunctionDescriptor& fn, FunctionParams params,
+            std::vector<std::string> attributes)
+      : name_(fn.name),
+        family_(fn.family),
+        finish_(fn.finish),
+        params_(std::move(params)),
+        attributes_(std::move(attributes)) {}
+
+  std::string name() const override { return name_; }
+
+  Result<SummaryResult> Initialize(const std::vector<double>& data) override {
+    ++stats_.rebuilds;
+    state_ = FamilyState{};
+    initialized_ = family_ != FunctionFamily::kComoments;
+    if (!initialized_) return WindowExhausted(name_);
+    for (double x : data) Add(x, 0);
+    return Current();
+  }
+
+  bool Seed(const FamilyState& state) override {
+    if (family_ == FunctionFamily::kValueCounts) return false;
+    ++stats_.rebuilds;
+    state_.moments = state.moments;
+    state_.comoments = state.comoments;
+    initialized_ = true;
+    return true;
+  }
+
+  const std::string* CoAttribute(const std::string& attribute) const override {
+    if (attributes_.size() != 2) return nullptr;
+    if (attribute == attributes_[0]) return &attributes_[1];
+    if (attribute == attributes_[1]) return &attributes_[0];
+    return nullptr;
+  }
+
+  Status Fold(const CellDelta& delta) override {
+    if (!initialized_) return WindowExhausted(name_);
+    if (delta.old_value.has_value() &&
+        !Remove(*delta.old_value, delta.old_y)) {
+      initialized_ = false;
+      return WindowExhausted(name_);
+    }
+    if (delta.new_value.has_value()) Add(*delta.new_value, delta.new_y);
+    ++stats_.applies;
+    return Status::OK();
+  }
+
+  Result<SummaryResult> Current() const override {
+    if (!initialized_) {
+      return FailedPreconditionError(name_ + " state not available");
+    }
+    return finish_(state_, params_);
+  }
+
+ private:
+  void Add(double x, double y) {
+    switch (family_) {
+      case FunctionFamily::kValueCounts: state_.counts.Add(x); return;
+      case FunctionFamily::kComoments: state_.comoments.Add(x, y); return;
+      default: state_.moments.Add(x); return;
+    }
+  }
+
+  bool Remove(double x, double y) {
+    switch (family_) {
+      case FunctionFamily::kValueCounts: return state_.counts.Remove(x);
+      case FunctionFamily::kComoments: return state_.comoments.Remove(x, y);
+      default: return state_.moments.Remove(x);
+    }
+  }
+
+  std::string name_;
+  FunctionFamily family_;
+  Finish finish_;
+  FunctionParams params_;
+  std::vector<std::string> attributes_;
+  bool initialized_ = false;
+  FamilyState state_;
+};
+
+Result<std::unique_ptr<IncrementalMaintainer>> StateRuleOf(
+    const FunctionDescriptor& fn, const std::vector<std::string>& attributes,
+    const FunctionParams& params) {
+  return std::unique_ptr<IncrementalMaintainer>(
+      std::make_unique<StateRule>(fn, params, attributes));
+}
+
+Status NonEmpty(const DescriptiveStats& d) {
+  if (d.count == 0) {
+    return InvalidArgumentError("statistic of an empty column");
+  }
+  return Status::OK();
+}
+
+/// A moment function: its finish over a DescriptiveStats, which its
+/// column compute applies to a fold of the column.
+FunctionDescriptor Moment(std::string name, Finish finish) {
+  FunctionDescriptor d;
+  d.name = std::move(name);
+  d.family = FunctionFamily::kMoments;
+  d.finish = finish;
+  d.compute = [finish](const std::vector<double>& data,
+                       const FunctionParams& params) {
+    FamilyState state;
+    state.moments = ComputeDescriptive(data);
+    return finish(state, params);
+  };
+  return d;
+}
+
+/// A function over one column whose compute is a scalar of the values.
 FunctionDescriptor ScalarFn(
-    std::string name, bool order_dependent,
+    std::string name, FunctionFamily family,
     std::function<Result<double>(const std::vector<double>&,
                                  const FunctionParams&)> fn) {
   FunctionDescriptor d;
   d.name = std::move(name);
-  d.order_dependent = order_dependent;
+  d.family = family;
   d.compute = [fn = std::move(fn)](
                   const std::vector<double>& data,
                   const FunctionParams& params) -> Result<SummaryResult> {
@@ -151,99 +282,266 @@ FunctionDescriptor ScalarFn(
   return d;
 }
 
+/// A pair function of `family` with its finish.
+FunctionDescriptor PairFn(std::string name, FunctionFamily family,
+                          Finish finish) {
+  FunctionDescriptor d;
+  d.name = std::move(name);
+  d.family = family;
+  d.arity = 2;
+  d.on_categories = true;
+  d.finish = finish;
+  return d;
+}
+
+/// The §4.2 window rule of an order statistic at quantile `p`.
+Result<std::unique_ptr<IncrementalMaintainer>> WindowRule(
+    double p, const FunctionParams& params) {
+  STATDB_ASSIGN_OR_RETURN(size_t window, params.GetCount("window", 100));
+  return MakeOrderStatWindowMaintainer(p, window);
+}
+
+Result<SummaryResult> TestVector(Result<TestResult> t) {
+  if (!t.ok()) return std::move(t).status();
+  return SummaryResult::Vector({t->statistic, t->dof, t->p_value});
+}
+
 }  // namespace
 
 FunctionRegistry FunctionRegistry::WithBuiltins() {
   FunctionRegistry reg;
   auto add = [&reg](FunctionDescriptor d) { (void)reg.Register(std::move(d)); };
+  using F = FunctionFamily;
+  using R = Result<SummaryResult>;
+  using S = const FamilyState&;
+  using Params = const FunctionParams&;
 
-  add(ScalarFn("count", false,
-               [](const std::vector<double>& d, const FunctionParams&) {
-                 return Result<double>(double(d.size()));
-               }));
-  add(ScalarFn("sum", false,
-               [](const std::vector<double>& d, const FunctionParams&) {
-                 return Result<double>(Sum(d));
-               }));
-  add(ScalarFn("mean", false,
-               [](const std::vector<double>& d, const FunctionParams&) {
-                 return Mean(d);
-               }));
-  add(ScalarFn("variance", false,
-               [](const std::vector<double>& d, const FunctionParams&) {
-                 return Variance(d);
-               }));
-  add(ScalarFn("stddev", false,
-               [](const std::vector<double>& d, const FunctionParams&) {
-                 return StdDev(d);
-               }));
-  add(ScalarFn("min", true,
-               [](const std::vector<double>& d, const FunctionParams&) {
-                 return Min(d);
-               }));
-  add(ScalarFn("max", true,
-               [](const std::vector<double>& d, const FunctionParams&) {
-                 return Max(d);
-               }));
-  add(ScalarFn("median", true,
-               [](const std::vector<double>& d, const FunctionParams&) {
-                 return Median(d);
-               }));
-  add(ScalarFn("quantile", true,
-               [](const std::vector<double>& d, const FunctionParams& p) {
+  // --- moments: one DescriptiveStats ---------------------------------------
+  FunctionDescriptor count = Moment("count", [](S s, Params) -> R {
+    return SummaryResult::Scalar(double(s.moments.count));
+  });
+  count.on_categories = true;
+  count.extremes_only = true;
+  count.rule = StateRuleOf;
+  add(std::move(count));
+
+  FunctionDescriptor sum = Moment("sum", [](S s, Params) -> R {
+    return SummaryResult::Scalar(s.moments.sum);
+  });
+  sum.rule = StateRuleOf;
+  add(std::move(sum));
+
+  FunctionDescriptor mean = Moment("mean", [](S s, Params) -> R {
+    STATDB_RETURN_IF_ERROR(NonEmpty(s.moments));
+    return SummaryResult::Scalar(s.moments.mean);
+  });
+  mean.rule = StateRuleOf;
+  add(std::move(mean));
+
+  FunctionDescriptor variance =
+      Moment("variance", [](S s, Params) -> R {
+        STATDB_RETURN_IF_ERROR(NonEmpty(s.moments));
+        return SummaryResult::Scalar(s.moments.Variance());
+      });
+  variance.rule = StateRuleOf;
+  add(std::move(variance));
+
+  add(Moment("stddev", [](S s, Params) -> R {
+    STATDB_RETURN_IF_ERROR(NonEmpty(s.moments));
+    return SummaryResult::Scalar(s.moments.StdDev());
+  }));
+
+  // The extrema: NaN-skipping min/max (DESIGN.md §14), maintained by
+  // their multiplicity rule, which initializes from the values.
+  FunctionDescriptor min = Moment("min", [](S s, Params) -> R {
+    STATDB_RETURN_IF_ERROR(NonEmpty(s.moments));
+    return SummaryResult::Scalar(s.moments.min);
+  });
+  min.rule = [](const FunctionDescriptor&, const std::vector<std::string>&,
+                Params) {
+    return Result<std::unique_ptr<IncrementalMaintainer>>(MakeMinMaintainer());
+  };
+  FunctionDescriptor max = Moment("max", [](S s, Params) -> R {
+    STATDB_RETURN_IF_ERROR(NonEmpty(s.moments));
+    return SummaryResult::Scalar(s.moments.max);
+  });
+  max.rule = [](const FunctionDescriptor&, const std::vector<std::string>&,
+                Params) {
+    return Result<std::unique_ptr<IncrementalMaintainer>>(MakeMaxMaintainer());
+  };
+  FunctionDescriptor range = Moment("range", [](S s, Params) -> R {
+    STATDB_RETURN_IF_ERROR(NonEmpty(s.moments));
+    return SummaryResult::Scalar(s.moments.max - s.moments.min);
+  });
+  for (FunctionDescriptor* d : {&min, &max, &range}) {
+    d->order_dependent = true;
+    d->extremes_only = true;
+    d->rule_needs_values = d->rule != nullptr;
+    add(std::move(*d));
+  }
+
+  // --- value counts: one ValueCounts; the column compute sorts ------------
+  FunctionDescriptor mode = ScalarFn(
+      "mode", F::kValueCounts,
+      [](const std::vector<double>& d, Params) { return Mode(d); });
+  mode.finish = [](S s, Params) -> R {
+    STATDB_ASSIGN_OR_RETURN(double m, s.counts.ModeValue());
+    return SummaryResult::Scalar(m);
+  };
+  FunctionDescriptor distinct =
+      ScalarFn("distinct", F::kValueCounts,
+               [](const std::vector<double>& d, Params) {
+                 return Result<double>(double(CountDistinct(d)));
+               });
+  distinct.finish = [](S s, Params) -> R {
+    return SummaryResult::Scalar(double(s.counts.Distinct()));
+  };
+  for (FunctionDescriptor* d : {&mode, &distinct}) {
+    d->on_categories = true;
+    d->hashes_counts = true;
+    d->rule = StateRuleOf;
+    d->rule_needs_values = true;
+    add(std::move(*d));
+  }
+
+  FunctionDescriptor histogram;
+  histogram.name = "histogram";
+  histogram.family = F::kValueCounts;
+  histogram.on_categories = true;
+  histogram.compute = [](const std::vector<double>& d, Params p) -> R {
+    STATDB_ASSIGN_OR_RETURN(size_t buckets, p.GetCount("buckets", 20));
+    STATDB_ASSIGN_OR_RETURN(Histogram h, BuildHistogramAuto(d, buckets));
+    return SummaryResult::Histo(std::move(h));
+  };
+  histogram.finish = [](S s, Params p) -> R {
+    STATDB_ASSIGN_OR_RETURN(size_t buckets, p.GetCount("buckets", 20));
+    const DescriptiveStats& d = s.moments;
+    if (d.count == 0) {
+      return InvalidArgumentError("histogram of an empty column");
+    }
+    double lo = d.min;
+    double hi = d.max;
+    if (lo == hi) hi = lo + 1.0;  // degenerate constant column
+    STATDB_ASSIGN_OR_RETURN(Histogram h, s.counts.ToHistogram(buckets, lo, hi));
+    return SummaryResult::Histo(std::move(h));
+  };
+  histogram.rule = [](const FunctionDescriptor&,
+                      const std::vector<std::string>&, Params p)
+      -> Result<std::unique_ptr<IncrementalMaintainer>> {
+    STATDB_ASSIGN_OR_RETURN(size_t buckets, p.GetCount("buckets", 20));
+    return MakeHistogramMaintainer(buckets, p.GetOr("spill", 0.1));
+  };
+  histogram.rule_needs_values = true;
+  add(std::move(histogram));
+
+  // --- holistic: the gathered values ----------------------------------------
+  FunctionDescriptor median = ScalarFn(
+      "median", F::kHolistic,
+      [](const std::vector<double>& d, Params) { return Median(d); });
+  median.rule = [](const FunctionDescriptor&, const std::vector<std::string>&,
+                   Params p) { return WindowRule(0.5, p); };
+  FunctionDescriptor quantile =
+      ScalarFn("quantile", F::kHolistic,
+               [](const std::vector<double>& d, Params p) {
                  return Quantile(d, p.GetOr("p", 0.5));
-               }));
-  add(ScalarFn("trimmed_mean", true,
-               [](const std::vector<double>& d, const FunctionParams& p) {
+               });
+  quantile.rule = [](const FunctionDescriptor&,
+                     const std::vector<std::string>&,
+                     Params p) { return WindowRule(p.GetOr("p", 0.5), p); };
+  FunctionDescriptor trimmed_mean =
+      ScalarFn("trimmed_mean", F::kHolistic,
+               [](const std::vector<double>& d, Params p) {
                  return TrimmedMean(d, p.GetOr("lo", 0.05),
                                     p.GetOr("hi", 0.95));
-               }));
-  add(ScalarFn("range", true,
-               [](const std::vector<double>& d, const FunctionParams&)
-                   -> Result<double> {
-                 STATDB_ASSIGN_OR_RETURN(double lo, Min(d));
-                 STATDB_ASSIGN_OR_RETURN(double hi, Max(d));
-                 return hi - lo;
-               }));
-  add(ScalarFn("mode", false,
-               [](const std::vector<double>& d, const FunctionParams&) {
-                 return Mode(d);
-               }));
-  add(ScalarFn("distinct", false,
-               [](const std::vector<double>& d, const FunctionParams&) {
-                 return Result<double>(double(CountDistinct(d)));
-               }));
-  add(ScalarFn("outside_k_sigma", false,
-               [](const std::vector<double>& d, const FunctionParams& p)
-                   -> Result<double> {
+               });
+  FunctionDescriptor quartiles;
+  quartiles.name = "quartiles";
+  quartiles.compute = [](const std::vector<double>& d, Params) -> R {
+    STATDB_ASSIGN_OR_RETURN(std::vector<double> qs,
+                            Quantiles(d, {0.25, 0.5, 0.75}));
+    return SummaryResult::Vector(std::move(qs));
+  };
+  for (FunctionDescriptor* d : {&median, &quantile, &trimmed_mean,
+                                &quartiles}) {
+    d->order_dependent = true;
+    d->rule_needs_values = d->rule != nullptr;
+    add(std::move(*d));
+  }
+  add(ScalarFn("outside_k_sigma", F::kHolistic,
+               [](const std::vector<double>& d, Params p) -> Result<double> {
                  STATDB_ASSIGN_OR_RETURN(
                      uint64_t n, CountOutsideKSigma(d, p.GetOr("k", 3.0)));
                  return double(n);
                }));
 
-  FunctionDescriptor quartiles;
-  quartiles.name = "quartiles";
-  quartiles.order_dependent = true;
-  quartiles.compute = [](const std::vector<double>& d,
-                         const FunctionParams&) -> Result<SummaryResult> {
-    STATDB_ASSIGN_OR_RETURN(std::vector<double> qs,
-                            Quantiles(d, {0.25, 0.5, 0.75}));
-    return SummaryResult::Vector(std::move(qs));
-  };
-  add(std::move(quartiles));
-
-  FunctionDescriptor histogram;
-  histogram.name = "histogram";
-  histogram.order_dependent = false;
-  histogram.compute = [](const std::vector<double>& d,
-                         const FunctionParams& p) -> Result<SummaryResult> {
-    STATDB_ASSIGN_OR_RETURN(size_t buckets, p.GetCount("buckets", 20));
-    STATDB_ASSIGN_OR_RETURN(Histogram h, BuildHistogramAuto(d, buckets));
-    return SummaryResult::Histo(std::move(h));
-  };
-  add(std::move(histogram));
+  // --- pairs -----------------------------------------------------------------
+  FunctionDescriptor correlation =
+      PairFn("correlation", F::kComoments, [](S s, Params) -> R {
+        STATDB_ASSIGN_OR_RETURN(double r, s.comoments.PearsonR());
+        return SummaryResult::Scalar(r);
+      });
+  FunctionDescriptor covariance =
+      PairFn("covariance", F::kComoments, [](S s, Params) -> R {
+        STATDB_ASSIGN_OR_RETURN(double c, s.comoments.Covariance());
+        return SummaryResult::Scalar(c);
+      });
+  FunctionDescriptor regression =
+      PairFn("regression", F::kComoments, [](S s, Params) -> R {
+        STATDB_ASSIGN_OR_RETURN(LinearFit fit, s.comoments.Fit());
+        return SummaryResult::Model(fit);
+      });
+  for (FunctionDescriptor* d : {&correlation, &covariance, &regression}) {
+    d->rule = StateRuleOf;
+    add(std::move(*d));
+  }
+  // Cross-tabs count integer codes; labels come out ascending.
+  add(PairFn("crosstab", F::kCodePairs, [](S s, Params) -> R {
+    STATDB_ASSIGN_OR_RETURN(CrossTab ct, CountCodePairs(s.xs, s.ys));
+    return SummaryResult::Contingency(std::move(ct));
+  }));
+  add(PairFn("chi2_independence", F::kCodePairs,
+             [](S s, Params) -> R {
+               STATDB_ASSIGN_OR_RETURN(CrossTab ct,
+                                       CountCodePairs(s.xs, s.ys));
+               return TestVector(ChiSquaredIndependence(ct));
+             }));
+  // Welch's t of x between the rows coded a and b in y.
+  add(PairFn("welch_t", F::kGroupMoments, [](S s, Params) -> R {
+    return TestVector(WelchTTestFromMoments(s.moments, s.group_b));
+  }));
 
   return reg;
+}
+
+namespace {
+
+/// The built-in rule of `function`, for the standalone factories.
+std::unique_ptr<IncrementalMaintainer> BuiltinRule(const char* function) {
+  static const FunctionRegistry* const kBuiltins =
+      new FunctionRegistry(FunctionRegistry::WithBuiltins());
+  const FunctionDescriptor& fn = *kBuiltins->Find(function).value();
+  return fn.rule(fn, {}, FunctionParams()).value();
+}
+
+}  // namespace
+
+std::unique_ptr<IncrementalMaintainer> MakeCountMaintainer() {
+  return BuiltinRule("count");
+}
+std::unique_ptr<IncrementalMaintainer> MakeSumMaintainer() {
+  return BuiltinRule("sum");
+}
+std::unique_ptr<IncrementalMaintainer> MakeMeanMaintainer() {
+  return BuiltinRule("mean");
+}
+std::unique_ptr<IncrementalMaintainer> MakeVarianceMaintainer() {
+  return BuiltinRule("variance");
+}
+std::unique_ptr<IncrementalMaintainer> MakeModeMaintainer() {
+  return BuiltinRule("mode");
+}
+std::unique_ptr<IncrementalMaintainer> MakeDistinctMaintainer() {
+  return BuiltinRule("distinct");
 }
 
 }  // namespace statdb

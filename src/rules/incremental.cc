@@ -4,11 +4,8 @@
 #include <cmath>
 
 #include "stats/histogram.h"
-#include "stats/partial_stats.h"
 
 namespace statdb {
-
-namespace {
 
 Status WindowExhausted(const std::string& who) {
   return FailedPreconditionError(who +
@@ -16,73 +13,7 @@ Status WindowExhausted(const std::string& who) {
                                  "from the full column required");
 }
 
-/// count / sum / mean / variance share one moment state: a
-/// DescriptiveStats, folded with its Add and exact Remove — the
-/// finite-differencing rules of Koenig & Paige for totals and averages,
-/// extended to second moments. min/max in the state go unused.
-class MomentMaintainer : public IncrementalMaintainer {
- public:
-  enum class Output { kCount, kSum, kMean, kVariance };
-
-  explicit MomentMaintainer(Output output) : output_(output) {}
-
-  std::string name() const override {
-    switch (output_) {
-      case Output::kCount: return "count";
-      case Output::kSum: return "sum";
-      case Output::kMean: return "mean";
-      case Output::kVariance: return "variance";
-    }
-    return "?";
-  }
-
-  Result<SummaryResult> Initialize(const std::vector<double>& data) override {
-    Seed(ComputeDescriptive(data));
-    return Current();
-  }
-
-  bool Seed(const DescriptiveStats& state) override {
-    ++stats_.rebuilds;
-    state_ = state;
-    initialized_ = true;
-    return true;
-  }
-
-  Status Fold(const CellDelta& delta) override {
-    if (!initialized_) return WindowExhausted(name());
-    if (delta.old_value.has_value() && !state_.Remove(*delta.old_value)) {
-      return WindowExhausted(name());
-    }
-    if (delta.new_value.has_value()) state_.Add(*delta.new_value);
-    ++stats_.applies;
-    return Status::OK();
-  }
-
-  Result<SummaryResult> Current() const override {
-    switch (output_) {
-      case Output::kCount:
-        return SummaryResult::Scalar(double(state_.count));
-      case Output::kSum:
-        return SummaryResult::Scalar(state_.sum);
-      case Output::kMean:
-        if (state_.count == 0) {
-          return FailedPreconditionError("mean of an empty column");
-        }
-        return SummaryResult::Scalar(state_.mean);
-      case Output::kVariance:
-        if (state_.count == 0) {
-          return FailedPreconditionError("variance of an empty column");
-        }
-        return SummaryResult::Scalar(state_.Variance());
-    }
-    return InternalError("bad output kind");
-  }
-
- private:
-  Output output_;
-  bool initialized_ = false;
-  DescriptiveStats state_;
-};
+namespace {
 
 /// min/max: auxiliary information is the extremum and how many copies of
 /// it exist. Insertions and non-extremal deletions are O(1); deleting the
@@ -370,57 +301,6 @@ class OrderStatWindowMaintainer : public IncrementalMaintainer {
   uint64_t above_ = 0;
 };
 
-/// mode / distinct via the scans' value-count state.
-class FrequencyMaintainer : public IncrementalMaintainer {
- public:
-  enum class Output { kMode, kDistinct };
-
-  explicit FrequencyMaintainer(Output output) : output_(output) {}
-
-  std::string name() const override {
-    return output_ == Output::kMode ? "mode" : "distinct";
-  }
-
-  Result<SummaryResult> Initialize(const std::vector<double>& data) override {
-    ++stats_.rebuilds;
-    counts_ = ValueCounts{};
-    for (double x : data) counts_.Add(x);
-    initialized_ = true;
-    return Current();
-  }
-
-  Status Fold(const CellDelta& delta) override {
-    if (!initialized_) return WindowExhausted(name());
-    if (delta.old_value.has_value() && !counts_.Remove(*delta.old_value)) {
-      initialized_ = false;
-      return WindowExhausted(name());
-    }
-    if (delta.new_value.has_value()) counts_.Add(*delta.new_value);
-    ++stats_.applies;
-    return Status::OK();
-  }
-
-  Result<SummaryResult> Current() const override {
-    if (!initialized_) {
-      return FailedPreconditionError("frequency table not available");
-    }
-    if (output_ == Output::kDistinct) {
-      return SummaryResult::Scalar(double(counts_.Distinct()));
-    }
-    // Ties break toward the smaller value, matching stats::Mode.
-    Result<double> mode = counts_.ModeValue();
-    if (!mode.ok()) {
-      return FailedPreconditionError("mode of an empty column");
-    }
-    return SummaryResult::Scalar(*mode);
-  }
-
- private:
-  Output output_;
-  bool initialized_ = false;
-  ValueCounts counts_;
-};
-
 /// Histogram with frozen edges and O(1) bucket-count deltas.
 class HistogramMaintainer : public IncrementalMaintainer {
  public:
@@ -514,32 +394,11 @@ class HistogramMaintainer : public IncrementalMaintainer {
 
 }  // namespace
 
-std::unique_ptr<IncrementalMaintainer> MakeModeMaintainer() {
-  return std::make_unique<FrequencyMaintainer>(
-      FrequencyMaintainer::Output::kMode);
-}
-std::unique_ptr<IncrementalMaintainer> MakeDistinctMaintainer() {
-  return std::make_unique<FrequencyMaintainer>(
-      FrequencyMaintainer::Output::kDistinct);
-}
 std::unique_ptr<IncrementalMaintainer> MakeHistogramMaintainer(
     size_t buckets, double spill_tolerance) {
   return std::make_unique<HistogramMaintainer>(buckets, spill_tolerance);
 }
 
-std::unique_ptr<IncrementalMaintainer> MakeCountMaintainer() {
-  return std::make_unique<MomentMaintainer>(MomentMaintainer::Output::kCount);
-}
-std::unique_ptr<IncrementalMaintainer> MakeSumMaintainer() {
-  return std::make_unique<MomentMaintainer>(MomentMaintainer::Output::kSum);
-}
-std::unique_ptr<IncrementalMaintainer> MakeMeanMaintainer() {
-  return std::make_unique<MomentMaintainer>(MomentMaintainer::Output::kMean);
-}
-std::unique_ptr<IncrementalMaintainer> MakeVarianceMaintainer() {
-  return std::make_unique<MomentMaintainer>(
-      MomentMaintainer::Output::kVariance);
-}
 std::unique_ptr<IncrementalMaintainer> MakeMinMaintainer() {
   return std::make_unique<ExtremumMaintainer>(/*is_min=*/true);
 }

@@ -9,7 +9,6 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "stats/descriptive.h"
 #include "summary/summary_result.h"
 
 namespace statdb {
@@ -17,14 +16,20 @@ namespace statdb {
 /// One cell change on the maintained attribute. Covers the three cases an
 /// analyst's predicate update produces: value change (old and new), value
 /// invalidated to missing (old only), and missing filled in (new only).
+/// A pair rule's change is a pair's: old_value/new_value are its x, and
+/// old_y/new_y its y at the endpoints where x is present.
 struct CellDelta {
   std::optional<double> old_value;
   std::optional<double> new_value;
+  double old_y = 0;
+  double new_y = 0;
 
   static CellDelta Change(double from, double to) { return {from, to}; }
   static CellDelta Invalidate(double old) { return {old, std::nullopt}; }
   static CellDelta Fill(double v) { return {std::nullopt, v}; }
 };
+
+struct FamilyState;  // rules/function_registry.h
 
 /// Per-maintainer effort counters: how often the cheap path sufficed vs.
 /// how often a full pass over the column was needed.
@@ -58,11 +63,19 @@ class IncrementalMaintainer {
   virtual Result<SummaryResult> Initialize(
       const std::vector<double>& data) = 0;
 
-  /// Arms the state from a scan's moment state instead of the column's
-  /// values, as the comoment maintainer arms from a scan's co-moments.
-  /// Only the moment rules (count, sum, mean, variance) can; the others
+  /// Arms the state from a scan's family state instead of the column's
+  /// values. Only the rules whose state is a scan state (the moments'
+  /// count, sum, mean and variance, and the co-moments) can; the others
   /// return false, change nothing, and need Initialize.
-  virtual bool Seed(const DescriptiveStats& /*state*/) { return false; }
+  virtual bool Seed(const FamilyState& /*state*/) { return false; }
+
+  /// A pair rule's co-attribute for changes on `attribute`: the pair's
+  /// other attribute, or `attribute` itself when the pair names it twice.
+  /// nullptr for a one-attribute rule or an attribute outside the pair.
+  virtual const std::string* CoAttribute(
+      const std::string& /*attribute*/) const {
+    return nullptr;
+  }
 
   /// Folds one delta into the state and returns the new result.
   Result<SummaryResult> Apply(const CellDelta& delta) {
@@ -94,31 +107,29 @@ class IncrementalMaintainer {
   MaintainerStats stats_;
 };
 
-/// count(non-missing) — trivially differencable.
+/// FAILED_PRECONDITION from a rule whose auxiliary state can no longer
+/// answer: the caller must re-Initialize it from the full column.
+Status WindowExhausted(const std::string& who);
+
+/// The built-in rules of the state families (FunctionRegistry): the
+/// family state folded with its own Add and Remove and finished by the
+/// function's descriptor. count, sum, mean and variance hold one
+/// DescriptiveStats (Koenig & Paige's "totals" differencing, extended to
+/// second moments); mode and distinct hold the full value-frequency
+/// table, exact under any update stream at O(1) expected per delta (the
+/// "record the results ... in a database" alternative of §3.1).
 std::unique_ptr<IncrementalMaintainer> MakeCountMaintainer();
-
-/// sum — the Koenig–Paige "totals" example.
 std::unique_ptr<IncrementalMaintainer> MakeSumMaintainer();
-
-/// mean — maintained via (n, sum).
 std::unique_ptr<IncrementalMaintainer> MakeMeanMaintainer();
-
-/// Sample variance — maintained via (n, mean, m2) with exact insert,
-/// remove and replace updates.
 std::unique_ptr<IncrementalMaintainer> MakeVarianceMaintainer();
+std::unique_ptr<IncrementalMaintainer> MakeModeMaintainer();
+std::unique_ptr<IncrementalMaintainer> MakeDistinctMaintainer();
 
 /// min/max — auxiliary state is the extremum and its multiplicity;
 /// deleting the last copy of the extremum forces a rebuild ("most updates
 /// to the data set will not affect the min or max values", §4.2).
 std::unique_ptr<IncrementalMaintainer> MakeMinMaintainer();
 std::unique_ptr<IncrementalMaintainer> MakeMaxMaintainer();
-
-/// mode / distinct-count — auxiliary state is the full value-frequency
-/// table (the scans' ValueCounts), so both are exact under any update
-/// stream at O(1) expected per delta (the "record the results ... in a
-/// database" alternative the paper weighs in §3.1, automated).
-std::unique_ptr<IncrementalMaintainer> MakeModeMaintainer();
-std::unique_ptr<IncrementalMaintainer> MakeDistinctMaintainer();
 
 /// Histogram with edges frozen at initialization: deltas move bucket
 /// counts in O(1); values escaping the frozen range accumulate in the

@@ -63,30 +63,20 @@ Result<std::string> ManagementDatabase::FindViewByDefinition(
 }
 
 Result<std::unique_ptr<IncrementalMaintainer>>
-ManagementDatabase::MakeMaintainer(const std::string& function,
-                                   const FunctionParams& params) const {
-  if (function == "count") return MakeCountMaintainer();
-  if (function == "sum") return MakeSumMaintainer();
-  if (function == "mean") return MakeMeanMaintainer();
-  if (function == "variance") return MakeVarianceMaintainer();
-  if (function == "min") return MakeMinMaintainer();
-  if (function == "max") return MakeMaxMaintainer();
-  if (function == "median" || function == "quantile") {
-    STATDB_ASSIGN_OR_RETURN(size_t window, params.GetCount("window", 100));
-    return MakeOrderStatWindowMaintainer(
-        function == "median" ? 0.5 : params.GetOr("p", 0.5), window);
+ManagementDatabase::MakeMaintainer(
+    const std::string& function, const FunctionParams& params,
+    const std::vector<std::string>& attributes) const {
+  STATDB_ASSIGN_OR_RETURN(const FunctionDescriptor* fn,
+                          functions_.Find(function));
+  if (fn->rule == nullptr) {
+    return NotFoundError("no incremental rule for function " + function);
   }
-  if (function == "mode") return MakeModeMaintainer();
-  if (function == "distinct") return MakeDistinctMaintainer();
-  if (function == "histogram") {
-    STATDB_ASSIGN_OR_RETURN(size_t buckets, params.GetCount("buckets", 20));
-    return MakeHistogramMaintainer(buckets, params.GetOr("spill", 0.1));
-  }
-  return NotFoundError("no incremental rule for function " + function);
+  return fn->rule(*fn, attributes, params);
 }
 
 bool ManagementDatabase::HasMaintainer(const std::string& function) const {
-  return MakeMaintainer(function, FunctionParams()).ok();
+  Result<const FunctionDescriptor*> fn = functions_.Find(function);
+  return fn.ok() && fn.value()->rule != nullptr;
 }
 
 Status ManagementDatabase::AddDerivedColumn(const std::string& view,

@@ -72,12 +72,13 @@ class ManagementDatabase {
   const FunctionRegistry& functions() const { return functions_; }
   FunctionRegistry& functions() { return functions_; }
 
-  /// The incremental-recomputation rule for `function`, or NOT_FOUND when
-  /// only full recomputation applies (order-dependent functions other
-  /// than the windowed order statistics, cross-column results, ...).
-  /// `params` selects e.g. the quantile's p. Callers own the maintainer.
+  /// The incremental-recomputation rule for `function` over `attributes`
+  /// (a pair rule needs both), or NOT_FOUND when only full recomputation
+  /// applies. `params` selects e.g. the quantile's p. Callers own the
+  /// maintainer.
   Result<std::unique_ptr<IncrementalMaintainer>> MakeMaintainer(
-      const std::string& function, const FunctionParams& params) const;
+      const std::string& function, const FunctionParams& params,
+      const std::vector<std::string>& attributes = {}) const;
 
   /// Whether an incremental rule exists for `function`.
   bool HasMaintainer(const std::string& function) const;

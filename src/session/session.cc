@@ -140,7 +140,7 @@ Result<QueryAnswer> Session::Query(const std::string& view,
   Schema one;
   one.Add(route.attr);
   STATDB_RETURN_IF_ERROR(
-      StatisticalDbms::CheckQueryable(one, function, attribute));
+      mgr_->dbms_->CheckQueryable(one, function, attribute));
 
   std::vector<double> live_data;
   const std::vector<double>* data = nullptr;

@@ -233,9 +233,8 @@ Status SummaryDatabase::MarkStale(const SummaryKey& key) {
   return tree_->Put(encoded, EncodeHead(head));
 }
 
-Result<uint64_t> SummaryDatabase::InvalidateAttribute(
+Result<std::vector<std::string>> SummaryDatabase::PrimariesOn(
     const std::string& attribute) {
-  // Phase 1: collect matching primary keys (no mutation during the scan).
   std::vector<std::string> primaries;
   STATDB_RETURN_IF_ERROR(tree_->ScanPrefix(
       attribute, [&](const std::string& k, const std::string&) {
@@ -244,10 +243,23 @@ Result<uint64_t> SummaryDatabase::InvalidateAttribute(
         } else if (k.size() > attribute.size() &&
                    k[attribute.size()] == kRefSep &&
                    k.compare(0, attribute.size(), attribute) == 0) {
-          primaries.push_back(k.substr(attribute.size() + 1));
+          std::string encoded = k.substr(attribute.size() + 1);
+          // A key naming `attribute` again past its lead (a pair over one
+          // attribute twice) is listed once, by its primary record.
+          if (LeadingAttribute(encoded) != attribute) {
+            primaries.push_back(std::move(encoded));
+          }
         }
         return true;
       }));
+  return primaries;
+}
+
+Result<uint64_t> SummaryDatabase::InvalidateAttribute(
+    const std::string& attribute) {
+  // Phase 1: collect matching primary keys (no mutation during the scan).
+  STATDB_ASSIGN_OR_RETURN(std::vector<std::string> primaries,
+                          PrimariesOn(attribute));
   uint64_t marked = 0;
   for (const std::string& encoded : primaries) {
     STATDB_ASSIGN_OR_RETURN(std::string head_value, tree_->Get(encoded));
@@ -298,18 +310,8 @@ Status SummaryDatabase::Remove(const SummaryKey& key) {
 Status SummaryDatabase::ForEachOnAttribute(
     const std::string& attribute,
     const std::function<Status(const SummaryEntry&)>& fn) {
-  std::vector<std::string> primaries;
-  STATDB_RETURN_IF_ERROR(tree_->ScanPrefix(
-      attribute, [&](const std::string& k, const std::string&) {
-        if (LeadingAttribute(k) == attribute) {
-          primaries.push_back(k);
-        } else if (k.size() > attribute.size() &&
-                   k[attribute.size()] == kRefSep &&
-                   k.compare(0, attribute.size(), attribute) == 0) {
-          primaries.push_back(k.substr(attribute.size() + 1));
-        }
-        return true;
-      }));
+  STATDB_ASSIGN_OR_RETURN(std::vector<std::string> primaries,
+                          PrimariesOn(attribute));
   for (const std::string& encoded : primaries) {
     STATDB_ASSIGN_OR_RETURN(std::string head_value, tree_->Get(encoded));
     STATDB_ASSIGN_OR_RETURN(SummaryEntry entry,

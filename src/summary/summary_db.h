@@ -203,6 +203,10 @@ class SummaryDatabase {
   /// or continuation record).
   static std::string LeadingAttribute(const std::string& encoded);
 
+  /// Encoded keys of every entry naming `attribute`, each once: primary
+  /// records led by it and reference records of the others.
+  Result<std::vector<std::string>> PrimariesOn(const std::string& attribute);
+
   Result<SummaryEntry> LoadEntry(const std::string& encoded_key,
                                  const std::string& head_value);
   Status StoreEntry(const SummaryKey& key, const SummaryResult& result,

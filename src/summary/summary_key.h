@@ -2,12 +2,17 @@
 #define STATDB_SUMMARY_SUMMARY_KEY_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 
 namespace statdb {
+
+/// The function name of an analyst's annotation entry (a text note on an
+/// attribute): no function computes it and no rule maintains it.
+inline constexpr std::string_view kNoteFunction = "note";
 
 /// Search argument of the Summary Database: "a function name-attribute
 /// name(s) pair" (§3.2), extended with a canonical parameter string so

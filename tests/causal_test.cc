@@ -101,7 +101,8 @@ TEST(TraceContextTest, WorkerThreadsDoNotInheritTheCallersContext) {
   uint64_t seen = 99;
   std::thread worker([&seen] { seen = causal::CurrentTraceId(); });
   worker.join();
-  // The documented limitation: exec-pool workers record trace 0.
+  // The context is thread-local: a new thread starts without one. Pool
+  // tasks install their submitter's context themselves (DESIGN.md §9.1).
   EXPECT_EQ(seen, 0u);
 }
 

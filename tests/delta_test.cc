@@ -5,11 +5,11 @@
 // and the manifest's pending-delta section across recovery.
 
 #include <bit>
+#include <map>
 #include <cmath>
 
 #include "common/rng.h"
 #include "core/dbms.h"
-#include "delta/comoment.h"
 #include "delta/delta_buffer.h"
 #include "delta/policy.h"
 #include "exec/partial_stats.h"
@@ -233,6 +233,13 @@ TEST(PolicyControllerTest, EraseViewForgetsStreaksAndStrategies) {
 
 // --- comoment maintainer -----------------------------------------------------
 
+/// The function table's pair rule for `function` over (X, Y).
+std::unique_ptr<IncrementalMaintainer> PairRule(const std::string& function) {
+  return ManagementDatabase()
+      .MakeMaintainer(function, FunctionParams(), {"X", "Y"})
+      .value();
+}
+
 TEST(ComomentMaintainerTest, ExactInverseTracksRecompute) {
   Rng rng(9);
   std::vector<double> xs, ys;
@@ -241,16 +248,17 @@ TEST(ComomentMaintainerTest, ExactInverseTracksRecompute) {
     xs.push_back(x);
     ys.push_back(2 * x + rng.UniformDouble(-5, 5));
   }
-  delta::ComomentMaintainer cm("correlation", "X", "Y",
-                               ComputeComoments(xs, ys));
+  std::unique_ptr<IncrementalMaintainer> cm = PairRule("correlation");
+  FamilyState seed;
+  seed.comoments = ComputeComoments(xs, ys);
+  ASSERT_TRUE(cm->Seed(seed));
   for (int step = 0; step < 300; ++step) {
     size_t i = size_t(rng.UniformInt(0, int64_t(xs.size()) - 1));
     double fresh = rng.UniformDouble(0, 50);
     // Mutate X at row i; Y's cell is the live co-value.
     RowDelta d{i, xs[i], fresh};
     xs[i] = fresh;
-    STATDB_ASSERT_OK(cm.Apply("X", d, ys[i]));
-    auto r = cm.Render();
+    auto r = cm->Apply({d.old_value, d.new_value, ys[i], ys[i]});
     STATDB_ASSERT_OK(r);
     EXPECT_NEAR(r->AsScalar().value(), PearsonR(xs, ys).value(), 1e-9)
         << "step " << step;
@@ -258,18 +266,19 @@ TEST(ComomentMaintainerTest, ExactInverseTracksRecompute) {
 }
 
 TEST(ComomentMaintainerTest, RemovalFromEmptyStateFails) {
-  delta::ComomentMaintainer cm("covariance", "X", "Y", ComomentStats{});
-  EXPECT_EQ(cm.Apply("X", RowDelta{0, 1.0, 2.0}, 3.0).code(),
+  std::unique_ptr<IncrementalMaintainer> cm = PairRule("covariance");
+  ASSERT_TRUE(cm->Seed(FamilyState{}));
+  EXPECT_EQ(cm->Apply({1.0, 2.0, 3.0, 3.0}).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(ComomentMaintainerTest, TouchesAndCoAttribute) {
-  delta::ComomentMaintainer cm("regression", "X", "Y", ComomentStats{});
-  EXPECT_TRUE(cm.Touches("X"));
-  EXPECT_TRUE(cm.Touches("Y"));
-  EXPECT_FALSE(cm.Touches("Z"));
-  EXPECT_EQ(cm.CoAttribute("X"), "Y");
-  EXPECT_EQ(cm.CoAttribute("Y"), "X");
+  std::unique_ptr<IncrementalMaintainer> cm = PairRule("regression");
+  EXPECT_NE(cm->CoAttribute("X"), nullptr);
+  EXPECT_NE(cm->CoAttribute("Y"), nullptr);
+  EXPECT_EQ(cm->CoAttribute("Z"), nullptr);
+  EXPECT_EQ(*cm->CoAttribute("X"), "Y");
+  EXPECT_EQ(*cm->CoAttribute("Y"), "X");
 }
 
 // --- end-to-end flush barriers ----------------------------------------------
@@ -469,6 +478,110 @@ TEST_F(DeltaDbmsTest, DeltaFlushEventsCarryBatchSize) {
     EXPECT_GE(e.b, 1);                 // entries refreshed
   }
   EXPECT_EQ(flushes, 1);
+}
+
+// --- one maintainer map: one- and two-attribute rules -----------------------
+
+/// The kMaintainerFire events recorded since the last Clear, by label.
+std::map<std::string, std::vector<int64_t>> MaintainerFires(
+    StatisticalDbms* dbms) {
+  std::map<std::string, std::vector<int64_t>> fires;
+  for (const FlightEvent& e : dbms->flight().SnapshotEvents()) {
+    if (e.kind == FlightEventKind::kMaintainerFire) {
+      fires[e.label].push_back(e.a);
+    }
+  }
+  return fires;
+}
+
+TEST_F(DeltaDbmsTest, OneFlushRefreshesOneAndTwoAttributeRulesAlike) {
+  ForceStrategy(MaintenanceStrategy::kDeltaBatched);
+  STATDB_ASSERT_OK(dbms_->Query("v", "mean", "INCOME").status());
+  STATDB_ASSERT_OK(
+      dbms_->QueryBivariate("v", "correlation", "INCOME", "HOURS_WORKED")
+          .status());
+  // A round trip on the young rows coalesces to no-ops; the old rows'
+  // bump is the batch's only real change.
+  auto young = dbms_->Update("v", BumpIncomes(2.0));
+  ASSERT_TRUE(young.ok());
+  ASSERT_TRUE(dbms_->Update("v", BumpIncomes(0.5)).ok());
+  UpdateSpec old_rows;
+  old_rows.predicate = Gt(Col("AGE"), Lit(int64_t{60}));
+  old_rows.column = "INCOME";
+  old_rows.value = Add(Col("INCOME"), Lit(1.0));
+  auto changed = dbms_->Update("v", old_rows);
+  ASSERT_TRUE(changed.ok());
+  ASSERT_GT(*young, 0u);
+  ASSERT_GT(*changed, 0u);
+  ASSERT_EQ(dbms_->PendingDeltas("v").value(), *young + *changed);
+
+  dbms_->flight().Clear();
+  STATDB_ASSERT_OK(dbms_->FlushDeltas("v"));
+  auto fires = MaintainerFires(dbms_.get());
+  EXPECT_EQ(fires["v.mean(INCOME)"], std::vector<int64_t>{int64_t(*changed)});
+  EXPECT_EQ(fires["v.correlation(INCOME)"],
+            std::vector<int64_t>{int64_t(*changed)});
+  EXPECT_EQ(fires.size(), 2u);
+  EXPECT_EQ(dbms_->Query("v", "mean", "INCOME")->source,
+            AnswerSource::kCacheHit);
+  EXPECT_EQ(
+      dbms_->QueryBivariate("v", "correlation", "INCOME", "HOURS_WORKED")
+          ->source,
+      AnswerSource::kCacheHit);
+}
+
+TEST_F(DeltaDbmsTest, LazySwitchDropsOneAndTwoAttributeRulesAlike) {
+  DeltaConfig cfg;
+  cfg.adaptive = true;
+  cfg.min_observations = 1;
+  cfg.hysteresis_streak = 2;
+  dbms_->set_delta_config(cfg);
+  STATDB_ASSERT_OK(dbms_->Query("v", "mean", "INCOME").status());
+  STATDB_ASSERT_OK(
+      dbms_->QueryBivariate("v", "correlation", "HOURS_WORKED", "INCOME")
+          .status());
+  // Write-only traffic on INCOME switches it to lazy.
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(dbms_->Update("v", BumpIncomes(1.01)).ok());
+  }
+  ASSERT_EQ(dbms_->delta_policy().switches(), 1u);
+
+  dbms_->flight().Clear();
+  ASSERT_TRUE(dbms_->Update("v", BumpIncomes(1.01)).ok());
+  UpdateSpec hours;
+  hours.predicate = Lt(Col("AGE"), Lit(int64_t{30}));
+  hours.column = "HOURS_WORKED";
+  hours.value = Add(Col("HOURS_WORKED"), Lit(1.0));
+  ASSERT_TRUE(dbms_->Update("v", hours).ok());
+  STATDB_ASSERT_OK(dbms_->FlushDeltas("v"));
+  EXPECT_TRUE(MaintainerFires(dbms_.get()).empty());
+  EXPECT_EQ(dbms_->Query("v", "mean", "INCOME")->source,
+            AnswerSource::kComputed);
+  EXPECT_EQ(
+      dbms_->QueryBivariate("v", "correlation", "HOURS_WORKED", "INCOME")
+          ->source,
+      AnswerSource::kComputed);
+}
+
+TEST_F(DeltaDbmsTest, PairRuleOverOneAttributeTwiceStaysExact) {
+  STATDB_ASSERT_OK(
+      dbms_->QueryBivariate("v", "correlation", "INCOME", "INCOME").status());
+  STATDB_ASSERT_OK(
+      dbms_->QueryBivariate("v", "covariance", "INCOME", "INCOME").status());
+  for (double factor : {3.0, 0.25}) {
+    ASSERT_TRUE(dbms_->Update("v", BumpIncomes(factor)).ok());
+    auto r = dbms_->QueryBivariate("v", "correlation", "INCOME", "INCOME");
+    auto cov = dbms_->QueryBivariate("v", "covariance", "INCOME", "INCOME");
+    STATDB_ASSERT_OK(r);
+    STATDB_ASSERT_OK(cov);
+    // Maintained, not recomputed.
+    EXPECT_EQ(r->source, AnswerSource::kCacheHit);
+    EXPECT_EQ(cov->source, AnswerSource::kCacheHit);
+    EXPECT_NEAR(r->result.AsScalar().value(), 1.0, 1e-12);
+    const double var =
+        dbms_->Query("v", "variance", "INCOME")->result.AsScalar().value();
+    EXPECT_NEAR(cov->result.AsScalar().value(), var, 1e-9 * var);
+  }
 }
 
 TEST_F(DeltaDbmsTest, RollbackDiscardsPendingDeltas) {

@@ -15,7 +15,6 @@
 
 #include "common/rng.h"
 #include "core/dbms.h"
-#include "delta/comoment.h"
 #include "gtest/gtest.h"
 #include "relational/expr.h"
 #include "stats/partial_stats.h"
@@ -119,7 +118,9 @@ TEST_F(OneWorkerRouteTest, CoMomentsAreOneRowOrderFold) {
     xs.push_back(age[i].ToDouble().value());
     ys.push_back(income[i].ToDouble().value());
   }
-  const ComomentStats folded = ComputeComoments(xs, ys);
+  FamilyState folded;
+  folded.comoments = ComputeComoments(xs, ys);
+  const FunctionRegistry& fns = dbms_->management_db().functions();
   for (const char* fn : {"correlation", "covariance", "regression"}) {
     auto serial = dbms_->QueryBivariate("v", fn, "AGE", "INCOME", no_cache_);
     auto one = dbms_->QueryBivariateParallel("v", fn, "AGE", "INCOME",
@@ -127,7 +128,7 @@ TEST_F(OneWorkerRouteTest, CoMomentsAreOneRowOrderFold) {
     STATDB_ASSERT_OK(serial);
     STATDB_ASSERT_OK(one);
     EXPECT_EQ(serial->result, one->result) << fn;
-    EXPECT_EQ(serial->result, delta::FinishComoments(fn, folded).value())
+    EXPECT_EQ(serial->result, fns.Find(fn).value()->finish(folded, {}).value())
         << fn;
   }
 }

@@ -80,7 +80,7 @@ CI next to the thread-safety lane:
                             (DESIGN.md §9.1). Any other construction — a
                             stack pool, a std::optional<ThreadPool>, a
                             second make_unique, `new ThreadPool` — in
-                            src/, bench/ or examples/ is a finding, so a
+                            src/ or examples/ is a finding, so a
                             per-batch pool (and its Quiesce-to-count
                             dance) cannot come back. tests/ are exempt:
                             they exercise the pool's own contract.
@@ -113,7 +113,7 @@ import re
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SOURCE_DIRS = ("src", "tests", "bench", "examples")
+SOURCE_DIRS = ("src", "tests", "examples")
 SOURCE_EXTS = (".h", ".cc")
 
 SYNC_HEADER = os.path.join("src", "common", "sync.h")

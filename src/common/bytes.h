@@ -87,6 +87,19 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
+/// A decoder's verdict on stored bytes it could not parse. Every failure
+/// of a decode is damage to those bytes, so it is DATA_LOSS: a getter's
+/// OUT_OF_RANGE only says where the damaged input ran out.
+inline Status AsDataLoss(const Status& s) {
+  if (s.ok() || s.code() == StatusCode::kDataLoss) return s;
+  return DataLossError(s.message());
+}
+template <typename T>
+Result<T> AsDataLoss(Result<T> r) {
+  if (r.ok()) return r;
+  return AsDataLoss(r.status());
+}
+
 }  // namespace statdb
 
 #endif  // STATDB_COMMON_BYTES_H_

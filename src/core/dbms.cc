@@ -14,6 +14,7 @@
 #include "exec/thread_pool.h"
 #include "flight/chrome_trace.h"
 #include "obs/json.h"
+#include "relational/bound_expr.h"
 #include "session/session.h"
 #include "storage/column_file.h"
 #include "stats/descriptive.h"
@@ -1720,6 +1721,12 @@ Status StatisticalDbms::AddDerivedColumn(const std::string& view,
   std::string name = def.name;
   DerivedRuleKind kind = def.kind;
   ExprPtr expr = def.row_expr;
+  // Refuse a formula that cannot bind before the column or the rule is
+  // stored.
+  if (expr != nullptr) {
+    STATDB_RETURN_IF_ERROR(
+        BoundExpr::Bind(*expr, state->view->schema()).status());
+  }
   {
     // Session scopes do not nest (writer serialization is a flag, not a
     // recursive lock): the column-add publishes at this block's end,

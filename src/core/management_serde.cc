@@ -125,12 +125,11 @@ Result<std::vector<uint8_t>> SerializeManagementState(
   return w.Take();
 }
 
-Status RestoreManagementState(const std::vector<uint8_t>& bytes,
-                              ManagementDatabase* mdb) {
-  if (!mdb->ViewNames().empty()) {
-    return FailedPreconditionError(
-        "restore into a non-empty management database");
-  }
+namespace {
+
+// RestoreManagementState's parse, before its failures are all made
+// DATA_LOSS: a duplicate view or a history out of order is damage too.
+Status Restore(const std::vector<uint8_t>& bytes, ManagementDatabase* mdb) {
   ByteReader r(bytes);
   STATDB_ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
   if (magic != kMagic) {
@@ -161,6 +160,17 @@ Status RestoreManagementState(const std::vector<uint8_t>& bytes,
     return DataLossError("trailing bytes in management state");
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status RestoreManagementState(const std::vector<uint8_t>& bytes,
+                              ManagementDatabase* mdb) {
+  if (!mdb->ViewNames().empty()) {
+    return FailedPreconditionError(
+        "restore into a non-empty management database");
+  }
+  return AsDataLoss(Restore(bytes, mdb));
 }
 
 }  // namespace statdb

@@ -117,9 +117,7 @@ class ConcreteView {
 
   /// RLE sidecars for compressed-domain scans (DESIGN.md §14). Built
   /// after bulk load; invalidated automatically by installs.
-  Status CompressColumns(double min_ratio = 2.0) {
-    return table_->CompressColumns(min_ratio);
-  }
+  Status CompressColumns() { return table_->CompressColumns(); }
   const CompressedColumnFile* CompressedSidecar(
       const std::string& name) const {
     return table_->CompressedSidecar(name);

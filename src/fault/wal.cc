@@ -52,7 +52,10 @@ std::vector<uint8_t> RedoLog::SerializeBody(const WalRecord& record) {
   return w.Take();
 }
 
-Result<WalRecord> RedoLog::ParseBody(const std::vector<uint8_t>& body) {
+namespace {
+
+// ParseBody's parse, before its failures are all made DATA_LOSS.
+Result<WalRecord> DecodeBody(const std::vector<uint8_t>& body) {
   ByteReader r(body);
   STATDB_ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
   if (magic != kWalMagic) {
@@ -82,6 +85,12 @@ Result<WalRecord> RedoLog::ParseBody(const std::vector<uint8_t>& body) {
     return DataLossError("wal record body has trailing bytes");
   }
   return rec;
+}
+
+}  // namespace
+
+Result<WalRecord> RedoLog::ParseBody(const std::vector<uint8_t>& body) {
+  return AsDataLoss(DecodeBody(body));
 }
 
 Status RedoLog::ReadStream(uint64_t offset, uint64_t len, uint8_t* out) {

@@ -76,6 +76,13 @@ DataType ResultType(ExprOp op, DataType l, DataType r) {
   }
 }
 
+/// Whether `e` has more than `levels` levels; the walk stops there.
+bool DeeperThan(const Expr& e, size_t levels) {
+  if (levels == 0) return true;
+  return (e.lhs() != nullptr && DeeperThan(*e.lhs(), levels - 1)) ||
+         (e.rhs() != nullptr && DeeperThan(*e.rhs(), levels - 1));
+}
+
 size_t CountNodes(const Expr& e) {
   size_t n = 1;
   if (e.lhs() != nullptr) n += CountNodes(*e.lhs());
@@ -414,6 +421,10 @@ BoundExpr& BoundExpr::operator=(BoundExpr&&) noexcept = default;
 BoundExpr::~BoundExpr() = default;
 
 Result<BoundExpr> BoundExpr::Bind(const Expr& expr, const Schema& schema) {
+  if (DeeperThan(expr, Expr::kMaxDepth)) {
+    return InvalidArgumentError("expression deeper than " +
+                                std::to_string(Expr::kMaxDepth) + " levels");
+  }
   BoundExpr bound;
   // Literal string cells view their node's Value: no node may move.
   bound.nodes_.reserve(CountNodes(expr));

@@ -271,7 +271,14 @@ void Expr::Serialize(ByteWriter* w) const {
   if (rhs_ != nullptr) rhs_->Serialize(w);
 }
 
-Result<ExprPtr> Expr::Deserialize(ByteReader* r) {
+namespace {
+
+// Decodes the node at `depth` (the root is 1) and its operands.
+Result<ExprPtr> DeserializeNode(ByteReader* r, size_t depth) {
+  if (depth > Expr::kMaxDepth) {
+    return DataLossError("expression deeper than " +
+                         std::to_string(Expr::kMaxDepth) + " levels");
+  }
   STATDB_ASSIGN_OR_RETURN(uint8_t op_raw, r->GetU8());
   if (op_raw > static_cast<uint8_t>(ExprOp::kIsNotNull)) {
     return DataLossError("bad expression op tag");
@@ -279,13 +286,13 @@ Result<ExprPtr> Expr::Deserialize(ByteReader* r) {
   ExprOp op = static_cast<ExprOp>(op_raw);
   if (op == ExprOp::kColumn) {
     STATDB_ASSIGN_OR_RETURN(std::string name, r->GetString());
-    return MakeColumn(std::move(name));
+    return Expr::MakeColumn(std::move(name));
   }
   if (op == ExprOp::kLiteral) {
     STATDB_ASSIGN_OR_RETURN(Value v, DecodeValue(r));
-    return MakeLiteral(std::move(v));
+    return Expr::MakeLiteral(std::move(v));
   }
-  STATDB_ASSIGN_OR_RETURN(ExprPtr lhs, Deserialize(r));
+  STATDB_ASSIGN_OR_RETURN(ExprPtr lhs, DeserializeNode(r, depth + 1));
   STATDB_ASSIGN_OR_RETURN(uint8_t has_rhs, r->GetU8());
   // Evaluation dereferences both children of a binary node and only the
   // left one of a unary node: a mismatched arity is corruption.
@@ -294,10 +301,16 @@ Result<ExprPtr> Expr::Deserialize(ByteReader* r) {
     return DataLossError("expression node has the wrong arity");
   }
   if (has_rhs == 0) {
-    return MakeUnary(op, std::move(lhs));
+    return Expr::MakeUnary(op, std::move(lhs));
   }
-  STATDB_ASSIGN_OR_RETURN(ExprPtr rhs, Deserialize(r));
-  return MakeBinary(op, std::move(lhs), std::move(rhs));
+  STATDB_ASSIGN_OR_RETURN(ExprPtr rhs, DeserializeNode(r, depth + 1));
+  return Expr::MakeBinary(op, std::move(lhs), std::move(rhs));
+}
+
+}  // namespace
+
+Result<ExprPtr> Expr::Deserialize(ByteReader* r) {
+  return AsDataLoss(DeserializeNode(r, 1));
 }
 
 ExprPtr Col(std::string name) { return Expr::MakeColumn(std::move(name)); }

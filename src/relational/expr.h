@@ -72,6 +72,12 @@ class Expr {
 
   std::string ToString() const;
 
+  /// Deepest tree the engine binds, stores or decodes. Every walk of a
+  /// tree recurses once per level; BoundExpr::Bind refuses a deeper tree
+  /// before anything is staged or stored, and Deserialize refuses one as
+  /// DATA_LOSS, so no walk outgrows the stack.
+  static constexpr size_t kMaxDepth = 1000;
+
   /// Binary (de)serialization — used by the Management Database to
   /// persist view definitions, predicate updates and derived-column
   /// rules (§3.2: it is "a repository for ... view definitions").

@@ -6,6 +6,13 @@
 
 namespace statdb {
 
+namespace {
+
+// A sidecar is built only when it needs at most half the column's pages.
+constexpr double kMinCompressionRatio = 2.0;
+
+}  // namespace
+
 Status StoredRowTable::Append(const Row& row) {
   if (row.size() != schema_.size()) {
     return InvalidArgumentError("row arity does not match schema");
@@ -406,7 +413,7 @@ void TransposedTable::DropSidecar(size_t col) {
   columns_[col].compressed.reset();
 }
 
-Status TransposedTable::CompressColumns(double min_ratio) {
+Status TransposedTable::CompressColumns() {
   for (size_t c = 0; c < columns_.size(); ++c) {
     ColumnStore& store = columns_[c];
     {
@@ -425,7 +432,8 @@ Status TransposedTable::CompressColumns(double min_ratio) {
     size_t est_pages = (runs + CompressedColumnFile::kRunsPerPage - 1) /
                        CompressedColumnFile::kRunsPerPage;
     if (est_pages == 0 ||
-        double(store.file->page_count()) < min_ratio * double(est_pages)) {
+        double(store.file->page_count()) <
+            kMinCompressionRatio * double(est_pages)) {
       continue;  // would not compress enough to be worth the pages
     }
     auto sidecar = std::make_shared<CompressedColumnFile>(pool_);

@@ -170,13 +170,13 @@ class TransposedTable {
   // --- RLE sidecars (compressed-domain scans, DESIGN.md §14) ------------
 
   /// Builds a read-only RLE sidecar for every column whose estimated
-  /// compression ratio is at least `min_ratio` (runs are counted before
-  /// any page is allocated, so poorly-compressing columns cost no
-  /// storage). Best-effort: a column that fails to compress — device
-  /// full, say — simply keeps no sidecar. Sidecars are a scan
+  /// compression ratio is at least 2 (runs are counted before any page is
+  /// allocated, so poorly-compressing columns cost no storage).
+  /// Best-effort: a column that fails to compress — device full, say —
+  /// simply keeps no sidecar. Sidecars are a scan
   /// accelerator, not durable state: they are absent from the recovery
   /// manifest and any cell mutation drops the affected ones.
-  Status CompressColumns(double min_ratio = 2.0);
+  Status CompressColumns();
 
   /// The column's RLE sidecar, or nullptr when none was built (or a
   /// mutation invalidated it). The sidecar's runs decode to exactly the

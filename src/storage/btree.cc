@@ -12,6 +12,20 @@ namespace {
 // A node must serialize (with its u32 length prefix) into one page.
 constexpr size_t kNodeCapacity = kPageSize - sizeof(uint32_t);
 
+// Smallest encodings of a leaf entry (two length prefixes) and of an
+// internal entry (a length prefix and a child id).
+constexpr size_t kMinLeafEntryBytes = 4 + 4;
+constexpr size_t kMinInternalEntryBytes = 4 + 8;
+
+// Every internal node has at least two children, so a tree this tall
+// would need more than 2^63 leaves. A descent that goes deeper is
+// following a cycle in damaged pages.
+constexpr int kMaxHeight = 64;
+
+Status TooDeep() {
+  return DataLossError("B+-tree descent deeper than any tree can be");
+}
+
 }  // namespace
 
 Result<std::unique_ptr<BPlusTree>> BPlusTree::Create(BufferPool* pool) {
@@ -69,7 +83,12 @@ Status BPlusTree::StoreNode(PageId pid, const Node& node) const {
 }
 
 Result<BPlusTree::Node> BPlusTree::LoadNode(PageId pid) const {
-  STATDB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(pid));
+  Result<Page*> fetched = pool_->FetchPage(pid);
+  if (fetched.status().code() == StatusCode::kOutOfRange) {
+    // Only a damaged pointer names a page past the device's end.
+    return DataLossError("B+-tree pointer past the end of the device");
+  }
+  STATDB_ASSIGN_OR_RETURN(Page * page, std::move(fetched));
   uint32_t len;
   std::memcpy(&len, page->bytes(), sizeof(len));
   Node node;
@@ -80,9 +99,10 @@ Result<BPlusTree::Node> BPlusTree::LoadNode(PageId pid) const {
     ByteReader r(page->bytes() + sizeof(len), len);
     auto do_parse = [&]() -> Status {
       STATDB_ASSIGN_OR_RETURN(uint8_t is_leaf, r.GetU8());
-      STATDB_ASSIGN_OR_RETURN(uint32_t count, r.GetU32());
       node.is_leaf = is_leaf != 0;
       if (node.is_leaf) {
+        STATDB_ASSIGN_OR_RETURN(uint32_t count,
+                                r.GetCount(kMinLeafEntryBytes));
         STATDB_ASSIGN_OR_RETURN(node.leaf.next, r.GetU64());
         node.leaf.entries.reserve(count);
         for (uint32_t i = 0; i < count; ++i) {
@@ -91,6 +111,8 @@ Result<BPlusTree::Node> BPlusTree::LoadNode(PageId pid) const {
           node.leaf.entries.emplace_back(std::move(k), std::move(v));
         }
       } else {
+        STATDB_ASSIGN_OR_RETURN(uint32_t count,
+                                r.GetCount(kMinInternalEntryBytes));
         STATDB_ASSIGN_OR_RETURN(uint64_t child0, r.GetU64());
         node.internal.children.push_back(child0);
         node.internal.keys.reserve(count);
@@ -103,7 +125,7 @@ Result<BPlusTree::Node> BPlusTree::LoadNode(PageId pid) const {
       }
       return Status::OK();
     };
-    parse = do_parse();
+    parse = AsDataLoss(do_parse());
   }
   STATDB_RETURN_IF_ERROR(pool_->UnpinPage(pid, /*dirty=*/false));
   STATDB_RETURN_IF_ERROR(parse);
@@ -121,7 +143,8 @@ Result<PageId> BPlusTree::AllocNode(const Node& node) {
 
 Result<PageId> BPlusTree::FindLeaf(const std::string& key) const {
   PageId pid = root_;
-  while (true) {
+  for (int depth = 0;; ++depth) {
+    if (depth == kMaxHeight) return TooDeep();
     STATDB_ASSIGN_OR_RETURN(Node node, LoadNode(pid));
     if (node.is_leaf) return pid;
     const auto& keys = node.internal.keys;
@@ -146,7 +169,8 @@ Result<std::string> BPlusTree::Get(const std::string& key) const {
 
 Result<std::optional<BPlusTree::SplitResult>> BPlusTree::InsertRec(
     PageId pid, const std::string& key, const std::string& value,
-    bool* inserted_new) {
+    bool* inserted_new, int depth) {
+  if (depth == kMaxHeight) return TooDeep();
   STATDB_ASSIGN_OR_RETURN(Node node, LoadNode(pid));
   if (node.is_leaf) {
     auto& entries = node.leaf.entries;
@@ -211,7 +235,8 @@ Result<std::optional<BPlusTree::SplitResult>> BPlusTree::InsertRec(
   size_t idx = std::upper_bound(keys.begin(), keys.end(), key) - keys.begin();
   STATDB_ASSIGN_OR_RETURN(
       std::optional<SplitResult> child_split,
-      InsertRec(node.internal.children[idx], key, value, inserted_new));
+      InsertRec(node.internal.children[idx], key, value, inserted_new,
+                depth + 1));
   if (!child_split.has_value()) {
     return std::optional<SplitResult>();
   }
@@ -247,7 +272,7 @@ Status BPlusTree::Put(const std::string& key, const std::string& value) {
   }
   bool inserted_new = false;
   STATDB_ASSIGN_OR_RETURN(std::optional<SplitResult> split,
-                          InsertRec(root_, key, value, &inserted_new));
+                          InsertRec(root_, key, value, &inserted_new, 0));
   if (split.has_value()) {
     Node new_root;
     new_root.is_leaf = false;
@@ -281,7 +306,12 @@ Status BPlusTree::ScanRange(
     const std::function<bool(const std::string&, const std::string&)>& fn)
     const {
   STATDB_ASSIGN_OR_RETURN(PageId pid, FindLeaf(lo));
-  while (pid != kInvalidPageId) {
+  // A chain longer than the device has pages is a cycle.
+  const uint64_t max_leaves = pool_->device_page_count();
+  for (uint64_t leaves = 0; pid != kInvalidPageId; ++leaves) {
+    if (leaves == max_leaves) {
+      return DataLossError("B+-tree leaf chain longer than the device");
+    }
     STATDB_ASSIGN_OR_RETURN(Node node, LoadNode(pid));
     for (const auto& [k, v] : node.leaf.entries) {
       if (k < lo) continue;
@@ -306,14 +336,13 @@ Status BPlusTree::ScanPrefix(
 }
 
 Result<int> BPlusTree::Height() const {
-  int h = 1;
   PageId pid = root_;
-  while (true) {
+  for (int h = 1; h <= kMaxHeight; ++h) {
     STATDB_ASSIGN_OR_RETURN(Node node, LoadNode(pid));
     if (node.is_leaf) return h;
     pid = node.internal.children[0];
-    ++h;
   }
+  return TooDeep();
 }
 
 }  // namespace statdb

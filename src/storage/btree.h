@@ -106,10 +106,11 @@ class BPlusTree {
   static size_t SerializedSize(const Node& node);
   Result<PageId> AllocNode(const Node& node);
 
+  /// `depth` is the node's distance from the root.
   Result<std::optional<SplitResult>> InsertRec(PageId pid,
                                                const std::string& key,
                                                const std::string& value,
-                                               bool* inserted_new);
+                                               bool* inserted_new, int depth);
   /// Descends to the leaf that would contain `key`.
   Result<PageId> FindLeaf(const std::string& key) const;
 

@@ -167,6 +167,11 @@ class BufferPool {
     fast_hits_.store(0, std::memory_order_relaxed);
   }
   SimulatedDevice* device() { return device_; }
+  /// The device's page count, read under the lock NewPage grows it with.
+  uint64_t device_page_count() const {
+    MutexLock lock(mu_);
+    return device_->page_count();
+  }
   size_t capacity() const { return capacity_; }
 
   /// Attaches (or detaches, with nullptr) the flight recorder; retry

@@ -138,6 +138,10 @@ std::vector<uint8_t> SummaryResult::Serialize() const {
 
 Result<SummaryResult> SummaryResult::Deserialize(
     const std::vector<uint8_t>& bytes) {
+  return AsDataLoss(Decode(bytes));
+}
+
+Result<SummaryResult> SummaryResult::Decode(const std::vector<uint8_t>& bytes) {
   ByteReader r(bytes);
   STATDB_ASSIGN_OR_RETURN(uint8_t kind_raw, r.GetU8());
   SummaryResult out;
@@ -203,6 +207,9 @@ Result<SummaryResult> SummaryResult::Deserialize(
                               DeserializeRow(cbytes.data(), cbytes.size()));
       size_t nrows = out.crosstab_.row_labels.size();
       size_t ncols = out.crosstab_.col_labels.size();
+      if (nrows * ncols > r.remaining() / sizeof(uint64_t)) {
+        return DataLossError("crosstab counts exceed the bytes that follow");
+      }
       out.crosstab_.counts.assign(nrows, std::vector<uint64_t>(ncols, 0));
       for (size_t i = 0; i < nrows; ++i) {
         for (size_t j = 0; j < ncols; ++j) {

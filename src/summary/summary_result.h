@@ -57,6 +57,9 @@ class SummaryResult {
   friend bool operator==(const SummaryResult& a, const SummaryResult& b);
 
  private:
+  /// Deserialize's parse, before its failures are all made DATA_LOSS.
+  static Result<SummaryResult> Decode(const std::vector<uint8_t>& bytes);
+
   SummaryResultKind kind_ = SummaryResultKind::kScalar;
   double scalar_ = 0;
   std::vector<double> vector_;

@@ -1,8 +1,10 @@
 #include "storage/btree.h"
 
+#include <cstring>
 #include <map>
 #include <string>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
@@ -222,6 +224,42 @@ TEST_P(BTreeModelTest, MatchesStdMapUnderRandomOps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreeModelTest, ::testing::Range(1, 9));
+
+
+/// Overwrites the root page with a bodiless node: its flag, its entry
+/// count and its next (leaf) or first child (internal) pointer.
+void RewriteRoot(TestStorage* ts, const BPlusTree& tree, bool leaf,
+                 uint32_t count, PageId pointer) {
+  ByteWriter w;
+  w.PutU8(leaf ? 1 : 0);
+  w.PutU32(count);
+  w.PutU64(pointer);
+  const uint32_t len = uint32_t(w.size());
+  Page* page = ts->pool.FetchPage(tree.root_id()).value();
+  std::memcpy(page->bytes(), &len, sizeof(len));
+  std::memcpy(page->bytes() + sizeof(len), w.bytes().data(), len);
+  EXPECT_TRUE(ts->pool.UnpinPage(tree.root_id(), /*dirty=*/true).ok());
+}
+
+// A damaged node is refused as DATA_LOSS: a count no page could hold
+// before it sizes anything, and a node pointing back at itself before a
+// descent or a leaf walk loops forever.
+TEST(BTreeTest, DamagedNodesAreDataLoss) {
+  TestStorage ts(16);
+  auto tree = MakeTree(&ts);
+  STATDB_ASSERT_OK(tree->Put("key", "value"));
+  RewriteRoot(&ts, *tree, /*leaf=*/true, 0xFFFFFFFF, kInvalidPageId);
+  EXPECT_EQ(tree->Get("key").status().code(), StatusCode::kDataLoss);
+  RewriteRoot(&ts, *tree, /*leaf=*/false, 0, tree->root_id());
+  EXPECT_EQ(tree->Get("key").status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(tree->Put("key", "v").code(), StatusCode::kDataLoss);
+  EXPECT_EQ(tree->Height().status().code(), StatusCode::kDataLoss);
+  RewriteRoot(&ts, *tree, /*leaf=*/true, 0, tree->root_id());
+  EXPECT_EQ(tree->ScanRange("", "", [](const std::string&,
+                                       const std::string&) { return true; })
+                .code(),
+            StatusCode::kDataLoss);
+}
 
 }  // namespace
 }  // namespace statdb

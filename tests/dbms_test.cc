@@ -188,6 +188,45 @@ TEST_F(DbmsTest, EagerPolicyRecomputesImmediately) {
   EXPECT_EQ(hit->source, AnswerSource::kCacheHit);
 }
 
+// E7 (§4.2-4.3): one session per policy. Each of ten rounds makes
+// `updates` AGE-cohort updates to INCOME, then asks for its mean
+// `queries` times; mean was cached before the session.
+TEST_F(DbmsTest, MaintenancePoliciesAcrossQueryMixes) {
+  auto run = [&](MaintenancePolicy policy, int updates, int queries) {
+    dbms_ = std::make_unique<StatisticalDbms>(storage_.get());
+    EXPECT_TRUE(dbms_->LoadRawDataSet("census", raw_).ok());
+    EXPECT_TRUE(MakeView("v", policy).ok());
+    EXPECT_TRUE(dbms_->Query("v", "mean", "INCOME").ok());
+    for (int round = 0; round < 10; ++round) {
+      for (int u = 0; u < updates; ++u) {
+        UpdateSpec spec;
+        spec.predicate = Eq(Col("AGE"), Lit(int64_t{20 + u}));
+        spec.column = "INCOME";
+        spec.value = Mul(Col("INCOME"), Lit(1.01));
+        EXPECT_TRUE(dbms_->Update("v", spec).ok());
+      }
+      for (int q = 0; q < queries; ++q) {
+        EXPECT_TRUE(dbms_->Query("v", "mean", "INCOME").ok());
+      }
+    }
+    return *dbms_->GetTrafficStats("v").value();
+  };
+  // Query-heavy: incremental computes nothing after the warm-up;
+  // invalidate computes once per query that follows an update; eager
+  // computes nothing at query time and recomputes the entry per update.
+  EXPECT_EQ(run(MaintenancePolicy::kIncremental, 1, 3).computed, 1u);
+  EXPECT_EQ(run(MaintenancePolicy::kInvalidate, 1, 3).computed, 11u);
+  const ViewTrafficStats eager = run(MaintenancePolicy::kEager, 1, 3);
+  EXPECT_EQ(eager.computed, 1u);
+  EXPECT_EQ(eager.eager_recomputes, 10u);
+  // Update-heavy: the adaptive delta policy hands the incremental view's
+  // INCOME to the lazy strategy, which then recomputes like invalidate.
+  EXPECT_EQ(run(MaintenancePolicy::kIncremental, 4, 1).computed, 8u);
+  EXPECT_EQ(
+      dbms_->delta_policy().Current("v", "INCOME", dbms_->delta_config()),
+      delta::MaintenanceStrategy::kInvalidateLazy);
+}
+
 TEST_F(DbmsTest, InferenceAnswersFromOtherCachedValues) {
   ASSERT_TRUE(MakeView("v").ok());
   ASSERT_TRUE(dbms_->Query("v", "sum", "INCOME").ok());
@@ -488,5 +527,18 @@ TEST_F(DbmsTest, UpdateOverflowingAnIntColumnFailsAndWritesNothing) {
   EXPECT_EQ(view->version(), 0u);
 }
 
+
+// A derived formula deeper than Expr::kMaxDepth is refused before the
+// column or its rule is stored, so no manifest holds an expression that
+// recovery would refuse to decode.
+TEST_F(DbmsTest, TooDeepDerivedFormulaIsRefusedBeforeItIsStored) {
+  ASSERT_TRUE(MakeView("v").ok());
+  ExprPtr e = Col("INCOME");
+  for (size_t i = 0; i < Expr::kMaxDepth; ++i) e = Neg(e);
+  EXPECT_EQ(dbms_->AddDerivedColumn("v", DerivedColumnDef::Local("N", e))
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(dbms_->GetView("v").value()->schema().Contains("N"));
+}
 }  // namespace
 }  // namespace statdb

@@ -12,7 +12,7 @@
 #include "core/dbms.h"
 #include "delta/delta_buffer.h"
 #include "delta/policy.h"
-#include "exec/partial_stats.h"
+#include "stats/partial_stats.h"
 #include "flight/flight_recorder.h"
 #include "gtest/gtest.h"
 #include "relational/datagen.h"

@@ -5,6 +5,7 @@
 
 #include "common/bytes.h"
 #include "gtest/gtest.h"
+#include "relational/bound_expr.h"
 #include "tests/test_util.h"
 
 namespace statdb {
@@ -153,6 +154,36 @@ TEST_F(ExprTest, DeserializeRejectsWrongArity) {
   Expr::MakeUnary(ExprOp::kAdd, Col("A"))->Serialize(&w);
   ByteReader r(w.bytes());
   EXPECT_EQ(Expr::Deserialize(&r).status().code(), StatusCode::kDataLoss);
+}
+
+
+/// Encoding of `levels` nested negations of a literal; no Expr is built,
+/// so nothing recurses to make it.
+std::vector<uint8_t> NegationChain(size_t levels) {
+  ByteWriter w;
+  for (size_t i = 1; i < levels; ++i) w.PutU8(uint8_t(ExprOp::kNeg));
+  Lit(1.0)->Serialize(&w);
+  for (size_t i = 1; i < levels; ++i) w.PutU8(0);  // no right operand
+  return w.Take();
+}
+
+// A chain of 50,000 levels is refused as DATA_LOSS before the decoder's
+// recursion can outgrow the stack; Expr::kMaxDepth levels decode. Binding
+// refuses one level more, so nothing is staged or stored that would not
+// decode.
+TEST_F(ExprTest, DecodeAndBindRefuseTreesDeeperThanTheLimit) {
+  for (size_t levels : {Expr::kMaxDepth, Expr::kMaxDepth + 1, size_t{50'000}}) {
+    const std::vector<uint8_t> bytes = NegationChain(levels);
+    ByteReader r(bytes);
+    EXPECT_EQ(Expr::Deserialize(&r).status().code(),
+              levels <= Expr::kMaxDepth ? StatusCode::kOk
+                                        : StatusCode::kDataLoss);
+  }
+  ExprPtr e = Col("A");
+  for (size_t level = 2; level <= Expr::kMaxDepth; ++level) e = Neg(e);
+  STATDB_EXPECT_OK(BoundExpr::Bind(*e, schema_));
+  EXPECT_EQ(BoundExpr::Bind(*Neg(e), schema_).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

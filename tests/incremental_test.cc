@@ -208,6 +208,33 @@ TEST(OrderStatWindowTest, SinglePassRebuildUsedWhenRangeStillBrackets) {
                    Median(current).value());
 }
 
+// E6 (§4.2): under a seeded drifting stream the pointer absorbs most
+// updates, and every regeneration takes the single pass over the data
+// that the old window's bracket allows. The final median is exact.
+TEST(OrderStatWindowTest, DriftingStreamRegeneratesInOnePassOnly) {
+  Rng rng(3);
+  std::vector<double> column;
+  for (int i = 0; i < 20'000; ++i) column.push_back(rng.Normal(30000, 8000));
+  auto m = MakeMedianWindowMaintainer(100);
+  ASSERT_TRUE(m->Initialize(column).ok());
+  const uint64_t initial = m->stats().rebuilds;
+  for (int u = 0; u < 2'000; ++u) {
+    const size_t idx = size_t(rng.UniformInt(0, int64_t(column.size()) - 1));
+    // Half the updates draw from a distribution whose mean climbs.
+    const double fresh = rng.Bernoulli(0.5) ? rng.Normal(30000 + u * 40.0, 8000)
+                                            : rng.Normal(30000, 8000);
+    const CellDelta delta = CellDelta::Change(column[idx], fresh);
+    column[idx] = fresh;
+    if (!m->Apply(delta).ok()) {
+      ASSERT_TRUE(m->Initialize(column).ok());
+    }
+  }
+  EXPECT_EQ(m->stats().rebuilds - initial, 8u);
+  EXPECT_EQ(m->stats().single_pass_rebuilds, 8u);
+  EXPECT_EQ(m->stats().window_slides, 1'992u);
+  EXPECT_DOUBLE_EQ(ScalarOf(m->Current()), Median(column).value());
+}
+
 TEST(OrderStatWindowTest, QuantileP95Tracks) {
   auto m = MakeOrderStatWindowMaintainer(0.95, 50);
   std::vector<double> data;

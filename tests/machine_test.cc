@@ -93,5 +93,20 @@ TEST(MachineTest, CompressedScanDegeneratesToHostScanWithoutRuns) {
   EXPECT_GE(compressed.total_ms, host.total_ms);
 }
 
+// E13 (§4.3): the slower the host's CPU, the more a whole-column
+// aggregate gains from offload to the database machine.
+TEST(MachineTest, SlowerHostCpuFavoursOffload) {
+  DbMachineConfig cfg;
+  double previous = 0;
+  for (double us : {0.5, 2.0, 8.0, 32.0}) {
+    cfg.host_cpu_per_tuple_us = us;
+    const double speedup =
+        HostAggregateScan(cfg, 10'000, 10'000 * 500).total_ms /
+        MachineAggregateOffload(cfg, 10'000).total_ms;
+    EXPECT_GT(speedup, previous) << us << " us per tuple";
+    previous = speedup;
+  }
+}
+
 }  // namespace
 }  // namespace statdb

@@ -15,7 +15,7 @@
 #include "gtest/gtest.h"
 #include "check/check.h"
 #include "core/dbms.h"
-#include "exec/partial_stats.h"
+#include "stats/partial_stats.h"
 #include "exec/thread_pool.h"
 #include "relational/datagen.h"
 #include "stats/correlation.h"

@@ -17,7 +17,7 @@
 
 #include "common/rng.h"
 #include "core/dbms.h"
-#include "exec/partial_stats.h"
+#include "stats/partial_stats.h"
 #include "gtest/gtest.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"

@@ -1,8 +1,11 @@
 #include "core/view.h"
 #include "core/view_def.h"
 
+#include <cmath>
+
 #include "gtest/gtest.h"
 #include "relational/datagen.h"
+#include "stats/order.h"
 #include "tests/cell_changes.h"
 #include "tests/test_util.h"
 
@@ -60,6 +63,29 @@ TEST(ViewDefTest, MaterializeWithSampleIsDeterministic) {
   EXPECT_EQ(a->num_rows(), b->num_rows());
   EXPECT_GT(a->num_rows(), 400u);
   EXPECT_LT(a->num_rows(), 800u);
+}
+
+// E9 (§2.2): a 5% sample of 100,000 rows at a fixed seed keeps 4,986,
+// stores each column on ceil(rows / 500) pages, and puts the median
+// within 2% of the full data's.
+TEST(ViewDefTest, SampledViewIsSmallAndItsMedianClose) {
+  auto raw = Census(100'000);
+  ASSERT_TRUE(raw.ok());
+  ViewDefinition def;
+  def.source = "census";
+  def.sample_fraction = 0.05;
+  auto sample = def.Materialize(*raw);
+  ASSERT_TRUE(sample.ok());
+  const uint64_t rows = sample->num_rows();
+  EXPECT_EQ(rows, 4'986u);
+  TestStorage ts(16);
+  ConcreteView view("s", sample->schema(), &ts.pool);
+  ASSERT_TRUE(view.LoadFrom(*sample).ok());
+  EXPECT_EQ(view.ExportColumns()[6].pages.size(), (rows + 499) / 500);
+  const double truth = Median(raw->NumericColumn("INCOME").value()).value();
+  const double estimate =
+      Median(sample->NumericColumn("INCOME").value()).value();
+  EXPECT_LT(std::abs(estimate - truth) / truth, 0.02);
 }
 
 TEST(ViewDefTest, MaterializeWithAggregation) {

@@ -76,9 +76,13 @@ def check_metrics(doc: dict) -> str:
         require(key in hist, f"dbms.query_ms histogram missing '{key}'")
     require(hist["count"] >= 1, "dbms.query_ms recorded no queries")
     for counter in ("dbms.answers.computed", "dbms.answers.cache_hit",
-                    "exec.pool.tasks_executed"):
+                    "exec.pool.tasks_executed", "dbms.order_state.builds",
+                    "dbms.order_state.merges",
+                    "dbms.order_state.evictions"):
         require(counter in reg["counters"],
                 f"registry missing counter '{counter}'")
+    require("dbms.order_state.bytes" in reg["gauges"],
+            "registry missing gauge 'dbms.order_state.bytes'")
 
     return (f"{len(doc['views'])} view(s), {len(doc['devices'])} device(s), "
             f"{len(reg['counters'])} counters, "

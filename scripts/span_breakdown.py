@@ -10,7 +10,10 @@ its parent in the same buffer (-1 for a root), its name and its start
 and end in ms. Every root is an `op.<kind>` span. For each pair of root
 operation and `dbms.<phase>` descendant this prints the number of phase
 spans and the p50 and p90 of their durations in ms. Summary lines
-(`{"self": ...}`) are skipped.
+(`{"self": ...}`) are skipped. The phases are the engine's span kinds:
+`dbms.order_build` (an order state sorted from a gather, or its queued
+changes merged in) is its own phase, apart from the `dbms.compute` of
+the answers read from the state.
 
 With --calls it prints, for each `call.<kind>` span (the timed engine
 call inside an operation), the number of calls, their summed and p50

@@ -1,5 +1,9 @@
 #include "check/db_auditor.h"
 
+#include <bit>
+#include <cmath>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/dbms.h"
@@ -8,6 +12,42 @@
 #include "summary/summary_db.h"
 
 namespace statdb {
+
+namespace {
+
+/// Same bits, or both NaN.
+bool SameDouble(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+/// Why `live` (its queue merged) is not the state a fresh build from
+/// `column` gives; empty when it is.
+std::string OrderStateMismatch(OrderState live,
+                               const std::vector<double>& column) {
+  if (!live.Merge()) return "a queued change is not in the state";
+  const OrderState fresh = OrderState::Build(column);
+  if (live.nan_count() != fresh.nan_count()) return "NaN count differs";
+  const std::vector<double>& a = live.sorted();
+  const std::vector<double>& b = fresh.sorted();
+  if (a.size() != b.size()) return "value count differs";
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!SameDouble(a[i], b[i])) {
+      return "rank " + std::to_string(i) + " differs";
+    }
+  }
+  if (const std::optional<DescriptiveStats>& m = live.moments()) {
+    const DescriptiveStats& f = *fresh.moments();
+    if (m->count != f.count || !SameDouble(m->sum, f.sum) ||
+        !SameDouble(m->mean, f.mean) || !SameDouble(m->m2, f.m2) ||
+        !SameDouble(m->min, f.min) || !SameDouble(m->max, f.max)) {
+      return "row-order moments differ";
+    }
+  }
+  return "";
+}
+
+}  // namespace
 
 Status DbAuditor::AuditView(const std::string& view, CheckReport* report) {
   STATDB_ASSIGN_OR_RETURN(SummaryDatabase * summary,
@@ -32,8 +72,24 @@ Status DbAuditor::AuditView(const std::string& view, CheckReport* report) {
       [concrete](const std::string& attr) -> Result<std::vector<Value>> {
     return concrete->ReadColumn(attr);
   };
-  return AuditSummaryAgainstView(summary, dbms_->management_db().functions(),
-                                 oracle, report, options_);
+  STATDB_RETURN_IF_ERROR(AuditSummaryAgainstView(
+      summary, dbms_->management_db().functions(), oracle, report,
+      options_));
+
+  // Every live order state against a fresh sorted gather. A state behind
+  // its column's generation is dropped on its next use, not read.
+  for (const auto& [attr, entry] : dbms_->views_.at(view).order_states) {
+    STATDB_ASSIGN_OR_RETURN(size_t column, concrete->schema().IndexOf(attr));
+    if (entry.generation != concrete->generation(column)) continue;
+    STATDB_ASSIGN_OR_RETURN(std::vector<double> data,
+                            concrete->ReadNumericColumn(attr));
+    const std::string why = OrderStateMismatch(entry.state, data);
+    if (!why.empty()) {
+      report->Add(CheckSeverity::kError, "order_state", "order-state-drift",
+                  view + "." + attr + ": " + why);
+    }
+  }
+  return Status::OK();
 }
 
 Status DbAuditor::AuditAll(CheckReport* report) {

@@ -47,6 +47,18 @@ Result<std::string> ByteReader::GetString() {
   return s;
 }
 
+Result<uint64_t> ByteReader::GetVarint() {
+  uint64_t v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    STATDB_ASSIGN_OR_RETURN(uint8_t byte, GetU8());
+    // The tenth byte holds bit 63 only.
+    if (shift == 63 && byte > 1) break;
+    v |= uint64_t(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) return v;
+  }
+  return DataLossError("varint longer than 64 bits");
+}
+
 Result<uint32_t> ByteReader::GetCount(size_t min_elem_bytes) {
   STATDB_ASSIGN_OR_RETURN(uint32_t n, GetU32());
   if (uint64_t{n} * min_elem_bytes > remaining()) {

@@ -20,6 +20,11 @@ class ByteWriter {
   void PutU64(uint64_t v) { PutRaw(&v, sizeof(v)); }
   void PutI64(int64_t v) { PutRaw(&v, sizeof(v)); }
   void PutDouble(double v) { PutRaw(&v, sizeof(v)); }
+  /// LEB128: seven bits a byte, low first; 1 byte below 128, at most 10.
+  void PutVarint(uint64_t v) {
+    for (; v >= 0x80; v >>= 7) PutU8(uint8_t(v | 0x80));
+    PutU8(uint8_t(v));
+  }
 
   /// Length-prefixed string (u32 length + bytes).
   void PutString(const std::string& s) {
@@ -55,6 +60,8 @@ class ByteReader {
   Result<int64_t> GetI64();
   Result<double> GetDouble();
   Result<std::string> GetString();
+  /// PutVarint's value; DATA_LOSS for more than 64 bits.
+  Result<uint64_t> GetVarint();
 
   /// Reads a u32 element count for a sequence whose elements encode to
   /// at least `min_elem_bytes` each. DATA_LOSS when that many elements

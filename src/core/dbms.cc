@@ -1,6 +1,7 @@
 #include "core/dbms.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <optional>
@@ -160,6 +161,10 @@ StatisticalDbms::StatisticalDbms(StorageManager* storage,
   obs_delta_flushed_ = metrics_.GetCounter("dbms.delta.flushed");
   obs_delta_policy_switches_ =
       metrics_.GetCounter("dbms.delta.policy_switches");
+  obs_order_bytes_ = metrics_.GetGauge("dbms.order_state.bytes");
+  obs_order_builds_ = metrics_.GetCounter("dbms.order_state.builds");
+  obs_order_merges_ = metrics_.GetCounter("dbms.order_state.merges");
+  obs_order_evictions_ = metrics_.GetCounter("dbms.order_state.evictions");
   static_assert(std::size(kOpClassNames) ==
                 size_t(OpClass::kRegenerate) + 1);
   for (const char* name : kOpClassNames) {
@@ -415,6 +420,7 @@ Status StatisticalDbms::DropView(const std::string& name) {
   STATDB_RETURN_IF_ERROR(mdb_.DropView(name));
   STATDB_RETURN_IF_ERROR(catalog_.UnregisterDataSet(name));
   views_.erase(name);
+  NoteOrderStateBytes();
   // Policy state is keyed by "view.attr": a later view reusing the name
   // must start from the default strategy, not inherit hysteresis streaks.
   delta_policy_.EraseView(name);
@@ -470,6 +476,12 @@ struct StatisticalDbms::PlannedScan {
   std::vector<size_t> members;
   /// Each member's function, from the gate.
   std::vector<const FunctionDescriptor*> fns;
+  /// The attribute's current order state, merged at planning; the
+  /// members with an order finish read it.
+  const OrderState* order = nullptr;
+  /// Those members have no current state: the scan gathers and the
+  /// pipeline builds one from the gather.
+  bool build_order = false;
   bool arm = false;
   bool want_moments = false;
   bool extremes_only = false;
@@ -492,6 +504,11 @@ struct StatisticalDbms::FinishedQuery {
 /// `group_b`) and the values it gathered.
 struct StatisticalDbms::ScanOutput : FamilyState {
   uint64_t rows = 0;  // cells a column route read, before any filter
+  /// The order state the members with an order finish read: the
+  /// planned one, or the one built from this scan's gather.
+  const OrderState* order = nullptr;
+  /// A built state the budget could not keep lives here for the batch.
+  std::optional<OrderState> spare_order;
 };
 
 Result<const FunctionDescriptor*> StatisticalDbms::Gate(
@@ -810,9 +827,11 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
     }
   }
 
-  // Plan: one route per scan, from facts observable right now.
+  // Plan: one route per scan, from facts observable right now. Order
+  // states used from here on are this batch's: no build evicts them.
   const bool parallel = workers > 1;
   bool needs_pool = false;
+  const uint64_t order_epoch = order_clock_ + 1;
   for (PlannedScan& scan : scans) {
     const PlannedQuery& head = batch[scan.members.front()];
     // Incremental maintainers arm from the scan's states.
@@ -827,35 +846,64 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
     // Shared ref, not the raw pointer: a concurrent Install/Append
     // detaches the sidecar, and this scan's reference must keep the
     // retired pages alive until it finishes.
-    scan.sidecar = cv->CompressedSidecarRef(head.attributes.front());
+    const std::string& attr = head.attributes.front();
+    scan.sidecar = cv->CompressedSidecarRef(attr);
     bool holistic = false;
+    bool reads_order = false;
+    bool order_moments = false;
+    for (const FunctionDescriptor* fn : scan.fns) {
+      holistic = holistic || fn->family == FunctionFamily::kHolistic;
+      reads_order = reads_order || fn->order_finish != nullptr;
+      order_moments = order_moments || fn->order_needs_moments;
+    }
+    const bool compressed = compressed_scan_enabled_ &&
+                            scan.sidecar != nullptr && !holistic &&
+                            !scan.arm;
+    // On a column route the holistic members and histograms finish from
+    // the attribute's order state: a current one needs no read, and
+    // without one the scan gathers and builds it (§9.1). A filtered
+    // request reads its own rows, so it gathers them.
+    reads_order = reads_order && !compressed && !head.filter;
+    if (reads_order) {
+      OrderState* order = CurrentOrderState(state, attr, trace);
+      if (order != nullptr && order_moments && !order->moments()) {
+        STATDB_RETURN_IF_ERROR(FoldRowMoments(*cv, attr, trace, order));
+      }
+      scan.order = order;
+      scan.build_order = order == nullptr;
+    }
     bool any_counts = false;
     bool merge_counts = false;
-    bool gather = false;
+    bool gather = scan.build_order;
     bool extremes = true;
     for (const FunctionDescriptor* fn : scan.fns) {
+      // Rules that arm from the column's values need them gathered.
+      const bool arms_from_values =
+          scan.arm && fn->rule != nullptr && fn->rule_needs_values;
+      if (reads_order && fn->order_finish != nullptr) {
+        gather = gather || arms_from_values;
+        continue;
+      }
       const bool moment = fn->family == FunctionFamily::kMoments;
       const bool counts = fn->family == FunctionFamily::kValueCounts;
       const bool merges = parallel && fn->hashes_counts;
       scan.want_moments = scan.want_moments || moment;
-      holistic = holistic || !(moment || counts);
       any_counts = any_counts || counts;
       merge_counts = merge_counts || merges;
       // Column chunks fold the moments at every worker count and merge
-      // mode/distinct with a pool; the rest gather, like the rules that
-      // arm from values.
-      gather = gather || !(moment || merges) ||
-               (scan.arm && fn->rule != nullptr && fn->rule_needs_values);
+      // mode/distinct with a pool; the rest gather.
+      gather = gather || !(moment || merges) || arms_from_values;
       extremes = extremes && fn->extremes_only;
     }
-    scan.route = compressed_scan_enabled_ && scan.sidecar != nullptr &&
-                         !holistic && !scan.arm
-                     ? QueryRoute::kCompressedRuns
-                     : QueryRoute::kColumnChunks;
-    if (scan.route == QueryRoute::kCompressedRuns) {
+    if (compressed) {
       // The runs fold every value-count function (ValueCounts::AddRun).
+      scan.route = QueryRoute::kCompressedRuns;
       scan.want_counts = any_counts;
+    } else if (scan.order != nullptr && !gather && !scan.want_moments &&
+               !merge_counts) {
+      scan.route = QueryRoute::kOrderState;
     } else {
+      scan.route = QueryRoute::kColumnChunks;
       scan.want_counts = merge_counts;
       scan.keep_values = gather;
       scan.extremes_only = extremes;
@@ -873,6 +921,17 @@ Result<std::vector<QueryAnswer>> StatisticalDbms::RunPipeline(
   for (const PlannedScan& scan : scans) {
     ScanOutput out;
     STATDB_RETURN_IF_ERROR(ExecuteScan(*cv, batch, scan, exec, trace, &out));
+    out.order = scan.order;
+    if (scan.build_order) {
+      // One gather, one sort: the state every later holistic request on
+      // this attribute reads until the column changes.
+      ScopedSpan span(trace, SpanKind::kOrderBuild);
+      span.SetRows(out.values.size());
+      out.order = KeepOrderState(state, batch[scan.members.front()]
+                                            .attributes.front(),
+                                 OrderState::Build(out.values), order_epoch,
+                                 &out.spare_order);
+    }
     // Requests sharing a scan finish on the pool; inserts, answers and
     // the first error stay serial in request order.
     const bool fan_out = exec.pool != nullptr && scan.members.size() > 1;
@@ -1042,6 +1101,8 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
       TakeColumn(std::move(column), out);
       return Status::OK();
     }
+    case QueryRoute::kOrderState:
+      return Status::OK();  // planned: the members read the order state
     case QueryRoute::kPairs: {
       // Row-aligned numeric pairs; a pair with either cell missing is
       // dropped (pairwise deletion). Co-moment functions and welch_t fold
@@ -1097,9 +1158,14 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
 Result<SummaryResult> StatisticalDbms::FinishQuery(
     const PlannedQuery& query, const FunctionDescriptor& fn,
     const PlannedScan& scan, const ScanOutput& out, uint64_t* rows) const {
-  // One finish per function (DESIGN.md §9.1): from the family state the
-  // scan folded, or over the values it gathered. Value counts fold on
-  // the compressed route, and on column chunks when they hash there.
+  // One finish per function (DESIGN.md §9.1): from the attribute's
+  // order state, from the family state the scan folded, or over the
+  // values it gathered. Value counts fold on the compressed route, and
+  // on column chunks when they hash there.
+  if (fn.order_finish != nullptr && out.order != nullptr) {
+    *rows = out.order->size();
+    return fn.order_finish(*out.order, query.params);
+  }
   const bool folded_counts = scan.route == QueryRoute::kCompressedRuns ||
                              (scan.want_counts && fn.hashes_counts);
   switch (fn.family) {
@@ -1152,10 +1218,131 @@ Result<FilterPredicate> StatisticalDbms::CoerceFilter(
 Status StatisticalDbms::MaintainIndexes(ViewState* state,
                                         const ColumnChange& change,
                                         bool undo) {
-  auto it =
-      state->indexes.find(state->view->schema().attr(change.column).name);
+  const ConcreteView& cv = *state->view;
+  const Attribute& attr = cv.schema().attr(change.column);
+  if (auto order = state->order_states.find(attr.name);
+      order != state->order_states.end()) {
+    OrderEntry& entry = order->second;
+    // The state follows the column only if it saw every write before
+    // this one; a big change is cheaper to rebuild than to merge.
+    if (entry.generation != cv.previous_generation(change.column) ||
+        !entry.state.CanQueue(change.cells.size())) {
+      state->order_states.erase(order);
+    } else {
+      const bool reals = attr.type == DataType::kDouble;
+      auto number = [reals](std::optional<int64_t> raw) {
+        return raw.has_value()
+                   ? std::optional(reals ? std::bit_cast<double>(*raw)
+                                         : double(*raw))
+                   : std::nullopt;
+      };
+      for (const RawChange& c : change.cells) {
+        entry.state.Queue(number(undo ? c.new_cell() : c.old_cell()),
+                          number(undo ? c.old_cell() : c.new_cell()));
+      }
+      entry.generation = cv.generation(change.column);
+    }
+    NoteOrderStateBytes();
+  }
+  auto it = state->indexes.find(attr.name);
   if (it == state->indexes.end()) return Status::OK();
-  return it->second->Install(change, *state->view, undo);
+  return it->second->Install(change, cv, undo);
+}
+
+OrderState* StatisticalDbms::CurrentOrderState(ViewState* state,
+                                               const std::string& attribute,
+                                               QueryTrace* trace) {
+  auto it = state->order_states.find(attribute);
+  if (it == state->order_states.end()) return nullptr;
+  OrderEntry& entry = it->second;
+  const size_t column = *state->view->schema().IndexOf(attribute);
+  bool current = entry.generation == state->view->generation(column);
+  if (current && entry.state.queued() > 0) {
+    ScopedSpan span(trace, SpanKind::kOrderBuild);
+    span.SetRows(entry.state.size());
+    current = entry.state.Merge();
+    obs_order_merges_->Inc();
+  }
+  if (!current) {
+    state->order_states.erase(it);
+    NoteOrderStateBytes();
+    return nullptr;
+  }
+  entry.last_use = ++order_clock_;
+  NoteOrderStateBytes();
+  return &entry.state;
+}
+
+const OrderState* StatisticalDbms::KeepOrderState(
+    ViewState* state, const std::string& attribute, OrderState built,
+    uint64_t protect_from, std::optional<OrderState>* spare) {
+  obs_order_builds_->Inc();
+  state->order_states.erase(attribute);
+  // Evict whole states, least recently used first, until the new one
+  // fits; the states this batch planned to read stay.
+  size_t total = OrderStateBytes();
+  while (total + built.bytes() > kOrderStateBudgetBytes) {
+    std::map<std::string, OrderEntry>* owner = nullptr;
+    std::map<std::string, OrderEntry>::iterator victim;
+    for (auto& [name, vs] : views_) {
+      for (auto it = vs.order_states.begin(); it != vs.order_states.end();
+           ++it) {
+        if (it->second.last_use < protect_from &&
+            (owner == nullptr ||
+             it->second.last_use < victim->second.last_use)) {
+          owner = &vs.order_states;
+          victim = it;
+        }
+      }
+    }
+    if (owner == nullptr) {
+      // Nothing left to evict: the state serves this batch only.
+      NoteOrderStateBytes();
+      return &spare->emplace(std::move(built));
+    }
+    total -= victim->second.state.bytes();
+    owner->erase(victim);
+    obs_order_evictions_->Inc();
+  }
+  const size_t column = *state->view->schema().IndexOf(attribute);
+  OrderEntry& entry = state->order_states[attribute];
+  entry.state = std::move(built);
+  entry.generation = state->view->generation(column);
+  entry.last_use = ++order_clock_;
+  NoteOrderStateBytes();
+  return &entry.state;
+}
+
+size_t StatisticalDbms::OrderStateBytes() const {
+  size_t total = 0;
+  for (const auto& [name, vs] : views_) {
+    for (const auto& [attr, entry] : vs.order_states) {
+      total += entry.state.bytes();
+    }
+  }
+  return total;
+}
+
+void StatisticalDbms::NoteOrderStateBytes() {
+  obs_order_bytes_->Set(double(OrderStateBytes()));
+}
+
+Status StatisticalDbms::FoldRowMoments(const ConcreteView& cv,
+                                       const std::string& attribute,
+                                       QueryTrace* trace, OrderState* order) {
+  // The one-worker moment fold: ComputeDescriptive of the column, bit for
+  // bit, with no gather.
+  ColumnRangeReader reader = [&cv, &attribute](uint64_t begin, uint64_t end) {
+    return cv.ReadNumericRange(attribute, begin, end);
+  };
+  ScopedSpan span(trace, SpanKind::kScan);
+  STATDB_ASSIGN_OR_RETURN(
+      ColumnScanResult column,
+      ParallelScanColumn(cv.num_rows(), ColumnFile::kCellsPerPage, reader,
+                         ColumnScanSpec{}, PoolSlice{}));
+  span.SetRowsPaged(column.rows, ColumnFile::kCellsPerPage);
+  order->set_moments(column.desc);
+  return Status::OK();
 }
 
 Status StatisticalDbms::CreateAttributeIndex(const std::string& view,
@@ -1274,6 +1461,21 @@ Status StatisticalDbms::ReorganizeView(
   if (wal_ == nullptr) {
     STATDB_RETURN_IF_ERROR(pool->FlushAll());
   }
+  // Column multisets are unchanged, so current order states carry over
+  // to the fresh view; their row-order moments do not.
+  for (auto it = state->order_states.begin();
+       it != state->order_states.end();) {
+    const size_t column = *sorted.schema().IndexOf(it->first);
+    OrderEntry& entry = it->second;
+    if (entry.generation != state->view->generation(column)) {
+      it = state->order_states.erase(it);
+      continue;
+    }
+    entry.generation = fresh->generation(column);
+    entry.state.ClearMoments();
+    ++it;
+  }
+  NoteOrderStateBytes();
   state->view = std::move(fresh);
   // Publish immediately: the begin-time pointer just died with the swap,
   // so the destructor's auto-publish must never run here.

@@ -29,6 +29,7 @@
 #include "obs/trace.h"
 #include "relational/stored_table.h"
 #include "rules/management_db.h"
+#include "stats/order_state.h"
 #include "storage/storage_manager.h"
 #include "summary/summary_db.h"
 
@@ -546,6 +547,16 @@ class StatisticalDbms {
   /// pending deltas; it reads them from ViewState::deltas.
   friend class DbAuditor;
 
+  /// One attribute's order state (DESIGN.md §14) and its bookkeeping.
+  struct OrderEntry {
+    OrderState state;
+    /// The column generation the state reflects, queued changes
+    /// included: it is current while this equals the column's.
+    uint64_t generation = 0;
+    /// The order-state clock at its last use (LRU eviction).
+    uint64_t last_use = 0;
+  };
+
   struct ViewState {
     std::unique_ptr<ConcreteView> view;
     std::unique_ptr<SummaryDatabase> summary;
@@ -555,6 +566,9 @@ class StatisticalDbms {
         maintainers;
     /// Secondary indexes keyed by attribute name.
     std::map<std::string, std::unique_ptr<AttributeIndex>> indexes;
+    /// Order states keyed by attribute name: in-memory planner state like
+    /// the indexes, never logged, so empty after Recover().
+    std::map<std::string, OrderEntry> order_states;
     /// Pending (unflushed) update deltas per attribute — the write side
     /// of the delta-batched maintenance engine (src/delta, §16).
     delta::DeltaBuffer deltas;
@@ -575,9 +589,43 @@ class StatisticalDbms {
                               bool* used_index);
 
   /// Folds an installed `change` (its inverse when `undo`) into the
-  /// index on its column, if any.
+  /// index and the order state on its column, if any. Every install of
+  /// an update, rollback or regeneration passes here; the order state
+  /// queues the change, or is dropped when it missed a write or the
+  /// change is too large to merge.
   Status MaintainIndexes(ViewState* state, const ColumnChange& change,
                          bool undo);
+
+  // --- order states (DESIGN.md §9.1, §14) ---------------------------------
+
+  /// Bytes all order states of the DBMS may hold; over it, whole states
+  /// are evicted least recently used first.
+  static constexpr size_t kOrderStateBudgetBytes = size_t{64} << 20;
+
+  /// `attribute`'s order state when it is current, its queue merged;
+  /// nullptr (dropping a stale state) otherwise. Marks it used.
+  OrderState* CurrentOrderState(ViewState* state,
+                                const std::string& attribute,
+                                QueryTrace* trace);
+
+  /// Keeps `built` as `attribute`'s order state, evicting states last
+  /// used before `protect_from` (those planned after it are in use) while
+  /// over the budget. When it cannot fit, `*spare` takes it. Returns
+  /// where the state now lives.
+  const OrderState* KeepOrderState(ViewState* state,
+                                   const std::string& attribute,
+                                   OrderState built, uint64_t protect_from,
+                                   std::optional<OrderState>* spare);
+
+  /// Bytes all order states hold; NoteOrderStateBytes publishes them to
+  /// the dbms.order_state.bytes gauge.
+  size_t OrderStateBytes() const;
+  void NoteOrderStateBytes();
+
+  /// Sets `order`'s row-order moments from the one-worker moment fold of
+  /// `attribute`, a read of the column but no gather.
+  Status FoldRowMoments(const ConcreteView& cv, const std::string& attribute,
+                        QueryTrace* trace, OrderState* order);
 
   Result<ViewState*> GetState(const std::string& view);
 
@@ -644,6 +692,8 @@ class StatisticalDbms {
     kCompressedRuns,  // one attribute, RLE sidecar, all mergeable, no arm
     kColumnChunks,    // one attribute, ParallelScanColumn
     kPairs,           // two attributes, row-aligned numeric pairs
+    kOrderState,      // one attribute, every member reads its current
+                      // order state: no read of the column
   };
   struct PlannedScan;    // dbms.cc
   struct ScanOutput;     // dbms.cc
@@ -873,6 +923,13 @@ class StatisticalDbms {
   Counter* obs_delta_buffered_ = nullptr;
   Counter* obs_delta_flushed_ = nullptr;
   Counter* obs_delta_policy_switches_ = nullptr;
+  // Order-state instruments (dbms.order_state.*).
+  Gauge* obs_order_bytes_ = nullptr;
+  Counter* obs_order_builds_ = nullptr;
+  Counter* obs_order_merges_ = nullptr;
+  Counter* obs_order_evictions_ = nullptr;
+  /// The order-state clock: one tick per use.
+  uint64_t order_clock_ = 0;
 
   /// Delta engine knobs + the per-(view, attribute) strategy machine.
   delta::DeltaConfig delta_config_;

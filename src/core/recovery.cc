@@ -466,6 +466,7 @@ Status StatisticalDbms::RecoverImpl(QueryTrace* trace) {
       mdb_ = ManagementDatabase{};
     }
   }
+  NoteOrderStateBytes();  // no view keeps an order state across recovery
   flight_.Record(causal::Current(), FlightEventKind::kRecoveryStep,
                  "manifest_apply", int64_t(views_.size()),
                  int64_t(raw_tables_.size()));

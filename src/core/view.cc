@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <functional>
 #include <optional>
@@ -62,7 +63,47 @@ bool SameCell(DataType type, std::optional<int64_t> a,
   return !(x < y) && !(x > y);
 }
 
+/// Source of write generations, shared by every view so that a view
+/// rebuilt under the same name never repeats one.
+std::atomic<uint64_t> next_generation{1};
+
 }  // namespace
+
+ConcreteView::Generation::Generation()
+    : current(next_generation.fetch_add(1, std::memory_order_relaxed)) {}
+
+void ConcreteView::Generation::Bump() {
+  previous = current;
+  current = next_generation.fetch_add(1, std::memory_order_relaxed);
+}
+
+Status ConcreteView::LoadFrom(const Table& t) {
+  for (Generation& g : generations_) g.Bump();
+  return table_->LoadFrom(t);
+}
+
+Status ConcreteView::Install(const ChangeSet& set, bool undo) {
+  // Bumped before the write: a failed install may have changed cells.
+  for (const ColumnChange& change : set) {
+    if (change.column < generations_.size() && !change.cells.empty()) {
+      generations_[change.column].Bump();
+    }
+  }
+  return table_->Install(set, undo);
+}
+
+Status ConcreteView::WriteCell(uint64_t row, const std::string& column,
+                               const Value& v) {
+  STATDB_ASSIGN_OR_RETURN(size_t idx, schema().IndexOf(column));
+  generations_[idx].Bump();
+  return table_->WriteCell(row, column, v);
+}
+
+Status ConcreteView::AddColumn(const Attribute& attr) {
+  STATDB_RETURN_IF_ERROR(table_->AddColumn(attr));
+  generations_.emplace_back();
+  return Status::OK();
+}
 
 Status ConcreteView::Stage(const std::string& column, const Expr* predicate,
                            const Expr* value,

@@ -37,7 +37,8 @@ class ConcreteView {
  public:
   ConcreteView(std::string name, Schema schema, BufferPool* pool)
       : name_(std::move(name)),
-        table_(std::make_unique<TransposedTable>(std::move(schema), pool)) {}
+        table_(std::make_unique<TransposedTable>(std::move(schema), pool)),
+        generations_(table_->schema().size()) {}
 
   /// Re-attaches to an existing on-device view (crash recovery).
   ConcreteView(std::string name, Schema schema, BufferPool* pool,
@@ -46,7 +47,8 @@ class ConcreteView {
       : name_(std::move(name)),
         table_(std::make_unique<TransposedTable>(
             std::move(schema), pool, std::move(columns), num_rows)),
-        version_(version) {}
+        version_(version),
+        generations_(table_->schema().size()) {}
 
   /// Durable column shapes, for the recovery manifest.
   std::vector<TransposedTable::ColumnState> ExportColumns() const {
@@ -59,7 +61,7 @@ class ConcreteView {
   uint64_t version() const { return version_; }
 
   /// Bulk-load at materialization time (does not bump the version).
-  Status LoadFrom(const Table& t) { return table_->LoadFrom(t); }
+  Status LoadFrom(const Table& t);
 
   /// Stages `column` := `value` (nullptr = missing) where `predicate`
   /// (nullptr = true) holds, over `rows` (ascending; nullptr = every row),
@@ -74,13 +76,24 @@ class ConcreteView {
 
   /// Installs every column change of `set`, or its inverse when `undo`,
   /// a page at a time. Does NOT bump the version.
-  Status Install(const ChangeSet& set, bool undo = false) {
-    return table_->Install(set, undo);
-  }
+  Status Install(const ChangeSet& set, bool undo = false);
 
   /// Point write (tests and tools). Does NOT bump the version.
-  Status WriteCell(uint64_t row, const std::string& column, const Value& v) {
-    return table_->WriteCell(row, column, v);
+  Status WriteCell(uint64_t row, const std::string& column, const Value& v);
+
+  /// The write generation of the column at schema position `column`: a
+  /// number no other write, column or view ever gets, replaced by every
+  /// LoadFrom, Install, WriteCell and AddColumn that may change the
+  /// column's cells. Unlike the version, which Rollback reuses, two equal
+  /// generations mean the same cells. State derived from a column (its
+  /// order state) is current while it records the column's generation.
+  uint64_t generation(size_t column) const {
+    return generations_[column].current;
+  }
+  /// The generation the column had before its latest write: state that
+  /// recorded it and folds that write in is current again.
+  uint64_t previous_generation(size_t column) const {
+    return generations_[column].previous;
   }
 
   /// A raw cell of the column at schema position `column` as a Value.
@@ -130,7 +143,7 @@ class ConcreteView {
   }
 
   /// Appends an all-null column (derived columns, §2.2).
-  Status AddColumn(const Attribute& attr) { return table_->AddColumn(attr); }
+  Status AddColumn(const Attribute& attr);
 
   /// In-memory snapshot (reads every column).
   Result<Table> Snapshot() const { return table_->ReadAll(); }
@@ -139,9 +152,18 @@ class ConcreteView {
   void BumpVersion() { ++version_; }
 
  private:
+  struct Generation {
+    Generation();
+    /// Gives the column a fresh generation.
+    void Bump();
+    uint64_t previous = 0;
+    uint64_t current = 0;
+  };
+
   std::string name_;
   std::unique_ptr<TransposedTable> table_;
   uint64_t version_ = 0;
+  std::vector<Generation> generations_;  // by schema position
 };
 
 }  // namespace statdb

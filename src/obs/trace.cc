@@ -25,6 +25,7 @@ const char* SpanKindName(SpanKind kind) {
     case SpanKind::kPredicateScan: return "predicate_scan";
     case SpanKind::kMaintenance: return "maintenance";
     case SpanKind::kWalCommit: return "wal_commit";
+    case SpanKind::kOrderBuild: return "order_build";
   }
   return "?";
 }

@@ -50,6 +50,9 @@ enum class SpanKind : uint8_t {
   kPredicateScan = 14,    // predicate update's page-at-a-time evaluation
   kMaintenance = 15,      // indexes, derived columns, history, summaries
   kWalCommit = 16,        // the durable commit (CommitDurable)
+  // An order state sorted from a gathered column, or its queued changes
+  // merged in (DESIGN.md §14): kept apart from the compute it saves.
+  kOrderBuild = 17,
 };
 
 const char* SpanKindName(SpanKind kind);

@@ -425,6 +425,11 @@ FunctionRegistry FunctionRegistry::WithBuiltins() {
     STATDB_ASSIGN_OR_RETURN(Histogram h, s.counts.ToHistogram(buckets, lo, hi));
     return SummaryResult::Histo(std::move(h));
   };
+  histogram.order_finish = [](const OrderState& o, Params p) -> R {
+    STATDB_ASSIGN_OR_RETURN(size_t buckets, p.GetCount("buckets", 20));
+    STATDB_ASSIGN_OR_RETURN(Histogram h, o.AutoHistogram(buckets));
+    return SummaryResult::Histo(std::move(h));
+  };
   histogram.rule = [](const FunctionDescriptor&,
                       const std::vector<std::string>&, Params p)
       -> Result<std::unique_ptr<IncrementalMaintainer>> {
@@ -461,18 +466,45 @@ FunctionRegistry FunctionRegistry::WithBuiltins() {
                             Quantiles(d, {0.25, 0.5, 0.75}));
     return SummaryResult::Vector(std::move(qs));
   };
+  // The order finishes: rank lookups and binary searches on the state.
+  median.order_finish = [](const OrderState& o, Params) -> R {
+    STATDB_ASSIGN_OR_RETURN(std::vector<double> q, o.Quantiles({0.5}));
+    return SummaryResult::Scalar(q.front());
+  };
+  quantile.order_finish = [](const OrderState& o, Params p) -> R {
+    STATDB_ASSIGN_OR_RETURN(std::vector<double> q,
+                            o.Quantiles({p.GetOr("p", 0.5)}));
+    return SummaryResult::Scalar(q.front());
+  };
+  trimmed_mean.order_finish = [](const OrderState& o, Params p) -> R {
+    STATDB_ASSIGN_OR_RETURN(
+        double m, o.TrimmedMean(p.GetOr("lo", 0.05), p.GetOr("hi", 0.95)));
+    return SummaryResult::Scalar(m);
+  };
+  quartiles.order_finish = [](const OrderState& o, Params) -> R {
+    STATDB_ASSIGN_OR_RETURN(std::vector<double> qs,
+                            o.Quantiles({0.25, 0.5, 0.75}));
+    return SummaryResult::Vector(std::move(qs));
+  };
   for (FunctionDescriptor* d : {&median, &quantile, &trimmed_mean,
                                 &quartiles}) {
     d->order_dependent = true;
     d->rule_needs_values = d->rule != nullptr;
     add(std::move(*d));
   }
-  add(ScalarFn("outside_k_sigma", F::kHolistic,
-               [](const std::vector<double>& d, Params p) -> Result<double> {
-                 STATDB_ASSIGN_OR_RETURN(
-                     uint64_t n, CountOutsideKSigma(d, p.GetOr("k", 3.0)));
-                 return double(n);
-               }));
+  FunctionDescriptor outside_k_sigma = ScalarFn(
+      "outside_k_sigma", F::kHolistic,
+      [](const std::vector<double>& d, Params p) -> Result<double> {
+        STATDB_ASSIGN_OR_RETURN(uint64_t n,
+                                CountOutsideKSigma(d, p.GetOr("k", 3.0)));
+        return double(n);
+      });
+  outside_k_sigma.order_finish = [](const OrderState& o, Params p) -> R {
+    STATDB_ASSIGN_OR_RETURN(uint64_t n, o.CountOutsideKSigma(p.GetOr("k", 3.0)));
+    return SummaryResult::Scalar(double(n));
+  };
+  outside_k_sigma.order_needs_moments = true;
+  add(std::move(outside_k_sigma));
 
   // --- pairs -----------------------------------------------------------------
   FunctionDescriptor correlation =

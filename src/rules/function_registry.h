@@ -12,6 +12,7 @@
 #include "common/status.h"
 #include "rules/incremental.h"
 #include "stats/descriptive.h"
+#include "stats/order_state.h"
 #include "stats/partial_stats.h"
 #include "summary/summary_result.h"
 
@@ -58,7 +59,8 @@ enum class FunctionFamily : uint8_t {
   kComoments,     // one ComomentStats over a pair of attributes
   kCodePairs,     // the gathered integer code pairs of two attributes
   kGroupMoments,  // one DescriptiveStats per group code
-  kHolistic,      // the gathered values: no mergeable state
+  kHolistic,      // the column's OrderState; the gathered values when
+                  // filtered
 };
 
 /// The family states a finish reads. A scan, a merge or a rule fills the
@@ -101,10 +103,20 @@ struct FunctionDescriptor {
                                       const FunctionParams&)>
       compute;
   /// The finish from the family state; null for holistic functions,
-  /// whose finish is `compute` over the gathered values.
+  /// which finish from the order state (order_finish) or, filtered, by
+  /// `compute` over the gathered values.
   using Finish = Result<SummaryResult> (*)(const FamilyState&,
                                            const FunctionParams&);
   Finish finish = nullptr;
+
+  /// The finish from the attribute's order state (DESIGN.md §14): set
+  /// for the holistic functions and the histogram, which a column route
+  /// answers from that state instead of a gather; null for the rest.
+  using OrderFinish = Result<SummaryResult> (*)(const OrderState&,
+                                                const FunctionParams&);
+  OrderFinish order_finish = nullptr;
+  /// The order finish also reads the state's row-order moments.
+  bool order_needs_moments = false;
 
   /// The incremental rule (§4.2) over `attributes`, or null when only
   /// recomputation applies.

@@ -368,6 +368,7 @@ class HistogramMaintainer : public IncrementalMaintainer {
   }
 
   Status Adjust(double x, int direction) {
+    if (std::isnan(x)) return Status::OK();  // no bucket, as BuildHistogram
     auto bump = [this, direction](uint64_t& slot) -> Status {
       if (direction < 0) {
         if (slot == 0) {

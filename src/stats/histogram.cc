@@ -15,13 +15,20 @@ uint64_t Histogram::TotalCount() const {
 }
 
 int Histogram::BucketOf(double x) const {
-  if (edges.size() < 2) return -1;
+  // NaN fails both range compares below, so it is tested first: it has
+  // no bucket (DESIGN.md §14).
+  if (edges.size() < 2 || std::isnan(x)) return -1;
   double lo = edges.front(), hi = edges.back();
   if (x < lo || x > hi) return -1;
-  if (x == hi) return static_cast<int>(counts.size()) - 1;
+  const int last = static_cast<int>(counts.size()) - 1;
+  if (x == hi) return last;
   double width = (hi - lo) / double(counts.size());
-  int idx = static_cast<int>((x - lo) / width);
-  return std::min<int>(idx, static_cast<int>(counts.size()) - 1);
+  // Clamped before the cast, which is undefined out of int's range. An
+  // infinite edge makes the quotient NaN; it goes to the first bucket,
+  // so the bucket stays monotone in x.
+  const double q = (x - lo) / width;
+  if (!(q >= 0)) return 0;
+  return q >= double(last) ? last : static_cast<int>(q);
 }
 
 Status Histogram::Merge(const Histogram& o) {
@@ -50,6 +57,16 @@ std::string Histogram::ToString() const {
   return os.str();
 }
 
+std::vector<double> EqualWidthEdges(double lo, double hi, size_t buckets) {
+  std::vector<double> edges(buckets + 1);
+  const double width = (hi - lo) / double(buckets);
+  for (size_t i = 0; i <= buckets; ++i) {
+    edges[i] = lo + width * double(i);
+  }
+  edges.back() = hi;  // avoid FP drift at the top edge
+  return edges;
+}
+
 Result<Histogram> BuildHistogram(const std::vector<double>& data,
                                  size_t buckets, double lo, double hi) {
   if (buckets == 0) {
@@ -59,14 +76,10 @@ Result<Histogram> BuildHistogram(const std::vector<double>& data,
     return InvalidArgumentError("histogram range is empty");
   }
   Histogram h;
-  h.edges.resize(buckets + 1);
-  double width = (hi - lo) / double(buckets);
-  for (size_t i = 0; i <= buckets; ++i) {
-    h.edges[i] = lo + width * double(i);
-  }
-  h.edges.back() = hi;  // avoid FP drift at the top edge
+  h.edges = EqualWidthEdges(lo, hi, buckets);
   h.counts.assign(buckets, 0);
   for (double x : data) {
+    if (std::isnan(x)) continue;  // no bucket, like Min/Max skip it
     if (x < lo) {
       ++h.below;
     } else if (x > hi) {

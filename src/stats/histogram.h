@@ -24,7 +24,9 @@ struct Histogram {
   size_t buckets() const { return counts.size(); }
   uint64_t TotalCount() const;
 
-  /// Index of the bucket containing x, or -1 if outside the range.
+  /// Index of the bucket containing x, or -1 if x is NaN or outside the
+  /// range. Monotone: x <= y in range gives BucketOf(x) <= BucketOf(y), so
+  /// over sorted values each bucket is one contiguous slice.
   int BucketOf(double x) const;
 
   /// Adds another histogram's counts bucket-by-bucket. Requires bitwise
@@ -39,12 +41,17 @@ struct Histogram {
   std::string ToString() const;
 };
 
+/// The buckets + 1 edges of `buckets` equal-width buckets over [lo, hi]:
+/// lo + i * (hi - lo) / buckets, the last one hi exactly.
+std::vector<double> EqualWidthEdges(double lo, double hi, size_t buckets);
+
 /// Histogram over [lo, hi] with `buckets` equal-width buckets. Values
 /// outside the range land in `below`/`above` (the paper's 101st bucket).
+/// NaN values are skipped (DESIGN.md §14): they count nowhere.
 Result<Histogram> BuildHistogram(const std::vector<double>& data,
                                  size_t buckets, double lo, double hi);
 
-/// Histogram spanning the data's own min..max.
+/// Histogram spanning the data's own NaN-skipping min..max.
 Result<Histogram> BuildHistogramAuto(const std::vector<double>& data,
                                      size_t buckets);
 

@@ -8,12 +8,9 @@
 
 namespace statdb {
 
-namespace {
-
-/// Probability validation shared by Quantile and Quantiles. Rejects NaN
-/// explicitly: `p < 0.0 || p > 1.0` is false for NaN, and a NaN that
-/// slips through turns into a garbage rank in SelectQuantiles.
 Status ValidateProbability(double p) {
+  // NaN explicitly: `p < 0.0 || p > 1.0` is false for NaN, and a NaN
+  // that slips through turns into a garbage rank in SelectQuantiles.
   if (std::isnan(p) || p < 0.0 || p > 1.0) {
     char buf[64];
     std::snprintf(buf, sizeof(buf),
@@ -22,6 +19,8 @@ Status ValidateProbability(double p) {
   }
   return Status::OK();
 }
+
+namespace {
 
 /// R type-7 quantiles of `data` at validated probabilities `ps`, by
 /// selection. The data is copied once, NaN cells dropped (they have no
@@ -63,8 +62,7 @@ std::vector<double> SelectQuantiles(const std::vector<double>& data,
     const double vlo = v[lo];
     const double vhi =
         hi == lo ? vlo : *std::min_element(v.begin() + hi, v.end());
-    const double frac = h - double(lo);
-    out[i] = vlo + frac * (vhi - vlo);
+    out[i] = InterpolateType7(h, vlo, vhi);
   }
   return out;
 }

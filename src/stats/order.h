@@ -1,6 +1,7 @@
 #ifndef STATDB_STATS_ORDER_H_
 #define STATDB_STATS_ORDER_H_
 
+#include <cmath>
 #include <vector>
 
 #include "common/result.h"
@@ -19,6 +20,17 @@ namespace statdb {
 /// TrimmedMean skip NaN cells, like Min/Max, and rank the rest. A
 /// non-empty input whose values are all NaN yields NaN; an empty one is
 /// an error.
+
+/// INVALID_ARGUMENT unless p is a probability in [0, 1] (NaN is not):
+/// the check Quantile and Quantiles make on every p.
+Status ValidateProbability(double p);
+
+/// R type 7 at fractional rank `h` = p·(n−1), from the order statistics
+/// at ranks floor(h) and the next: the one expression every quantile
+/// route evaluates, so their answers agree bit for bit.
+inline double InterpolateType7(double h, double vlo, double vhi) {
+  return vlo + (h - std::floor(h)) * (vhi - vlo);
+}
 
 /// Median (average of the two middle elements for even n).
 Result<double> Median(const std::vector<double>& data);

@@ -153,6 +153,7 @@ Result<Histogram> ValueCounts::ToHistogram(size_t buckets, double lo,
   STATDB_ASSIGN_OR_RETURN(Histogram h, BuildHistogram({}, buckets, lo, hi));
   for (const auto& shard : shards) {
     for (const auto& [value, count] : shard) {
+      if (std::isnan(value)) continue;  // as BuildHistogram
       if (value < lo) {
         h.below += count;
       } else if (value > hi) {

@@ -1,11 +1,28 @@
 #include "summary/summary_result.h"
 
+#include <cstring>
 #include <sstream>
 
 #include "common/bytes.h"
 #include "relational/table.h"
 
 namespace statdb {
+
+namespace {
+
+/// The edges are EqualWidthEdges of their ends, bit for bit, so those
+/// two doubles encode them.
+bool IsEqualWidth(const Histogram& h) {
+  if (h.counts.empty() || h.edges.size() != h.counts.size() + 1) {
+    return false;
+  }
+  const std::vector<double> rebuilt =
+      EqualWidthEdges(h.edges.front(), h.edges.back(), h.counts.size());
+  return std::memcmp(rebuilt.data(), h.edges.data(),
+                     rebuilt.size() * sizeof(double)) == 0;
+}
+
+}  // namespace
 
 SummaryResult SummaryResult::Scalar(double v) {
   SummaryResult r;
@@ -102,14 +119,26 @@ std::vector<uint8_t> SummaryResult::Serialize() const {
       w.PutU32(static_cast<uint32_t>(vector_.size()));
       for (double d : vector_) w.PutDouble(d);
       break;
-    case SummaryResultKind::kHistogram:
-      w.PutU32(static_cast<uint32_t>(histogram_.edges.size()));
-      for (double d : histogram_.edges) w.PutDouble(d);
-      w.PutU32(static_cast<uint32_t>(histogram_.counts.size()));
-      for (uint64_t c : histogram_.counts) w.PutU64(c);
-      w.PutU64(histogram_.below);
-      w.PutU64(histogram_.above);
+    case SummaryResultKind::kHistogram: {
+      // Equal-width edges are their two ends, and counts are varints: a
+      // 2,000-bucket histogram of 200k values takes about 2 KB.
+      const Histogram& h = histogram_;
+      const bool equal_width = IsEqualWidth(h);
+      w.PutU8(equal_width ? 1 : 0);
+      if (equal_width) {
+        w.PutU32(static_cast<uint32_t>(h.counts.size()));
+        w.PutDouble(h.edges.front());
+        w.PutDouble(h.edges.back());
+      } else {
+        w.PutU32(static_cast<uint32_t>(h.edges.size()));
+        for (double d : h.edges) w.PutDouble(d);
+        w.PutU32(static_cast<uint32_t>(h.counts.size()));
+      }
+      for (uint64_t c : h.counts) w.PutVarint(c);
+      w.PutVarint(h.below);
+      w.PutVarint(h.above);
       break;
+    }
     case SummaryResultKind::kModel:
       w.PutDouble(model_.slope);
       w.PutDouble(model_.intercept);
@@ -161,20 +190,34 @@ Result<SummaryResult> SummaryResult::Decode(const std::vector<uint8_t>& bytes) {
       break;
     }
     case SummaryResultKind::kHistogram: {
-      STATDB_ASSIGN_OR_RETURN(uint32_t ne, r.GetCount(sizeof(double)));
-      out.histogram_.edges.reserve(ne);
-      for (uint32_t i = 0; i < ne; ++i) {
-        STATDB_ASSIGN_OR_RETURN(double d, r.GetDouble());
-        out.histogram_.edges.push_back(d);
+      Histogram& h = out.histogram_;
+      STATDB_ASSIGN_OR_RETURN(uint8_t equal_width, r.GetU8());
+      uint32_t nc = 0;
+      if (equal_width == 1) {
+        // Each count is at least a one-byte varint.
+        STATDB_ASSIGN_OR_RETURN(nc, r.GetCount(1));
+        if (nc == 0) return DataLossError("equal-width histogram of no bucket");
+        STATDB_ASSIGN_OR_RETURN(double lo, r.GetDouble());
+        STATDB_ASSIGN_OR_RETURN(double hi, r.GetDouble());
+        h.edges = EqualWidthEdges(lo, hi, nc);
+      } else if (equal_width == 0) {
+        STATDB_ASSIGN_OR_RETURN(uint32_t ne, r.GetCount(sizeof(double)));
+        h.edges.reserve(ne);
+        for (uint32_t i = 0; i < ne; ++i) {
+          STATDB_ASSIGN_OR_RETURN(double d, r.GetDouble());
+          h.edges.push_back(d);
+        }
+        STATDB_ASSIGN_OR_RETURN(nc, r.GetCount(1));
+      } else {
+        return DataLossError("bad histogram edge form");
       }
-      STATDB_ASSIGN_OR_RETURN(uint32_t nc, r.GetCount(sizeof(uint64_t)));
-      out.histogram_.counts.reserve(nc);
+      h.counts.reserve(nc);
       for (uint32_t i = 0; i < nc; ++i) {
-        STATDB_ASSIGN_OR_RETURN(uint64_t c, r.GetU64());
-        out.histogram_.counts.push_back(c);
+        STATDB_ASSIGN_OR_RETURN(uint64_t c, r.GetVarint());
+        h.counts.push_back(c);
       }
-      STATDB_ASSIGN_OR_RETURN(out.histogram_.below, r.GetU64());
-      STATDB_ASSIGN_OR_RETURN(out.histogram_.above, r.GetU64());
+      STATDB_ASSIGN_OR_RETURN(h.below, r.GetVarint());
+      STATDB_ASSIGN_OR_RETURN(h.above, r.GetVarint());
       break;
     }
     case SummaryResultKind::kModel: {

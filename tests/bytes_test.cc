@@ -66,5 +66,26 @@ TEST(BytesTest, RawBytes) {
   EXPECT_EQ(w.bytes()[2], 3);
 }
 
+TEST(BytesTest, VarintRoundTripAndBounds) {
+  const uint64_t values[] = {0, 1, 127, 128, 300, uint64_t{1} << 63,
+                             ~uint64_t{0}};
+  ByteWriter w;
+  for (uint64_t v : values) w.PutVarint(v);
+  EXPECT_EQ(w.size(), 1 + 1 + 1 + 2 + 2 + 10 + 10u);
+  ByteReader r(w.bytes());
+  for (uint64_t v : values) EXPECT_EQ(r.GetVarint().value(), v);
+  EXPECT_TRUE(r.exhausted());
+  // An eleventh byte, or a tenth above bit 63, is damage, not a value.
+  std::vector<uint8_t> long_varint(10, 0xFF);
+  long_varint.push_back(0x01);
+  EXPECT_EQ(ByteReader(long_varint).GetVarint().status().code(),
+            StatusCode::kDataLoss);
+  std::vector<uint8_t> wide(9, 0xFF);
+  wide.push_back(0x02);
+  EXPECT_EQ(ByteReader(wide).GetVarint().status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_FALSE(ByteReader(std::vector<uint8_t>{0x80}).GetVarint().ok());
+}
+
 }  // namespace
 }  // namespace statdb

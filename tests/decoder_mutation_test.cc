@@ -166,6 +166,7 @@ TEST(DecoderMutationTest, SummaryResults) {
   for (const SummaryResult& result :
        {SummaryResult::Scalar(1.5), SummaryResult::Vector({1, 2, 3}),
         SummaryResult::Histo({{0, 1, 2}, {5, 6}, 1, 2}),
+        SummaryResult::Histo({{0, 0.5, 3}, {300, 6}, 1, 2}),
         SummaryResult::Model({2, 1, 0.5, 0.25, 9}),
         SummaryResult::Contingency(ct), SummaryResult::Text("note")}) {
     ExpectOkOrDataLoss(result.Serialize(), ++seed,

@@ -1,5 +1,8 @@
 #include "stats/histogram.h"
 
+#include <cmath>
+#include <vector>
+
 #include "gtest/gtest.h"
 
 namespace statdb {
@@ -59,6 +62,26 @@ TEST(HistogramTest, AutoRangeConstantColumn) {
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(h->TotalCount(), 3u);
   EXPECT_EQ(h->below + h->above, 0u);
+}
+
+// NaN has no bucket (DESIGN.md §14): it counts nowhere. Casting it to a
+// bucket index is undefined and wrote far outside the counts.
+TEST(HistogramTest, NaNIsSkipped) {
+  const double nan = std::nan("");
+  auto h = BuildHistogram({1, nan, 3, 9, nan}, 4, 0, 8);
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ(h->counts, (std::vector<uint64_t>{1, 1, 0, 0}));
+  EXPECT_EQ(h->above, 1u);
+  EXPECT_EQ(h->TotalCount(), 3u);
+  EXPECT_EQ(h->BucketOf(nan), -1);
+  // The range comes from the NaN-skipping min and max.
+  auto a = BuildHistogramAuto({nan, 2, 6, nan, 4}, 2);
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(a->edges.front(), 2.0);
+  EXPECT_EQ(a->edges.back(), 6.0);
+  EXPECT_EQ(a->counts, (std::vector<uint64_t>{1, 2}));
+  // All NaN: no range.
+  EXPECT_FALSE(BuildHistogramAuto({nan, nan}, 2).ok());
 }
 
 TEST(HistogramTest, InvalidArguments) {

@@ -13,10 +13,14 @@
 //        blocks than eager maintenance, over the same WAL commits.
 //   E17/E21  the flight recorder (on or sampled), slow-trace capture at
 //        threshold 0 and the Chrome export leave device I/O unchanged.
+//   E22  rounds of uncached holistic requests read their column once, to
+//        build its order state; after a 100-cell update the next
+//        quantile reads no page of the column.
 //   Write path: a whole-column edit, its rollback and a regeneration each
 //        pin every page of the column once to install it and write it
 //        to disk once.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -49,6 +53,23 @@ constexpr size_t kSmallDiskPool = 8;
 /// Every query first probes the view's Summary Database, whose one-page
 /// tree the previous scan evicted from the small pool: one block read.
 constexpr uint64_t kProbeReads = 1;
+
+/// A disk that logs the pages it reads, so a count can name the column
+/// they belong to.
+class PageLogDevice : public SimulatedDevice {
+ public:
+  PageLogDevice() : SimulatedDevice("disk", DeviceCostModel::Disk()) {}
+
+  Status ReadPage(PageId id, Page* out) override {
+    reads_.push_back(id);
+    return SimulatedDevice::ReadPage(id, out);
+  }
+
+  const std::vector<PageId>& reads() const { return reads_; }
+
+ private:
+  std::vector<PageId> reads_;
+};
 
 /// Deterministic incompressible microdata: ID = i, X = a multiplicative
 /// hash of i (no RNG, so every page-touch sequence is fixed).
@@ -98,7 +119,13 @@ class IoCountTest : public ::testing::Test {
   /// One view "v" over `data` on a tape + small-disk installation.
   void Load(const Table& data, size_t disk_pool = kSmallDiskPool,
             MaintenancePolicy policy = MaintenancePolicy::kInvalidate) {
-    storage_ = MakeTapeDiskStorage(/*tape_pool=*/256, disk_pool);
+    storage_ = std::make_unique<StorageManager>();
+    STATDB_ASSERT_OK(
+        storage_->AddDevice("tape", DeviceCostModel::Tape(), 256).status());
+    auto disk = std::make_unique<PageLogDevice>();
+    disk_log_ = disk.get();
+    STATDB_ASSERT_OK(
+        storage_->AdoptDevice("disk", std::move(disk), disk_pool).status());
     disk_ = storage_->GetDevice("disk").value();
     db_ = std::make_unique<StatisticalDbms>(storage_.get());
     STATDB_ASSERT_OK(db_->LoadRawDataSet("raw", data));
@@ -121,8 +148,22 @@ class IoCountTest : public ::testing::Test {
         db_->QueryMany("v", requests, no_cache_, workers).status());
   }
 
+  /// Reads that `fn` causes of pages of view v's column `column`.
+  uint64_t ColumnReads(size_t column, const std::function<void()>& fn) {
+    const std::vector<PageId> pages =
+        db_->GetView("v").value()->ExportColumns()[column].pages;
+    const size_t before = disk_log_->reads().size();
+    fn();
+    uint64_t n = 0;
+    for (size_t i = before; i < disk_log_->reads().size(); ++i) {
+      n += std::count(pages.begin(), pages.end(), disk_log_->reads()[i]);
+    }
+    return n;
+  }
+
   std::unique_ptr<StorageManager> storage_;
   SimulatedDevice* disk_ = nullptr;
+  PageLogDevice* disk_log_ = nullptr;
   std::unique_ptr<StatisticalDbms> db_;
   QueryOptions no_cache_;
 };
@@ -142,8 +183,14 @@ TEST_F(IoCountTest, SharedBatteryReadsTheColumnOnce) {
   const IoStats shared = IoOf(disk_, [&] { SharedBattery("X", 1); });
 
   EXPECT_EQ(one.block_reads, pages + kProbeReads);
-  EXPECT_EQ(serial.block_reads, kBattery.size() * one.block_reads);
-  EXPECT_EQ(shared.block_reads, one.block_reads);
+  // The histogram reads X's order state, which the settling battery's
+  // histogram built: no scan, only its probe, which reads back the tree
+  // page distinct's scan evicted. The other ten each pay `one`.
+  EXPECT_EQ(serial.block_reads,
+            (kBattery.size() - 1) * one.block_reads + kProbeReads);
+  // That probe left the tree page resident, so the shared battery's
+  // probes read nothing: one pass over the column.
+  EXPECT_EQ(shared.block_reads, pages);
 }
 
 // E18: sorted runs. The compressed route reads the sidecar's pages once
@@ -174,9 +221,13 @@ TEST_F(IoCountTest, CompressedRouteReadsFewerBlocksThanColumnAndRowFile) {
     }
   });
 
+  // The materialized histogram reads CAT's order state (built by the
+  // settling battery): its probe only. It leaves the tree page resident,
+  // so the compressed battery reads nothing but the sidecar.
   EXPECT_EQ(materialized.block_reads,
-            kBattery.size() * (column_pages + kProbeReads));
-  EXPECT_EQ(compressed.block_reads, sidecar->page_count() + kProbeReads);
+            (kBattery.size() - 1) * (column_pages + kProbeReads) +
+                kProbeReads);
+  EXPECT_EQ(compressed.block_reads, sidecar->page_count());
   EXPECT_EQ(row_file.block_reads, kBattery.size() * heap.page_count());
   EXPECT_GE(materialized.block_reads, 3 * compressed.block_reads);
   EXPECT_LT(materialized.block_reads, row_file.block_reads);
@@ -211,9 +262,9 @@ MaintenanceIo RunUpdateStream(delta::MaintenanceStrategy strategy,
                          "max", "mode", "distinct"}) {
     EXPECT_TRUE(db.Query("v", fn, "X").ok());
   }
-  // A many-bucket histogram fills most of a B-tree leaf, so each one
-  // puts another summary page in the per-commit write set.
-  for (double buckets = 8; buckets <= 88; buckets += 8) {
+  // Eleven wide histograms, about 8 KB of varint counts, span several
+  // B-tree leaves, so each of those pages is in the per-commit write set.
+  for (double buckets = 128; buckets <= 1408; buckets += 128) {
     FunctionParams hp;
     hp.Set("buckets", buckets);
     EXPECT_TRUE(db.Query("v", "histogram", "X", hp).ok());
@@ -412,11 +463,16 @@ TEST_F(IoCountTest, SummaryCacheComputesEachFunctionOnce) {
   SummaryDatabase* sdb = db_->GetSummaryDb("v").value();
   sdb->ResetStats();
   const IoStats cached = session(QueryOptions());
-  EXPECT_EQ(uncached.block_reads, kRepeats * 3 * (pages + kProbeReads));
-  // Cached: the first probe, then per function one pass and one read of
-  // the tree page its scan evicted to insert the result. The other nine
-  // probes find that page resident.
-  EXPECT_EQ(cached.block_reads, kProbeReads + 3 * (pages + 1));
+  // median and quantile read X's order state, which the settling
+  // battery's histogram built: only mean scans. Each round's mean evicts
+  // the tree page and its quantile's probe reads it back; the first
+  // median's probe reads it once more (the battery's scans evicted it).
+  EXPECT_EQ(uncached.block_reads,
+            kProbeReads + kRepeats * (pages + kProbeReads));
+  // Cached: one pass, for mean, and one read of the tree page its scan
+  // evicted, to insert the result. Every other probe and insert finds
+  // that page resident.
+  EXPECT_EQ(cached.block_reads, pages + 1);
   EXPECT_DOUBLE_EQ(sdb->stats().HitRate(), (kRepeats - 1.0) / kRepeats);
 }
 
@@ -534,11 +590,58 @@ TEST_F(IoCountTest, IncrementalAnswersReadNoPageOfTheUpdatedColumn) {
   Result<uint64_t> changed = db_->Update("v", spec);
   STATDB_ASSERT_OK(changed);
   EXPECT_EQ(*changed, 100u);
-  EXPECT_EQ(ask().block_reads, 0u);
+  // Counted on X's pages: with the audit after each update on (audit
+  // builds), the audit's reads evict the Summary-DB tree page, and the
+  // first probe reads it back.
+  EXPECT_EQ(ColumnReads(1, [&] { ask(); }), 0u);
   const ViewTrafficStats* traffic = db_->GetTrafficStats("v").value();
   EXPECT_EQ(traffic->computed, fns.size());
   EXPECT_GT(traffic->maintainer_applies, 0u);
   EXPECT_EQ(traffic->maintainer_rebuilds, 0u);
+}
+
+// E22 (§4.2): the holistic functions read one order state per column.
+// Rounds of uncached median, quantile, trimmed-mean and histogram
+// requests on an unchanged column read it once, to build the state; a
+// 100-cell update queues into the state, and the next quantile merges it
+// without reading a page of the column.
+TEST_F(IoCountTest, HolisticRoundsReadTheColumnOnce) {
+  Load(MakeStream(20'000));
+  const uint64_t pages = ColumnPages(db_.get(), "v", 1);
+  constexpr int kRounds = 3;
+  const uint64_t reads = ColumnReads(1, [&] {
+    for (int r = 0; r < kRounds; ++r) {
+      for (const char* fn :
+           {"median", "quantile", "trimmed_mean", "histogram"}) {
+        FunctionParams p;
+        p.Set("p", 0.25 * (r + 1));
+        STATDB_ASSERT_OK(db_->Query("v", fn, "X", p, no_cache_).status());
+      }
+    }
+  });
+  EXPECT_EQ(reads, pages);
+
+  UpdateSpec spec;
+  spec.predicate =
+      And(Ge(Col("ID"), Lit(int64_t{100})), Lt(Col("ID"), Lit(int64_t{200})));
+  spec.column = "X";
+  spec.value = Add(Col("X"), Lit(1.0));
+  STATDB_ASSERT_OK(db_->Update("v", spec));
+  FunctionParams p90;
+  p90.Set("p", 0.9);
+  Result<QueryAnswer> answer = InternalError("not run");
+  EXPECT_EQ(ColumnReads(1,
+                        [&] {
+                          answer = db_->Query("v", "quantile", "X", p90,
+                                              no_cache_);
+                        }),
+            0u);
+  STATDB_ASSERT_OK(answer);
+  std::vector<double> column =
+      db_->GetView("v").value()->ReadNumericColumn("X").value();
+  EXPECT_EQ(answer->result,
+            db_->management_db().functions().Compute("quantile", column, p90)
+                .value());
 }
 
 // E8 (§2.3): materializing a concrete view reads the raw table's tape

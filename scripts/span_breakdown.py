@@ -19,6 +19,15 @@ With --calls it prints, for each `call.<kind>` span (the timed engine
 call inside an operation), the number of calls, their summed and p50
 durations in ms, and their share of the summed duration of all calls:
 where the loop's engine time goes.
+
+    python3 scripts/span_breakdown.py --compare PARENT CHANGE
+
+With --compare it reads two span files (say, the same seed and workload
+run at a parent commit and at a change) and prints, for each
+`call.<kind>` and then for each pair of root operation and `dbms.<phase>`,
+the p50 in ms of each file and their ratio CHANGE / PARENT: the
+per-layer report of a change in one command. A row one file lacks shows
+`-` for its p50 and its ratio.
 """
 
 import argparse
@@ -93,12 +102,58 @@ def print_calls(path):
     return 0
 
 
+def p50(ms):
+    """Nearest-rank median of a list of durations, or None when empty."""
+    return percentile(sorted(ms), 50) if ms else None
+
+
+def print_compare(parent_path, change_path):
+    parent_spans = load(parent_path)
+    change_spans = load(change_path)
+    sections = [
+        ("call", calls(parent_spans), calls(change_spans),
+         lambda key: key),
+        ("operation / phase", breakdown(parent_spans),
+         breakdown(change_spans), lambda key: "%s %s" % key),
+    ]
+    if not any(parent or change for _, parent, change, _ in sections):
+        print("no call.* or dbms.* spans in %s or %s" %
+              (parent_path, change_path), file=sys.stderr)
+        return 1
+
+    def cell(value):
+        return "%10.3f" % value if value is not None else "%10s" % "-"
+
+    for title, parent, change, label in sections:
+        print("%-46s %10s %10s %8s" %
+              (title, "parent_p50", "change_p50", "ratio"))
+        for key in sorted(set(parent) | set(change)):
+            a = p50(parent.get(key, []))
+            b = p50(change.get(key, []))
+            ratio = ("%8.3f" % (b / a) if a and b is not None
+                     else "%8s" % "-")
+            print("%-46s %s %s %s" % (label(key), cell(a), cell(b), ratio))
+        print()
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("span_file")
+    ap.add_argument("span_file", nargs="+",
+                    help="one span file; with --compare, PARENT and CHANGE")
     ap.add_argument("--calls", action="store_true",
                     help="per call.<kind>: count, sum, p50, share of all calls")
+    ap.add_argument("--compare", action="store_true",
+                    help="p50s of two span files per call and per phase, "
+                         "and their ratio")
     args = ap.parse_args()
+    if args.compare:
+        if len(args.span_file) != 2:
+            ap.error("--compare takes two span files: PARENT CHANGE")
+        return print_compare(*args.span_file)
+    if len(args.span_file) != 1:
+        ap.error("give one span file (two only with --compare)")
+    args.span_file = args.span_file[0]
     if args.calls:
         return print_calls(args.span_file)
     rows = breakdown(load(args.span_file))

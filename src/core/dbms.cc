@@ -19,6 +19,7 @@
 #include "session/session.h"
 #include "storage/column_file.h"
 #include "stats/descriptive.h"
+#include "stats/moment_fold.h"
 #include "stats/crosstab.h"
 #include "stats/regression.h"
 
@@ -503,7 +504,8 @@ struct StatisticalDbms::FinishedQuery {
 /// the family states it folded (welch_t's groups are `moments` and
 /// `group_b`) and the values it gathered.
 struct StatisticalDbms::ScanOutput : FamilyState {
-  uint64_t rows = 0;  // cells a column route read, before any filter
+  uint64_t rows = 0;  // cells a column route read, before any filter;
+                      // pairs a pair route read
   /// The order state the members with an order finish read: the
   /// planned one, or the one built from this scan's gather.
   const OrderState* order = nullptr;
@@ -1071,7 +1073,7 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
         span.SetPages(scan.sidecar->page_count());
         return Status::OK();
       }
-      // Kernel partials with a pool, one row-order Add fold without.
+      // Kernel partials with a pool, the one moment fold without.
       ColumnRangeReader reader = [&cv, &attr](uint64_t begin, uint64_t end) {
         return cv.ReadNumericRange(attr, begin, end);
       };
@@ -1105,14 +1107,13 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
       return Status::OK();  // planned: the members read the order state
     case QueryRoute::kPairs: {
       // Row-aligned numeric pairs; a pair with either cell missing is
-      // dropped (pairwise deletion). Co-moment functions and welch_t fold
-      // states; only the cross-tabs gather their code pairs.
+      // dropped (pairwise deletion). Every family folds its state a page
+      // of pairs at a time: nothing is gathered.
       const std::string& a = head.attributes[0];
       const std::string& b = head.attributes[1];
       PairRangeReader reader = [&cv, &a, &b](uint64_t begin, uint64_t end,
-                                             std::vector<double>* xs,
-                                             std::vector<double>* ys) {
-        return cv.ReadNumericPairsRange(a, b, begin, end, xs, ys);
+                                             const PairBatchFn& fn) {
+        return cv.ScanNumericPairs(a, b, begin, end, fn);
       };
       ScopedSpan span(trace, SpanKind::kScan);
       uint64_t pairs = 0;
@@ -1123,29 +1124,42 @@ Status StatisticalDbms::ExecuteScan(const ConcreteView& cv,
             ParallelScanPairs(rows, ColumnFile::kCellsPerPage, reader, exec));
         pairs = out->comoments.n;
       } else if (family == FunctionFamily::kGroupMoments) {
-        // welch_t: each row's x folds into its group's moment state.
+        // welch_t, on the caller at every worker count: each batch's x
+        // splits by code into its group's buffer, and each buffer feeds
+        // that group's moment fold.
         const auto [code_a, code_b] = *head.group_codes;
-        STATDB_RETURN_IF_ERROR(FoldPairsInline(
-            rows, ColumnFile::kCellsPerPage, reader,
-            [&](const std::vector<double>& xs,
-                const std::vector<double>& ys) -> Status {
-              for (size_t i = 0; i < xs.size(); ++i) {
+        MomentFold fold_a, fold_b;
+        std::vector<double> group_a, group_b;
+        STATDB_RETURN_IF_ERROR(reader(
+            0, rows,
+            [&](const double* xs, const double* ys, size_t n) -> Status {
+              group_a.clear();
+              group_b.clear();
+              for (size_t i = 0; i < n; ++i) {
                 if (!IsExactCode(ys[i])) {
                   return InvalidArgumentError(
                       "category code outside double's exact integer range");
                 }
                 // Truncates like Value::ToInt.
                 const int64_t code = static_cast<int64_t>(ys[i]);
-                if (code == code_a) out->moments.Add(xs[i]);
-                if (code == code_b) out->group_b.Add(xs[i]);
+                if (code == code_a) group_a.push_back(xs[i]);
+                if (code == code_b) group_b.push_back(xs[i]);
               }
-              pairs += xs.size();
+              fold_a.Add(group_a);
+              fold_b.Add(group_b);
+              pairs += n;
               return Status::OK();
             }));
+        out->moments = fold_a.Finish();
+        out->group_b = fold_b.Finish();
       } else {
-        STATDB_RETURN_IF_ERROR(reader(0, rows, &out->xs, &out->ys));
-        pairs = out->xs.size();
+        STATDB_ASSIGN_OR_RETURN(
+            out->code_pairs,
+            ParallelScanCodePairs(rows, ColumnFile::kCellsPerPage, reader,
+                                  exec));
+        pairs = out->code_pairs.pairs();
       }
+      out->rows = pairs;
       span.SetRows(pairs);
       // Two columns read per row-pair: twice the pages of one column.
       span.SetPages(2 * PagesOf(rows));
@@ -1183,7 +1197,7 @@ Result<SummaryResult> StatisticalDbms::FinishQuery(
       *rows = out.comoments.n;
       break;
     case FunctionFamily::kCodePairs:
-      *rows = out.xs.size();
+      *rows = out.rows;
       break;
     case FunctionFamily::kGroupMoments:
       *rows = out.moments.count + out.group_b.count;
@@ -1999,11 +2013,16 @@ Status StatisticalDbms::RegenerateUnderContext(const std::string& view,
     ExprPtr expr;  // nullptr marks every cell missing
     switch (def->generator) {
       case ColumnGenerator::kRegressionResiduals: {
-        std::vector<double> xs, ys;
-        STATDB_RETURN_IF_ERROR(
-            cv.ReadNumericPairsRange(in[0], in[1], 0, cv.num_rows(), &xs, &ys));
-        // One co-moment pass, like the regression query route.
-        STATDB_ASSIGN_OR_RETURN(LinearFit fit, ComputeComoments(xs, ys).Fit());
+        // One co-moment pass over the page zip, like the regression
+        // query route.
+        ComomentFold fold;
+        STATDB_RETURN_IF_ERROR(cv.ScanNumericPairs(
+            in[0], in[1], 0, cv.num_rows(),
+            [&fold](const double* xs, const double* ys, size_t n) {
+              fold.Add(xs, ys, n);
+              return Status::OK();
+            }));
+        STATDB_ASSIGN_OR_RETURN(LinearFit fit, fold.Finish().Fit());
         // y - fit.Predict(x)
         expr = Sub(Col(in[1]),
                    Add(Lit(fit.intercept), Mul(Lit(fit.slope), Col(in[0]))));

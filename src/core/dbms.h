@@ -210,7 +210,7 @@ class StatisticalDbms {
 
   /// Parallel variant of Query: the column is split into page-aligned
   /// chunks scanned by `workers` threads, whose mergeable partial states
-  /// (Welford moments, min/max, per-shard value counts, frozen-edge
+  /// (span-kernel moments, min/max, per-shard value counts, frozen-edge
   /// histograms) are combined at the join barrier. Cache consultation,
   /// staleness policy, inference and result caching behave exactly like
   /// Query; count/min/max answers are bit-identical to the serial path

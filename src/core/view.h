@@ -121,11 +121,10 @@ class ConcreteView {
                                                uint64_t end) const {
     return table_->ReadNumericRange(name, begin, end);
   }
-  Status ReadNumericPairsRange(const std::string& a, const std::string& b,
-                               uint64_t begin, uint64_t end,
-                               std::vector<double>* xs,
-                               std::vector<double>* ys) const {
-    return table_->ReadNumericPairsRange(a, b, begin, end, xs, ys);
+  Status ScanNumericPairs(const std::string& a, const std::string& b,
+                          uint64_t begin, uint64_t end,
+                          const TransposedTable::PairBatchFn& fn) const {
+    return table_->ScanNumericPairs(a, b, begin, end, fn);
   }
 
   /// RLE sidecars for compressed-domain scans (DESIGN.md §14). Built

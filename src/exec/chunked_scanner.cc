@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "simd/kernels.h"
+#include "stats/moment_fold.h"
 
 namespace statdb {
 
@@ -55,9 +56,10 @@ struct ChunkPartial {
   std::vector<double> values;
 };
 
-/// count, min and max of `data` as a fold of DescriptiveStats::Add
-/// leaves them (NaN-skipping; an all-NaN span has NaN extrema), with no
-/// mean or m2 update. Merge keeps them exact across chunks.
+/// count, min and max of `data` as the moment fold leaves them
+/// (NaN-skipping, the first value equal to each extremum; an all-NaN
+/// span has NaN extrema), with no sum, mean or m2. Merge keeps them
+/// exact across chunks.
 DescriptiveStats Extremes(const std::vector<double>& data) {
   DescriptiveStats d;
   if (data.empty()) return d;
@@ -74,11 +76,11 @@ DescriptiveStats Extremes(const std::vector<double>& data) {
   return d;
 }
 
-/// Reads one chunk and folds it into `out`. `kernel`: a worker's fresh
-/// partial, whose moments come from the span kernel; otherwise the
-/// inline running state, which folds each value with Add in row order.
+/// Reads one chunk and folds it into `out`. Without `fold`: a worker's
+/// fresh partial, whose moments come from the span kernel; with it, the
+/// inline running state, whose moments feed the one moment fold.
 Status ScanOneChunk(const ScanChunk& chunk, const ColumnRangeReader& reader,
-                    const ColumnScanSpec& spec, bool kernel,
+                    const ColumnScanSpec& spec, MomentFold* fold,
                     ChunkPartial* out, ChunkScanStat* stat) {
   std::chrono::steady_clock::time_point start;
   if (stat != nullptr) start = std::chrono::steady_clock::now();
@@ -86,17 +88,16 @@ Status ScanOneChunk(const ScanChunk& chunk, const ColumnRangeReader& reader,
                           reader(chunk.begin, chunk.end));
   out->rows += data.size();
   if (spec.filter) {
-    std::erase_if(data,
-                  [&rp = *spec.filter](double x) { return !rp.Matches(x); });
+    data.resize(simd::KeepMatching(*spec.filter, data.data(), data.size()));
   }
-  if (spec.want_moments && kernel) {
+  if (spec.want_moments && fold == nullptr) {
     // Span-batched kernel (simd/kernels.h): same count/min/max as the
-    // serial fold, moments within the documented 4-lane tolerance.
+    // one-worker fold, moments within the documented 4-lane tolerance.
     out->desc = simd::DescribeSpan(data.data(), data.size());
   } else if (spec.want_moments && spec.extremes_only) {
     out->desc.Merge(Extremes(data));
   } else if (spec.want_moments) {
-    for (double x : data) out->desc.Add(x);
+    fold->Add(data);
   }
   if (spec.want_counts) {
     out->counts.Reserve(data.size());
@@ -125,14 +126,20 @@ Result<ColumnScanResult> ParallelScanColumn(uint64_t rows,
   ColumnScanResult result;
   if (spec.time_chunks) result.chunk_stats.resize(chunks.size());
   // With a pool every chunk folds a private kernel partial; inline every
-  // chunk folds into the one running state.
+  // chunk folds into the one running state and its moments into the one
+  // moment fold.
   const bool kernel = exec.pool != nullptr;
   std::vector<ChunkPartial> partials(kernel ? chunks.size() : 1);
+  MomentFold fold;
   STATDB_RETURN_IF_ERROR(ForEachIndex(exec, chunks.size(), [&](size_t i) {
     return ScanOneChunk(
-        chunks[i], reader, spec, kernel, &partials[kernel ? i : 0],
+        chunks[i], reader, spec, kernel ? nullptr : &fold,
+        &partials[kernel ? i : 0],
         result.chunk_stats.empty() ? nullptr : &result.chunk_stats[i]);
   }));
+  if (!kernel && spec.want_moments && !spec.extremes_only) {
+    partials[0].desc = fold.Finish();
+  }
 
   // Barrier: merge in chunk order, so the merged state (and the
   // concatenated values) are deterministic regardless of which worker
@@ -172,46 +179,73 @@ Result<ColumnScanResult> ParallelScanColumn(uint64_t rows,
   return result;
 }
 
-Status FoldPairsInline(
-    uint64_t rows, size_t cells_per_page, const PairRangeReader& reader,
-    const std::function<Status(const std::vector<double>& xs,
-                               const std::vector<double>& ys)>& fold) {
-  std::vector<double> xs, ys;
-  for (const ScanChunk& c :
-       ChunksOf(rows, cells_per_page, /*exec=*/{}, /*whole=*/false)) {
-    xs.clear();
-    ys.clear();
-    STATDB_RETURN_IF_ERROR(reader(c.begin, c.end, &xs, &ys));
-    STATDB_RETURN_IF_ERROR(fold(xs, ys));
-  }
-  return Status::OK();
+namespace {
+
+/// The per-chunk partials of a two-column pass on the pool: `fold` reads
+/// chunk i into partial i, and the partials merge in chunk order.
+template <typename State, typename Fold>
+Result<State> MergePairPartials(uint64_t rows, size_t cells_per_page,
+                                const PoolSlice& exec, const Fold& fold) {
+  std::vector<ScanChunk> chunks =
+      ChunksOf(rows, cells_per_page, exec, /*whole=*/false);
+  std::vector<State> partials(chunks.size());
+  STATDB_RETURN_IF_ERROR(ForEachIndex(exec, chunks.size(), [&](size_t i) {
+    return fold(chunks[i], &partials[i]);
+  }));
+  State merged;
+  for (const State& p : partials) merged.Merge(p);
+  return merged;
 }
+
+}  // namespace
 
 Result<ComomentStats> ParallelScanPairs(uint64_t rows, size_t cells_per_page,
                                         const PairRangeReader& reader,
                                         const PoolSlice& exec) {
-  ComomentStats merged;
   if (exec.pool == nullptr) {
-    STATDB_RETURN_IF_ERROR(FoldPairsInline(
-        rows, cells_per_page, reader,
-        [&merged](const std::vector<double>& xs,
-                  const std::vector<double>& ys) {
-          for (size_t i = 0; i < xs.size(); ++i) merged.Add(xs[i], ys[i]);
+    ComomentFold fold;
+    STATDB_RETURN_IF_ERROR(
+        reader(0, rows, [&fold](const double* xs, const double* ys, size_t n) {
+          fold.Add(xs, ys, n);
           return Status::OK();
         }));
-    return merged;
+    return fold.Finish();
   }
-  std::vector<ScanChunk> chunks =
-      ChunksOf(rows, cells_per_page, exec, /*whole=*/false);
-  std::vector<ComomentStats> partials(chunks.size());
-  STATDB_RETURN_IF_ERROR(ForEachIndex(exec, chunks.size(), [&](size_t i) {
-    std::vector<double> xs, ys;
-    STATDB_RETURN_IF_ERROR(reader(chunks[i].begin, chunks[i].end, &xs, &ys));
-    partials[i] = simd::ComomentSpan(xs.data(), ys.data(), xs.size());
-    return Status::OK();
-  }));
-  for (const ComomentStats& p : partials) merged.Merge(p);
-  return merged;
+  return MergePairPartials<ComomentStats>(
+      rows, cells_per_page, exec,
+      [&reader](const ScanChunk& chunk, ComomentStats* out) -> Status {
+        // The kernel reduces the chunk's pairs as one span.
+        std::vector<double> xs, ys;
+        STATDB_RETURN_IF_ERROR(reader(
+            chunk.begin, chunk.end,
+            [&](const double* x, const double* y, size_t n) {
+              xs.insert(xs.end(), x, x + n);
+              ys.insert(ys.end(), y, y + n);
+              return Status::OK();
+            }));
+        *out = simd::ComomentSpan(xs.data(), ys.data(), xs.size());
+        return Status::OK();
+      });
+}
+
+Result<CodePairCounts> ParallelScanCodePairs(uint64_t rows,
+                                             size_t cells_per_page,
+                                             const PairRangeReader& reader,
+                                             const PoolSlice& exec) {
+  auto count = [&reader](const ScanChunk& chunk, CodePairCounts* out) {
+    return reader(chunk.begin, chunk.end,
+                  [out](const double* xs, const double* ys, size_t n) {
+                    out->Add(xs, ys, n);
+                    return Status::OK();
+                  });
+  };
+  if (exec.pool != nullptr) {
+    return MergePairPartials<CodePairCounts>(rows, cells_per_page, exec,
+                                             count);
+  }
+  CodePairCounts counts;
+  STATDB_RETURN_IF_ERROR(count(ScanChunk{0, rows}, &counts));
+  return counts;
 }
 
 }  // namespace statdb

@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "exec/thread_pool.h"
 #include "simd/pushdown.h"
+#include "stats/crosstab.h"
 #include "stats/partial_stats.h"
 
 namespace statdb {
@@ -35,12 +36,17 @@ std::vector<ScanChunk> SplitPageAligned(uint64_t rows, size_t cells_per_page,
 using ColumnRangeReader =
     std::function<Result<std::vector<double>>(uint64_t begin, uint64_t end)>;
 
-/// Reads the row-aligned numeric pairs of rows [begin, end) of two
-/// columns, dropping pairs with either cell missing (pairwise deletion,
-/// matching the serial bivariate path).
-using PairRangeReader = std::function<Status(
-    uint64_t begin, uint64_t end, std::vector<double>* xs,
-    std::vector<double>* ys)>;
+/// Takes one batch of row-aligned pairs: xs[i], ys[i] for i < n.
+using PairBatchFn =
+    std::function<Status(const double* xs, const double* ys, size_t n)>;
+
+/// Hands the row-aligned numeric pairs of rows [begin, end) of two
+/// columns to `fn` in row order, a batch at a time, dropping pairs with
+/// either cell missing (pairwise deletion, matching the serial bivariate
+/// path). Stops at, and returns, `fn`'s first error. Thread-safe like
+/// ColumnRangeReader (ConcreteView::ScanNumericPairs is the binding).
+using PairRangeReader = std::function<Status(uint64_t begin, uint64_t end,
+                                             const PairBatchFn& fn)>;
 
 /// What a column scan should accumulate.
 struct ColumnScanSpec {
@@ -86,29 +92,30 @@ struct ColumnScanResult {
 /// (over-decomposed so one cold chunk cannot straggle the pass), scans
 /// them on the pool (each folding a private span-kernel partial), and
 /// merges the partials in chunk order at the join barrier. With a null
-/// pool it folds every value with DescriptiveStats::Add in row order on
-/// the caller (ComputeDescriptive's moments, bit for bit), in chunks of
-/// 64 pages unless the values are kept.
+/// pool it feeds every value, in row order on the caller, to the one
+/// moment fold (MomentFold: ComputeDescriptive's moments, bit for bit),
+/// in chunks of 64 pages unless the values are kept.
 Result<ColumnScanResult> ParallelScanColumn(uint64_t rows,
                                             size_t cells_per_page,
                                             const ColumnRangeReader& reader,
                                             const ColumnScanSpec& spec,
                                             const PoolSlice& exec);
 
-/// Reads the pairs of rows [0, rows) on the caller in page-aligned
-/// chunks of at most 64 pages, and hands each chunk's pairs to `fold` in
-/// row order.
-Status FoldPairsInline(
-    uint64_t rows, size_t cells_per_page, const PairRangeReader& reader,
-    const std::function<Status(const std::vector<double>& xs,
-                               const std::vector<double>& ys)>& fold);
-
 /// Same shape for a two-column pass: span-kernel co-moment partials
-/// merged in chunk order; with a null pool, ComomentStats::Add over
-/// FoldPairsInline (ComputeComoments of the pairs, bit for bit).
+/// merged in chunk order; with a null pool, one pass on the caller that
+/// feeds every batch to the one moment fold (ComomentFold) —
+/// ComputeComoments of the pairs, bit for bit.
 Result<ComomentStats> ParallelScanPairs(uint64_t rows, size_t cells_per_page,
                                         const PairRangeReader& reader,
                                         const PoolSlice& exec);
+
+/// A cross-tab's pass: per-chunk CodePairCounts merged in chunk order;
+/// with a null pool, one state on the caller counts every batch. Counts
+/// are exact either way, so every worker count gives the same table.
+Result<CodePairCounts> ParallelScanCodePairs(uint64_t rows,
+                                             size_t cells_per_page,
+                                             const PairRangeReader& reader,
+                                             const PoolSlice& exec);
 
 }  // namespace statdb
 

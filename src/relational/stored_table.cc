@@ -1,6 +1,7 @@
 #include "relational/stored_table.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <string_view>
 
@@ -10,6 +11,35 @@ namespace {
 
 // A sidecar is built only when it needs at most half the column's pages.
 constexpr double kMinCompressionRatio = 2.0;
+
+/// Writes the cells i < n of `cells` whose `valid` byte is 1 to out[0..)
+/// in order, as doubles, and returns how many. Every cell is stored and
+/// the write position advances past the valid ones only, so the loop has
+/// no branch; `out` must have room for n.
+template <typename T>
+size_t CompactValid(const uint8_t* valid, const T* cells, size_t n,
+                    double* out) {
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    out[k] = static_cast<double>(cells[i]);
+    k += valid[i];
+  }
+  return k;
+}
+
+/// CompactValid over two row-aligned columns at once: the pairs whose
+/// cells are both valid, to xs[0..) and ys[0..).
+template <typename A, typename B>
+size_t CompactPairs(const uint8_t* valid_a, const A* a, const uint8_t* valid_b,
+                    const B* b, size_t n, double* xs, double* ys) {
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    xs[k] = static_cast<double>(a[i]);
+    ys[k] = static_cast<double>(b[i]);
+    k += valid_a[i] & valid_b[i];
+  }
+  return k;
+}
 
 }  // namespace
 
@@ -219,24 +249,28 @@ Result<std::vector<double>> TransposedTable::ReadNumericRange(
     return InvalidArgumentError("column is not numeric: " + name);
   }
   end = std::min(end, num_rows_);
-  std::vector<double> out;
-  if (end > begin) out.reserve(end - begin);
+  // Sized for every row up front; each batch writes every cell and
+  // advances past the valid ones only (branchless compaction), and the
+  // tail is cut off at the end.
+  std::vector<double> out(end > begin ? end - begin : 0);
+  size_t k = 0;
   const bool is_int = t == DataType::kInt64;
   STATDB_RETURN_IF_ERROR(ScanBatches(
       {col}, begin, end, [&](uint64_t, const RowBatch& batch) -> Status {
         const ColumnVector& v = batch.columns[col];
-        for (size_t i = 0; i < batch.size; ++i) {
-          if (!v.valid[i]) continue;
-          out.push_back(is_int ? double(v.ints[i]) : v.reals[i]);
-        }
+        double* dst = out.data() + k;
+        k += is_int ? CompactValid(v.valid, v.ints, batch.size, dst)
+                    : CompactValid(v.valid, v.reals, batch.size, dst);
         return Status::OK();
       }));
+  out.resize(k);
   return out;
 }
 
-Status TransposedTable::ReadNumericPairsRange(
-    const std::string& name_a, const std::string& name_b, uint64_t begin,
-    uint64_t end, std::vector<double>* xs, std::vector<double>* ys) const {
+Status TransposedTable::ScanNumericPairs(const std::string& name_a,
+                                         const std::string& name_b,
+                                         uint64_t begin, uint64_t end,
+                                         const PairBatchFn& fn) const {
   STATDB_ASSIGN_OR_RETURN(size_t col_a, schema_.IndexOf(name_a));
   STATDB_ASSIGN_OR_RETURN(size_t col_b, schema_.IndexOf(name_b));
   auto numeric = [this](size_t col) {
@@ -248,17 +282,23 @@ Status TransposedTable::ReadNumericPairsRange(
   if (!numeric(col_a) || !numeric(col_b)) return Status::OK();
   const bool int_a = schema_.attr(col_a).type == DataType::kInt64;
   const bool int_b = schema_.attr(col_b).type == DataType::kInt64;
+  // One page's pairs at a time: the buffers stay in cache, and no
+  // output grows.
+  std::array<double, kBatchRows> xs, ys;
   return ScanBatches(
       {col_a, col_b}, begin, end,
       [&](uint64_t, const RowBatch& batch) -> Status {
         const ColumnVector& a = batch.columns[col_a];
         const ColumnVector& b = batch.columns[col_b];
-        for (size_t i = 0; i < batch.size; ++i) {
-          if (!a.valid[i] || !b.valid[i]) continue;
-          xs->push_back(int_a ? double(a.ints[i]) : a.reals[i]);
-          ys->push_back(int_b ? double(b.ints[i]) : b.reals[i]);
-        }
-        return Status::OK();
+        auto compact = [&](const auto* cells_a, const auto* cells_b) {
+          return CompactPairs(a.valid, cells_a, b.valid, cells_b, batch.size,
+                              xs.data(), ys.data());
+        };
+        const size_t n = int_a ? (int_b ? compact(a.ints, b.ints)
+                                        : compact(a.ints, b.reals))
+                               : (int_b ? compact(a.reals, b.ints)
+                                        : compact(a.reals, b.reals));
+        return n == 0 ? Status::OK() : fn(xs.data(), ys.data(), n);
       });
 }
 

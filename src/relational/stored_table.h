@@ -131,13 +131,16 @@ class TransposedTable {
 
   /// Row-aligned numeric (x, y) pairs of rows [begin, end) of two
   /// columns, dropping rows where either cell is missing (pairwise
-  /// deletion — the same rule the serial bivariate path applies).
-  /// Non-numeric columns contribute no pairs. Thread-safe like
-  /// ReadNumericRange.
-  Status ReadNumericPairsRange(const std::string& name_a,
-                               const std::string& name_b, uint64_t begin,
-                               uint64_t end, std::vector<double>* xs,
-                               std::vector<double>* ys) const;
+  /// deletion — the same rule the serial bivariate path applies), one
+  /// page at a time: `fn(xs, ys, n)` once per page that has pairs, in row
+  /// order, with buffers that live for the call. Non-numeric columns
+  /// contribute no pairs. A non-OK status from `fn` stops the scan and is
+  /// returned. Thread-safe like ReadNumericRange.
+  using PairBatchFn =
+      std::function<Status(const double* xs, const double* ys, size_t n)>;
+  Status ScanNumericPairs(const std::string& name_a,
+                          const std::string& name_b, uint64_t begin,
+                          uint64_t end, const PairBatchFn& fn) const;
 
   /// Reads one row — the access pattern transposed files are bad at.
   Result<Row> ReadRow(uint64_t row) const;

@@ -9,6 +9,7 @@
 #include "stats/crosstab.h"
 #include "stats/descriptive.h"
 #include "stats/histogram.h"
+#include "stats/moment_fold.h"
 #include "stats/order.h"
 #include "stats/outliers.h"
 #include "stats/tests.h"
@@ -170,7 +171,13 @@ class StateRule : public IncrementalMaintainer {
     state_ = FamilyState{};
     initialized_ = family_ != FunctionFamily::kComoments;
     if (!initialized_) return WindowExhausted(name_);
-    for (double x : data) Add(x, 0);
+    if (family_ == FunctionFamily::kValueCounts) {
+      for (double x : data) state_.counts.Add(x);
+    } else {
+      // The moment fold a one-worker scan seeds from, so a rule armed
+      // either way holds the same bits.
+      state_.moments = FoldMoments(data.data(), data.size());
+    }
     return Current();
   }
 
@@ -528,15 +535,13 @@ FunctionRegistry FunctionRegistry::WithBuiltins() {
   }
   // Cross-tabs count integer codes; labels come out ascending.
   add(PairFn("crosstab", F::kCodePairs, [](S s, Params) -> R {
-    STATDB_ASSIGN_OR_RETURN(CrossTab ct, CountCodePairs(s.xs, s.ys));
+    STATDB_ASSIGN_OR_RETURN(CrossTab ct, s.code_pairs.Finish());
     return SummaryResult::Contingency(std::move(ct));
   }));
-  add(PairFn("chi2_independence", F::kCodePairs,
-             [](S s, Params) -> R {
-               STATDB_ASSIGN_OR_RETURN(CrossTab ct,
-                                       CountCodePairs(s.xs, s.ys));
-               return TestVector(ChiSquaredIndependence(ct));
-             }));
+  add(PairFn("chi2_independence", F::kCodePairs, [](S s, Params) -> R {
+    STATDB_ASSIGN_OR_RETURN(CrossTab ct, s.code_pairs.Finish());
+    return TestVector(ChiSquaredIndependence(ct));
+  }));
   // Welch's t of x between the rows coded a and b in y.
   add(PairFn("welch_t", F::kGroupMoments, [](S s, Params) -> R {
     return TestVector(WelchTTestFromMoments(s.moments, s.group_b));

@@ -11,6 +11,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "rules/incremental.h"
+#include "stats/crosstab.h"
 #include "stats/descriptive.h"
 #include "stats/order_state.h"
 #include "stats/partial_stats.h"
@@ -57,7 +58,7 @@ enum class FunctionFamily : uint8_t {
   kMoments,       // one DescriptiveStats
   kValueCounts,   // one ValueCounts (a histogram also reads the range)
   kComoments,     // one ComomentStats over a pair of attributes
-  kCodePairs,     // the gathered integer code pairs of two attributes
+  kCodePairs,     // one CodePairCounts over a pair of attributes
   kGroupMoments,  // one DescriptiveStats per group code
   kHolistic,      // the column's OrderState; the gathered values when
                   // filtered
@@ -70,9 +71,8 @@ struct FamilyState {
   DescriptiveStats group_b;    // group moments: the second group
   ValueCounts counts;          // value counts
   ComomentStats comoments;     // co-moments
+  CodePairCounts code_pairs;   // cross-tab counts
   std::vector<double> values;  // one gathered column, in row order
-  std::vector<double> xs;      // gathered code pairs
-  std::vector<double> ys;
 };
 
 /// One statistic: its family, arity and category role, its finish from

@@ -25,16 +25,19 @@ namespace statdb::simd {
 /// scalar path keeps 4 named accumulators, the SSE2 path two __m128d
 /// (lane pairs 0/1 and 2/3), the AVX2 path one __m256d — the same
 /// additions in the same order, so all three ISA levels are
-/// BIT-IDENTICAL, not merely close. Versus the serial Welford oracle
-/// (ComputeDescriptive) the 4-lane order differs, so sum/mean/m2 agree
-/// to the Chan-et-al. tolerance only; count and min/max are exact.
+/// BIT-IDENTICAL, not merely close. min/max keep the first value equal
+/// to each extremum, as a sequential fold does (a zero extremum keeps
+/// the first zero's sign). These kernels are the block step of the one
+/// moment fold (stats/moment_fold.h): ComputeDescriptive and every
+/// one-worker scan fold through them, so they agree with those bit for
+/// bit; the Welford step DescriptiveStats::Add agrees to rounding.
 ///
 /// Moments use two passes (lane-summed mean, then lane-summed squared
 /// deviations about it) rather than sumsq - sum²/n, so the kernel's m2
 /// is at least as well-conditioned as Welford's. A constant span (exact
 /// min == max, finite, no NaN) takes that value as its mean and 0 as its
-/// m2 (and co-moment), as the Welford fold does; a lane sum of 2,000 ×
-/// 0.1 divided back is not 0.1, and its spread would not be 0.
+/// m2 (and co-moment), as the Welford step Add does; a lane sum of
+/// 2,000 × 0.1 divided back is not 0.1, and its spread would not be 0.
 ///
 /// NaN contract: min/max consider only non-NaN values (update rule
 /// `if (x < min) min = x` seeded from +inf/-inf). A non-empty span whose

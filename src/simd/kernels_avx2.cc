@@ -15,14 +15,38 @@ namespace statdb::simd::internal {
 
 namespace {
 
-void LaneSumAvx2(const double* data, size_t n, double out[4]) {
+void LaneSumMinMaxAvx2(const double* data, size_t n, double out[4],
+                       double* mn_out, double* mx_out) {
+  // Same NaN-skipping operand order as the SSE2 variant: min(x, acc)
+  // keeps acc when x is NaN.
   __m256d acc = _mm256_setzero_pd();
+  __m256d vmn = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  __m256d vmx = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
   size_t n4 = n & ~size_t{3};
   for (size_t i = 0; i < n4; i += 4) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(data + i));
+    const __m256d x = _mm256_loadu_pd(data + i);
+    acc = _mm256_add_pd(acc, x);
+    vmn = _mm256_min_pd(x, vmn);
+    vmx = _mm256_max_pd(x, vmx);
   }
   _mm256_storeu_pd(out, acc);
-  for (size_t t = 0; n4 + t < n; ++t) out[t] += data[n4 + t];
+  double lmn[4], lmx[4];
+  _mm256_storeu_pd(lmn, vmn);
+  _mm256_storeu_pd(lmx, vmx);
+  double mn = lmn[0];
+  double mx = lmx[0];
+  for (size_t l = 1; l < 4; ++l) {
+    if (lmn[l] < mn) mn = lmn[l];
+    if (lmx[l] > mx) mx = lmx[l];
+  }
+  for (size_t t = 0; n4 + t < n; ++t) {
+    const double x = data[n4 + t];
+    out[t] += x;
+    if (x < mn) mn = x;
+    if (x > mx) mx = x;
+  }
+  *mn_out = mn;
+  *mx_out = mx;
 }
 
 void LaneSumSqDevAvx2(const double* data, size_t n, double center,
@@ -41,58 +65,39 @@ void LaneSumSqDevAvx2(const double* data, size_t n, double center,
   }
 }
 
-void LaneSumProdDevAvx2(const double* xs, const double* ys, size_t n,
-                        double cx, double cy, double out[4]) {
-  __m256d vcx = _mm256_set1_pd(cx);
-  __m256d vcy = _mm256_set1_pd(cy);
-  __m256d acc = _mm256_setzero_pd();
+void LaneComomentDevAvx2(const double* xs, const double* ys, size_t n,
+                         double cx, double cy, double sxx[4],
+                         double syy[4], double sxy[4]) {
+  const __m256d vcx = _mm256_set1_pd(cx);
+  const __m256d vcy = _mm256_set1_pd(cy);
+  __m256d xx = _mm256_setzero_pd();
+  __m256d yy = _mm256_setzero_pd();
+  __m256d xy = _mm256_setzero_pd();
   size_t n4 = n & ~size_t{3};
   for (size_t i = 0; i < n4; i += 4) {
-    __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(xs + i), vcx);
-    __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(ys + i), vcy);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(dx, dy));
+    const __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(xs + i), vcx);
+    const __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(ys + i), vcy);
+    xx = _mm256_add_pd(xx, _mm256_mul_pd(dx, dx));
+    yy = _mm256_add_pd(yy, _mm256_mul_pd(dy, dy));
+    xy = _mm256_add_pd(xy, _mm256_mul_pd(dx, dy));
   }
-  _mm256_storeu_pd(out, acc);
+  _mm256_storeu_pd(sxx, xx);
+  _mm256_storeu_pd(syy, yy);
+  _mm256_storeu_pd(sxy, xy);
   for (size_t t = 0; n4 + t < n; ++t) {
-    out[t] += (xs[n4 + t] - cx) * (ys[n4 + t] - cy);
+    const double dx = xs[n4 + t] - cx;
+    const double dy = ys[n4 + t] - cy;
+    sxx[t] += dx * dx;
+    syy[t] += dy * dy;
+    sxy[t] += dx * dy;
   }
-}
-
-void MinMaxAvx2(const double* data, size_t n, double* mn_out,
-                double* mx_out) {
-  // Same NaN-skipping operand order as the SSE2 variant: min(x, acc)
-  // keeps acc when x is NaN.
-  __m256d vmn = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  __m256d vmx = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
-  size_t n4 = n & ~size_t{3};
-  for (size_t i = 0; i < n4; i += 4) {
-    __m256d x = _mm256_loadu_pd(data + i);
-    vmn = _mm256_min_pd(x, vmn);
-    vmx = _mm256_max_pd(x, vmx);
-  }
-  double lmn[4], lmx[4];
-  _mm256_storeu_pd(lmn, vmn);
-  _mm256_storeu_pd(lmx, vmx);
-  double mn = lmn[0];
-  double mx = lmx[0];
-  for (size_t l = 1; l < 4; ++l) {
-    if (lmn[l] < mn) mn = lmn[l];
-    if (lmx[l] > mx) mx = lmx[l];
-  }
-  for (size_t t = n4; t < n; ++t) {
-    double x = data[t];
-    if (x < mn) mn = x;
-    if (x > mx) mx = x;
-  }
-  *mn_out = mn;
-  *mx_out = mx;
 }
 
 }  // namespace
 
 const LaneOps& Avx2Ops() {
-  static const LaneOps ops{LaneSumAvx2, LaneSumSqDevAvx2, LaneSumProdDevAvx2,
-                           MinMaxAvx2};
+  static const LaneOps ops{LaneSumMinMaxAvx2, LaneSumSqDevAvx2,
+                           LaneComomentDevAvx2};
   return ops;
 }
 

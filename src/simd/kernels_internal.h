@@ -17,17 +17,22 @@ namespace statdb::simd::internal {
 /// the ISA levels bit-identical. Composition (two-pass moments, NaN
 /// finish) lives once in kernels.cc and is shared by every level.
 struct LaneOps {
-  /// out[l] = sum of data[i] with i % 4 == l.
-  void (*lane_sum)(const double* data, size_t n, double out[4]);
+  /// One pass: out[l] = sum of data[i] with i % 4 == l, and the
+  /// NaN-skipping min/max seeded from +inf/-inf (*mn, *mx). Min and max
+  /// are exact values, so they need no lane discipline for bit-identity
+  /// (SumMinMax in kernels.cc settles the sign of a zero extremum).
+  void (*lane_sum_min_max)(const double* data, size_t n, double out[4],
+                           double* mn, double* mx);
   /// out[l] = sum of (data[i] - center)^2 with i % 4 == l.
   void (*lane_sum_sq_dev)(const double* data, size_t n, double center,
                           double out[4]);
-  /// out[l] = sum of (xs[i] - cx) * (ys[i] - cy) with i % 4 == l.
-  void (*lane_sum_prod_dev)(const double* xs, const double* ys, size_t n,
-                            double cx, double cy, double out[4]);
-  /// NaN-skipping min/max seeded from +inf/-inf (exact values, so no
-  /// lane discipline is needed for bit-identity).
-  void (*min_max)(const double* data, size_t n, double* mn, double* mx);
+  /// One pass over row-aligned pairs, with dx = xs[i] - cx and
+  /// dy = ys[i] - cy: sxx[l], syy[l] and sxy[l] sum dx·dx, dy·dy and
+  /// dx·dy with i % 4 == l — each the sum lane_sum_sq_dev (or the
+  /// product of the two deviations) gives, in the same order.
+  void (*lane_comoment_dev)(const double* xs, const double* ys, size_t n,
+                            double cx, double cy, double sxx[4],
+                            double syy[4], double sxy[4]);
 };
 
 const LaneOps& ScalarOps();

@@ -14,17 +14,39 @@ namespace statdb::simd::internal {
 
 namespace {
 
-void LaneSumSse2(const double* data, size_t n, double out[4]) {
+void LaneSumMinMaxSse2(const double* data, size_t n, double out[4],
+                       double* mn_out, double* mx_out) {
+  // _mm_min_pd(x, acc) keeps acc when x is NaN — the NaN-skipping update
+  // rule, vectorized. Accumulators start at +/-inf and can never become
+  // NaN, so the scalar lane combine below needs no NaN handling.
   __m128d a01 = _mm_setzero_pd();
   __m128d a23 = _mm_setzero_pd();
+  __m128d vmn = _mm_set1_pd(std::numeric_limits<double>::infinity());
+  __m128d vmx = _mm_set1_pd(-std::numeric_limits<double>::infinity());
   size_t n4 = n & ~size_t{3};
   for (size_t i = 0; i < n4; i += 4) {
-    a01 = _mm_add_pd(a01, _mm_loadu_pd(data + i));
-    a23 = _mm_add_pd(a23, _mm_loadu_pd(data + i + 2));
+    const __m128d x01 = _mm_loadu_pd(data + i);
+    const __m128d x23 = _mm_loadu_pd(data + i + 2);
+    a01 = _mm_add_pd(a01, x01);
+    a23 = _mm_add_pd(a23, x23);
+    vmn = _mm_min_pd(x23, _mm_min_pd(x01, vmn));
+    vmx = _mm_max_pd(x23, _mm_max_pd(x01, vmx));
   }
   _mm_storeu_pd(out, a01);
   _mm_storeu_pd(out + 2, a23);
-  for (size_t t = 0; n4 + t < n; ++t) out[t] += data[n4 + t];
+  double lmn[2], lmx[2];
+  _mm_storeu_pd(lmn, vmn);
+  _mm_storeu_pd(lmx, vmx);
+  double mn = lmn[0] < lmn[1] ? lmn[0] : lmn[1];
+  double mx = lmx[0] > lmx[1] ? lmx[0] : lmx[1];
+  for (size_t t = 0; n4 + t < n; ++t) {
+    const double x = data[n4 + t];
+    out[t] += x;
+    if (x < mn) mn = x;
+    if (x > mx) mx = x;
+  }
+  *mn_out = mn;
+  *mx_out = mx;
 }
 
 void LaneSumSqDevSse2(const double* data, size_t n, double center,
@@ -47,60 +69,47 @@ void LaneSumSqDevSse2(const double* data, size_t n, double center,
   }
 }
 
-void LaneSumProdDevSse2(const double* xs, const double* ys, size_t n,
-                        double cx, double cy, double out[4]) {
-  __m128d vcx = _mm_set1_pd(cx);
-  __m128d vcy = _mm_set1_pd(cy);
-  __m128d a01 = _mm_setzero_pd();
-  __m128d a23 = _mm_setzero_pd();
+void LaneComomentDevSse2(const double* xs, const double* ys, size_t n,
+                         double cx, double cy, double sxx[4],
+                         double syy[4], double sxy[4]) {
+  const __m128d vcx = _mm_set1_pd(cx);
+  const __m128d vcy = _mm_set1_pd(cy);
+  __m128d xx01 = _mm_setzero_pd(), xx23 = _mm_setzero_pd();
+  __m128d yy01 = _mm_setzero_pd(), yy23 = _mm_setzero_pd();
+  __m128d xy01 = _mm_setzero_pd(), xy23 = _mm_setzero_pd();
   size_t n4 = n & ~size_t{3};
   for (size_t i = 0; i < n4; i += 4) {
-    __m128d dx01 = _mm_sub_pd(_mm_loadu_pd(xs + i), vcx);
-    __m128d dy01 = _mm_sub_pd(_mm_loadu_pd(ys + i), vcy);
-    __m128d dx23 = _mm_sub_pd(_mm_loadu_pd(xs + i + 2), vcx);
-    __m128d dy23 = _mm_sub_pd(_mm_loadu_pd(ys + i + 2), vcy);
-    a01 = _mm_add_pd(a01, _mm_mul_pd(dx01, dy01));
-    a23 = _mm_add_pd(a23, _mm_mul_pd(dx23, dy23));
+    const __m128d dx01 = _mm_sub_pd(_mm_loadu_pd(xs + i), vcx);
+    const __m128d dx23 = _mm_sub_pd(_mm_loadu_pd(xs + i + 2), vcx);
+    const __m128d dy01 = _mm_sub_pd(_mm_loadu_pd(ys + i), vcy);
+    const __m128d dy23 = _mm_sub_pd(_mm_loadu_pd(ys + i + 2), vcy);
+    xx01 = _mm_add_pd(xx01, _mm_mul_pd(dx01, dx01));
+    xx23 = _mm_add_pd(xx23, _mm_mul_pd(dx23, dx23));
+    yy01 = _mm_add_pd(yy01, _mm_mul_pd(dy01, dy01));
+    yy23 = _mm_add_pd(yy23, _mm_mul_pd(dy23, dy23));
+    xy01 = _mm_add_pd(xy01, _mm_mul_pd(dx01, dy01));
+    xy23 = _mm_add_pd(xy23, _mm_mul_pd(dx23, dy23));
   }
-  _mm_storeu_pd(out, a01);
-  _mm_storeu_pd(out + 2, a23);
+  _mm_storeu_pd(sxx, xx01);
+  _mm_storeu_pd(sxx + 2, xx23);
+  _mm_storeu_pd(syy, yy01);
+  _mm_storeu_pd(syy + 2, yy23);
+  _mm_storeu_pd(sxy, xy01);
+  _mm_storeu_pd(sxy + 2, xy23);
   for (size_t t = 0; n4 + t < n; ++t) {
-    out[t] += (xs[n4 + t] - cx) * (ys[n4 + t] - cy);
+    const double dx = xs[n4 + t] - cx;
+    const double dy = ys[n4 + t] - cy;
+    sxx[t] += dx * dx;
+    syy[t] += dy * dy;
+    sxy[t] += dx * dy;
   }
-}
-
-void MinMaxSse2(const double* data, size_t n, double* mn_out,
-                double* mx_out) {
-  // _mm_min_pd(x, acc) keeps acc when x is NaN — the NaN-skipping update
-  // rule, vectorized. Accumulators start at +/-inf and can never become
-  // NaN, so the scalar lane combine below needs no NaN handling.
-  __m128d vmn = _mm_set1_pd(std::numeric_limits<double>::infinity());
-  __m128d vmx = _mm_set1_pd(-std::numeric_limits<double>::infinity());
-  size_t n2 = n & ~size_t{1};
-  for (size_t i = 0; i < n2; i += 2) {
-    __m128d x = _mm_loadu_pd(data + i);
-    vmn = _mm_min_pd(x, vmn);
-    vmx = _mm_max_pd(x, vmx);
-  }
-  double lmn[2], lmx[2];
-  _mm_storeu_pd(lmn, vmn);
-  _mm_storeu_pd(lmx, vmx);
-  double mn = lmn[0] < lmn[1] ? lmn[0] : lmn[1];
-  double mx = lmx[0] > lmx[1] ? lmx[0] : lmx[1];
-  if (n2 < n) {
-    double x = data[n2];
-    if (x < mn) mn = x;
-    if (x > mx) mx = x;
-  }
-  *mn_out = mn;
-  *mx_out = mx;
 }
 
 }  // namespace
 
 const LaneOps& Sse2Ops() {
-  static const LaneOps ops{LaneSumSse2, LaneSumSqDevSse2, LaneSumProdDevSse2,
-                           MinMaxSse2};
+  static const LaneOps ops{LaneSumMinMaxSse2, LaneSumSqDevSse2,
+                           LaneComomentDevSse2};
   return ops;
 }
 

@@ -30,6 +30,34 @@ size_t FilterRuns(const RleRun* runs, size_t n, RunValueKind kind,
   return matched;
 }
 
+namespace {
+
+template <typename Matches>
+size_t Compact(double* data, size_t n, Matches matches) {
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const double x = data[i];
+    data[k] = x;
+    k += matches(x);
+  }
+  return k;
+}
+
+}  // namespace
+
+size_t KeepMatching(const RunPredicate& pred, double* data, size_t n) {
+  switch (pred.kind) {
+    case RunPredicate::Kind::kAll: return n;
+    case RunPredicate::Kind::kEqual:
+      return Compact(data, n, [v = pred.equal](double x) { return x == v; });
+    case RunPredicate::Kind::kRange:
+      return Compact(data, n, [lo = pred.lo, hi = pred.hi](double x) {
+        return bool((x >= lo) & (x <= hi));
+      });
+  }
+  return Compact(data, n, [&pred](double x) { return pred.Matches(x); });
+}
+
 uint64_t MatchedRowCount(const MatchedRun* runs, size_t n) {
   uint64_t rows = 0;
   for (size_t i = 0; i < n; ++i) rows += runs[i].length;

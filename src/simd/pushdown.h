@@ -41,6 +41,12 @@ struct RunPredicate {
   }
 };
 
+/// Compacts data[0, n) in place to the values `pred` matches, in order,
+/// and returns how many: the same values a per-value Matches filter
+/// keeps. Every value is stored and the write position advances past
+/// the matches only, so the loop has no branch per value.
+size_t KeepMatching(const RunPredicate& pred, double* data, size_t n);
+
 /// A decoded, clipped, predicate-matching run: `value` repeated `length`
 /// times.
 struct MatchedRun {

@@ -10,8 +10,8 @@ namespace statdb {
 namespace {
 
 /// Covariance given each column's descriptive statistics, so PearsonR
-/// shares one Welford pass per column between the means and the
-/// standard deviations.
+/// shares one moment fold per column between the means and the standard
+/// deviations.
 double CovarianceWith(const std::vector<double>& x,
                       const std::vector<double>& y,
                       const DescriptiveStats& dx, const DescriptiveStats& dy) {

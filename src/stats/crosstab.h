@@ -2,7 +2,10 @@
 #define STATDB_STATS_CROSSTAB_H_
 
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -33,10 +36,40 @@ inline bool IsExactCode(double x) {
   return std::abs(x) < 9007199254740992.0;
 }
 
-/// Contingency table of the integer code pairs (a[i], b[i]) with labels
-/// in ascending order — the one counting body behind BuildCrossTab and
-/// the DBMS pair route (DESIGN.md §9.1). Codes arrive as the doubles the
-/// pair route reads; a code that is not IsExactCode fails.
+/// The count state of a cross-tab: how many code pairs fell on each
+/// (row code, column code) — the one counting body behind CountCodePairs,
+/// BuildCrossTab and the DBMS pair route (DESIGN.md §9.1). Codes arrive
+/// as the doubles the pair route reads and count under their truncation.
+/// Small non-negative codes, the usual category coding, count in a
+/// 64 × 64 grid indexed by the codes; any other code counts exactly in an
+/// ordered overflow map. A code that is not IsExactCode fails the state.
+/// A scan folds it chunk by chunk and merges chunk partials, so no
+/// column is gathered.
+class CodePairCounts {
+ public:
+  /// Counts the pairs (a[i], b[i]), i < n.
+  void Add(const double* a, const double* b, size_t n);
+  void Merge(const CodePairCounts& o);
+  /// The table, labels ascending, rows and columns that counted nothing
+  /// left out; INVALID_ARGUMENT when a code was not IsExactCode.
+  Result<CrossTab> Finish() const;
+  /// Pairs added, counted or not.
+  uint64_t pairs() const { return pairs_; }
+
+ private:
+  /// Counts a pair outside the grid in the overflow map; false, marking
+  /// the state failed, when a code is not IsExactCode.
+  bool AddOutsideGrid(double x, double y);
+
+  static constexpr size_t kSmall = 64;
+  std::vector<uint64_t> grid_;  // kSmall * kSmall, row-major, once used
+  std::map<std::pair<int64_t, int64_t>, uint64_t> overflow_;
+  uint64_t pairs_ = 0;
+  bool inexact_ = false;
+};
+
+/// Contingency table of the integer code pairs (a[i], b[i]): the finish
+/// of their CodePairCounts. Inputs of different lengths fail.
 Result<CrossTab> CountCodePairs(const std::vector<double>& a,
                                 const std::vector<double>& b);
 

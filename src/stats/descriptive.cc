@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "stats/moment_fold.h"
+
 namespace statdb {
 
 double DescriptiveStats::Variance() const {
@@ -56,9 +58,7 @@ bool DescriptiveStats::Remove(double x) {
 }
 
 DescriptiveStats ComputeDescriptive(const std::vector<double>& data) {
-  DescriptiveStats s;
-  for (double x : data) s.Add(x);
-  return s;
+  return FoldMoments(data.data(), data.size());
 }
 
 namespace {
@@ -114,9 +114,7 @@ Result<double> StdDev(const std::vector<double>& data) {
 }
 
 double Sum(const std::vector<double>& data) {
-  double s = 0;
-  for (double x : data) s += x;
-  return s;
+  return FoldMoments(data.data(), data.size()).sum;
 }
 
 Result<double> Mode(const std::vector<double>& data) {

@@ -10,11 +10,11 @@
 
 namespace statdb {
 
-/// Sufficient statistics of a numeric column in one pass (Welford): the
-/// one univariate moment state that scans fold (Add), merge (Merge) and
-/// maintainers unfold (Remove), so "recompute from scratch" and
-/// "maintain incrementally" agree bit-for-bit on count/sum/mean and to
-/// rounding on variance (DESIGN.md §14).
+/// Sufficient statistics of a numeric column: the one univariate moment
+/// state that scans fold (stats/moment_fold.h), merge (Merge) and
+/// maintainers step (Add) and unfold (Remove). "Recompute from scratch"
+/// and "maintain incrementally" agree exactly on count and to rounding
+/// on sum/mean/variance (DESIGN.md §14).
 ///
 /// NaN contract (DESIGN.md §14): min/max consider only non-NaN values —
 /// the update rule is `if (x < min) min = x` seeded from +inf/-inf, so a
@@ -30,8 +30,9 @@ struct DescriptiveStats {
   double min = 0;
   double max = 0;
 
-  /// Folds one value in: the Welford step. A fold of Add over a column
-  /// in row order is ComputeDescriptive of that column, bit for bit.
+  /// Folds one value in: the Welford step, the maintainers' incremental
+  /// update. A fold of Add over a column tracks ComputeDescriptive of it
+  /// to rounding (count, min and max exactly).
   void Add(double x) {
     // Seeded by the first value, re-seeded while only NaNs were seen.
     if (count == 0 || std::isnan(min)) min = max = x;
@@ -62,8 +63,9 @@ struct DescriptiveStats {
   void Merge(const DescriptiveStats& o);
 };
 
-/// A fold of DescriptiveStats::Add. Empty input yields count == 0 and
-/// zeroed fields (valid — exploration starts before data is clean).
+/// The moment fold (stats/moment_fold.h) of `data`. Empty input yields
+/// count == 0 and zeroed fields (valid — exploration starts before data
+/// is clean).
 DescriptiveStats ComputeDescriptive(const std::vector<double>& data);
 
 /// Single-statistic helpers (each scans the data once). Min/Max follow
@@ -74,6 +76,7 @@ Result<double> Max(const std::vector<double>& data);
 Result<double> Mean(const std::vector<double>& data);
 Result<double> Variance(const std::vector<double>& data);
 Result<double> StdDev(const std::vector<double>& data);
+/// The moment fold's sum, so the registry's sum answers it bit for bit.
 double Sum(const std::vector<double>& data);
 
 /// Most frequent value; ties break toward the smaller value.

@@ -20,8 +20,8 @@ namespace statdb {
 ///   - the column's non-NaN values in ascending order,
 ///   - its NaN count,
 ///   - when known, the row-order moment fold of the column (the
-///     DescriptiveStats a fold of Add over the gather gives), which
-///     outside_k_sigma reads.
+///     DescriptiveStats the one moment fold, stats/moment_fold.h, gives
+///     over the gather), which outside_k_sigma reads.
 /// Every holistic answer is then a rank lookup or a binary search.
 ///
 /// The values are ordered by their bits' total order, which refines `<`:
@@ -39,7 +39,8 @@ class OrderState {
   OrderState() = default;
 
   /// The state of a gathered column: its non-missing cells, in row order.
-  /// Computes the row-order moments with ComputeDescriptive.
+  /// Computes the row-order moments with ComputeDescriptive (the one
+  /// moment fold).
   static OrderState Build(const std::vector<double>& column);
 
   /// The non-NaN values, ascending. Queued changes are not in it.

@@ -1,6 +1,9 @@
 #include "stats/partial_stats.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "stats/moment_fold.h"
 
 namespace statdb {
 
@@ -98,10 +101,7 @@ Result<LinearFit> ComomentStats::Fit() const {
 
 ComomentStats ComputeComoments(const std::vector<double>& x,
                                const std::vector<double>& y) {
-  ComomentStats s;
-  size_t n = std::min(x.size(), y.size());
-  for (size_t i = 0; i < n; ++i) s.Add(x[i], y[i]);
-  return s;
+  return FoldComoments(x.data(), y.data(), std::min(x.size(), y.size()));
 }
 
 void ValueCounts::Reserve(size_t n) {

@@ -32,7 +32,8 @@ struct ComomentStats {
   double m2y = 0;  // sum (y - mean_y)^2
   double cxy = 0;  // sum (x - mean_x)(y - mean_y)
 
-  /// Folds one (x, y) pair into the running state.
+  /// Folds one (x, y) pair into the running state: the maintainers'
+  /// incremental step, which tracks the moment fold to rounding.
   void Add(double x, double y);
 
   /// Add's inverse (to rounding; m2x/m2y clamp at 0). Removing the last
@@ -50,7 +51,8 @@ struct ComomentStats {
   Result<LinearFit> Fit() const;  // y ~ x
 };
 
-/// A fold of ComomentStats::Add over two equal-length columns.
+/// The moment fold (stats/moment_fold.h) of the pairs of two columns,
+/// over the shorter one's length.
 ComomentStats ComputeComoments(const std::vector<double>& x,
                                const std::vector<double>& y);
 

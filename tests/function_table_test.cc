@@ -18,6 +18,7 @@
 #include "relational/datagen.h"
 #include "rules/function_registry.h"
 #include "stats/descriptive.h"
+#include "stats/moment_fold.h"
 #include "tests/test_util.h"
 
 namespace statdb {
@@ -68,7 +69,7 @@ TEST(FunctionTableTest, MomentComputeIsItsFinishOverAFold) {
     const std::vector<std::vector<double>> inputs = MomentInputs();
     for (size_t i = 0; i < inputs.size(); ++i) {
       FamilyState folded;
-      for (double x : inputs[i]) folded.moments.Add(x);
+      folded.moments = FoldMoments(inputs[i].data(), inputs[i].size());
       ExpectSameAnswer(fn.compute(inputs[i], {}), fn.finish(folded, {}),
                        name + " on input " + std::to_string(i));
     }

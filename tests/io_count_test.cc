@@ -1,7 +1,7 @@
 // Exact device I/O counts behind the access-pattern claims of
 // EXPERIMENTS.md: the paper's E1-E3, E5, E8, E10-E12, E15 and ablations A
 // and B (each commented where it is checked), and this implementation's
-// E16-E21. Every figure here is a block count read off the simulated
+// E16-E23. Every figure here is a block count read off the simulated
 // devices' IoStats at small scale: no clock, no cost-model milliseconds,
 // so each assertion is exact and machine-independent.
 //
@@ -16,6 +16,8 @@
 //   E22  rounds of uncached holistic requests read their column once, to
 //        build its order state; after a 100-cell update the next
 //        quantile reads no page of the column.
+//   E23  a cross-tab reads each of its two columns once, counting in the
+//        count state's grid or its overflow map alike.
 //   Write path: a whole-column edit, its rollback and a regeneration each
 //        pin every page of the column once to install it and write it
 //        to disk once.
@@ -35,6 +37,7 @@
 #include "relational/datagen.h"
 #include "relational/expr.h"
 #include "relational/stored_table.h"
+#include "stats/crosstab.h"
 #include "tests/test_util.h"
 
 namespace statdb {
@@ -642,6 +645,45 @@ TEST_F(IoCountTest, HolisticRoundsReadTheColumnOnce) {
   EXPECT_EQ(answer->result,
             db_->management_db().functions().Compute("quantile", column, p90)
                 .value());
+}
+
+/// Two integer category columns of `rows` rows: A codes i % 7, B codes
+/// (i * 31) % 5, each plus `offset` (0: every code counts in the count
+/// state's 64 x 64 grid; 1000: every code counts in its overflow map).
+Table MakeCodes(uint64_t rows, int64_t offset) {
+  Table t(Schema({Attribute::Category("A"), Attribute::Category("B")}));
+  for (uint64_t i = 0; i < rows; ++i) {
+    EXPECT_TRUE(t.AppendRow({Value::Int(int64_t(i % 7) + offset),
+                             Value::Int(int64_t(i * 31 % 5) + offset)})
+                    .ok());
+  }
+  return t;
+}
+
+// E23: a cross-tab counts its code pairs into a count state chunk by
+// chunk, so it reads each of its two columns' pages exactly once — with
+// small codes (the grid) and with large ones (the overflow map) alike.
+TEST_F(IoCountTest, CrossTabReadsEachColumnOnce) {
+  for (int64_t offset : {int64_t{0}, int64_t{1000}}) {
+    db_.reset();  // before Load replaces the storage it reads
+    Load(MakeCodes(40'000, offset));
+    const uint64_t pages_a = ColumnPages(db_.get(), "v", 0);
+    const uint64_t pages_b = ColumnPages(db_.get(), "v", 1);
+    ASSERT_GT(pages_a, kSmallDiskPool);
+    uint64_t reads_b = 0;
+    Result<QueryAnswer> answer = InternalError("not run");
+    const uint64_t reads_a = ColumnReads(0, [&] {
+      reads_b = ColumnReads(1, [&] {
+        answer = db_->QueryBivariate("v", "crosstab", "A", "B", no_cache_);
+      });
+    });
+    STATDB_ASSERT_OK(answer);
+    EXPECT_EQ(reads_a, pages_a) << "offset " << offset;
+    EXPECT_EQ(reads_b, pages_b) << "offset " << offset;
+    const CrossTab* ct = answer->result.AsCrossTab().value();
+    EXPECT_EQ(ct->Total(), 40'000u);
+    EXPECT_EQ(ct->row_labels.front(), Value::Int(offset));
+  }
 }
 
 // E8 (§2.3): materializing a concrete view reads the raw table's tape

@@ -1,8 +1,9 @@
 // The state algebra every scan, merge and maintainer shares
 // (DESIGN.md §14): Add then Remove restores a DescriptiveStats,
 // ComomentStats or ValueCounts to its earlier value, removing the last
-// value resets it, a fold of Add is ComputeDescriptive bit for bit, and
-// Welch's t finishes from two moment states exactly as from the samples.
+// value resets it, a fold of Add is the Welford loop bit for bit,
+// ComputeDescriptive is the blocked moment fold bit for bit, and Welch's
+// t finishes from two moment states exactly as from the samples.
 
 #include <algorithm>
 #include <bit>
@@ -15,6 +16,7 @@
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "stats/descriptive.h"
+#include "stats/moment_fold.h"
 #include "stats/partial_stats.h"
 #include "stats/tests.h"
 
@@ -61,6 +63,50 @@ DescriptiveStats ReferenceDescriptive(const std::vector<double>& data) {
   if (mn > mx) mn = mx = std::numeric_limits<double>::quiet_NaN();
   s.min = mn;
   s.max = mx;
+  return s;
+}
+
+/// One block of the moment fold written out: count, the 4-lane sum
+/// (lane i % 4, lanes combined (l0 + l1) + (l2 + l3)), the NaN-skipping
+/// first-seen extrema, and m2 as the 4-lane sum of squared deviations
+/// about the mean — or, for a constant finite block, the value itself as
+/// the mean and a spread of 0.
+DescriptiveStats ReferenceBlock(const double* data, size_t n) {
+  DescriptiveStats s;
+  if (n == 0) return s;
+  auto lane_sum = [&](auto term) {
+    double lanes[4] = {0, 0, 0, 0};
+    for (size_t i = 0; i < n; ++i) lanes[i % 4] += term(data[i]);
+    return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+  };
+  s.count = n;
+  s.sum = lane_sum([](double x) { return x; });
+  double mn = std::numeric_limits<double>::infinity();
+  double mx = -mn;
+  for (size_t i = 0; i < n; ++i) {
+    if (data[i] < mn) mn = data[i];
+    if (data[i] > mx) mx = data[i];
+  }
+  if (mn == mx && std::isfinite(mn) && !std::isnan(s.sum)) {
+    s.mean = mn;
+  } else {
+    s.mean = s.sum / double(n);
+    s.m2 = lane_sum([&](double x) { return (x - s.mean) * (x - s.mean); });
+  }
+  if (mn > mx) mn = mx = std::numeric_limits<double>::quiet_NaN();
+  s.min = mn;
+  s.max = mx;
+  return s;
+}
+
+/// The moment fold written out: blocks of kFoldBlock values, each one
+/// merged in order into the running state.
+DescriptiveStats ReferenceBlockedFold(const std::vector<double>& data) {
+  DescriptiveStats s;
+  for (size_t i = 0; i < data.size(); i += kFoldBlock) {
+    s.Merge(ReferenceBlock(data.data() + i,
+                           std::min(kFoldBlock, data.size() - i)));
+  }
   return s;
 }
 
@@ -113,11 +159,17 @@ TEST(MomentStateTest, FoldOfAddIsComputeDescriptiveBitForBit) {
       {inf, 1.0, -inf},
       RandomValues(&rng, 1000),
   };
+  // Three whole blocks, the middle one constant, and a short tail.
+  std::vector<double> blocks = RandomValues(&rng, 3 * kFoldBlock + 5);
+  std::fill(blocks.begin() + kFoldBlock, blocks.begin() + 2 * kFoldBlock, 0.1);
+  cases.push_back(blocks);
+  // The Add fold is the Welford loop; ComputeDescriptive is the blocked
+  // moment fold the scans run.
   for (const std::vector<double>& data : cases) {
     DescriptiveStats folded;
     for (double x : data) folded.Add(x);
     ExpectSameState(folded, ReferenceDescriptive(data));
-    ExpectSameState(ComputeDescriptive(data), ReferenceDescriptive(data));
+    ExpectSameState(ComputeDescriptive(data), ReferenceBlockedFold(data));
   }
 }
 
@@ -178,6 +230,25 @@ TEST(ComomentStateTest, SecondMomentsAreTheUnivariateFoldsBitForBit) {
   EXPECT_FALSE(constant.PearsonR().ok());
 }
 
+TEST(ComomentStateTest, SecondMomentsAreTheUnivariateFoldsAcrossBlocks) {
+  // Three whole fold blocks and a tail, the middle block of x constant:
+  // the pair fold merges its blocks with the same algebra as the
+  // univariate fold, so its per-side moments stay bit-identical.
+  Rng rng(2206);
+  const size_t n = 3 * kFoldBlock + 5;
+  std::vector<double> xs = RandomValues(&rng, n);
+  std::vector<double> ys = RandomValues(&rng, n);
+  std::fill(xs.begin() + kFoldBlock, xs.begin() + 2 * kFoldBlock, 0.1);
+  ComomentStats c = ComputeComoments(xs, ys);
+  DescriptiveStats dx = ComputeDescriptive(xs);
+  DescriptiveStats dy = ComputeDescriptive(ys);
+  EXPECT_EQ(c.n, n);
+  ExpectSameBits(c.mean_x, dx.mean);
+  ExpectSameBits(c.m2x, dx.m2);
+  ExpectSameBits(c.mean_y, dy.mean);
+  ExpectSameBits(c.m2y, dy.m2);
+}
+
 TEST(ValueCountsStateTest, AddThenRemoveRestoresTheCounts) {
   ValueCounts counts;
   for (double x : {1.0, 2.0, 2.0, 3.0, 3.0, 3.0}) counts.Add(x);
@@ -213,9 +284,11 @@ TEST(WelchStateTest, FinishFromStatesEqualsTheVectorTest) {
         RandomValues(&rng, size_t(rng.UniformInt(2, 200)));
     std::vector<double> b =
         RandomValues(&rng, size_t(rng.UniformInt(2, 200)));
-    DescriptiveStats sa, sb;
-    for (double x : a) sa.Add(x);
-    for (double x : b) sb.Add(x);
+    MomentFold fa, fb;
+    fa.Add(a);
+    fb.Add(b);
+    const DescriptiveStats sa = fa.Finish();
+    const DescriptiveStats sb = fb.Finish();
     TestResult want = WelchTTest(a, b).value();
     TestResult got = WelchTTestFromMoments(sa, sb).value();
     ExpectSameBits(got.statistic, want.statistic);

@@ -4,7 +4,8 @@
 // filter, so every answer equals the registry over the gathered column
 // bit for bit; the pair route folds one ComomentStats in row order, so
 // QueryBivariate equals QueryBivariateParallel at one worker and the
-// co-moment finish of the gathered pairs. `buckets` and `window` values
+// co-moment finish of the gathered pairs. A rule a one-worker scan seeds
+// holds the bits its Initialize builds. `buckets` and `window` values
 // that no allocation can honour are refused, never cast.
 
 #include <cmath>
@@ -17,6 +18,7 @@
 #include "core/dbms.h"
 #include "gtest/gtest.h"
 #include "relational/expr.h"
+#include "stats/moment_fold.h"
 #include "stats/partial_stats.h"
 #include "tests/test_util.h"
 
@@ -183,6 +185,58 @@ TEST_F(OneWorkerRouteTest, BadWindowRefusesToArmTheMedian) {
   STATDB_ASSERT_OK(armed);
   EXPECT_TRUE(unarmed->stale) << "window=-1 armed a maintainer";
   EXPECT_FALSE(armed->stale);
+}
+
+// A one-worker scan arms the mean and variance rules by seeding them
+// with its moment fold; Initialize over the column builds them with the
+// same fold. So a rule armed either way holds the same bits: after the
+// same one-cell change, both answer the same, on a column of more than
+// three fold blocks with a constant block.
+TEST(OneWorkerRuleTest, SeededRulesEqualInitializeBitForBit) {
+  std::unique_ptr<StorageManager> storage = MakeTapeDiskStorage();
+  StatisticalDbms dbms(storage.get());
+  dbms.set_compressed_scan_enabled(false);
+  Table t{Schema({Attribute::Numeric("ID", DataType::kInt64),
+                  Attribute::Numeric("X")})};
+  Rng rng(2207);
+  const int rows = 3 * int(kFoldBlock) + 777;
+  for (int i = 0; i < rows; ++i) {
+    const bool constant = i >= int(kFoldBlock) && i < 2 * int(kFoldBlock);
+    STATDB_ASSERT_OK(t.AppendRow(
+        {Value::Int(i), Value::Real(constant ? 0.1 : rng.Normal(50.0, 9.0))}));
+  }
+  STATDB_ASSERT_OK(dbms.LoadRawDataSet("census", t));
+  ViewDefinition def;
+  def.source = "census";
+  STATDB_ASSERT_OK(
+      dbms.CreateView("v", def, MaintenancePolicy::kIncremental).status());
+  const std::vector<double> column =
+      dbms.GetView("v").value()->ReadNumericColumn("X").value();
+  ASSERT_EQ(column.size(), size_t(rows));
+  for (const char* fn : {"mean", "variance"}) {
+    STATDB_ASSERT_OK(dbms.Query("v", fn, "X").status());  // arms the rule
+  }
+
+  constexpr int64_t kRow = 5000;  // inside the constant block
+  UpdateSpec spec;
+  spec.column = "X";
+  spec.predicate = Eq(Col("ID"), Lit(kRow));
+  spec.value = Lit(7.25);
+  spec.description = "one cell";
+  STATDB_ASSERT_OK(dbms.Update("v", spec).status());
+  STATDB_ASSERT_OK(dbms.FlushDeltas("v"));
+
+  for (const char* fn : {"mean", "variance"}) {
+    auto rule = dbms.management_db().MakeMaintainer(fn, {}, {"X"});
+    STATDB_ASSERT_OK(rule);
+    STATDB_ASSERT_OK((*rule)->Initialize(column).status());
+    auto want = (*rule)->Apply(CellDelta::Change(column[kRow], 7.25));
+    STATDB_ASSERT_OK(want);
+    auto got = dbms.Query("v", fn, "X");
+    STATDB_ASSERT_OK(got);
+    EXPECT_EQ(got->source, AnswerSource::kCacheHit) << fn;
+    EXPECT_EQ(got->result, *want) << fn;
+  }
 }
 
 }  // namespace

@@ -195,5 +195,110 @@ TEST_F(PairRouteParityTest, CodeOutsideDoublesExactRangeFails) {
   EXPECT_EQ(welch.status().code(), StatusCode::kInvalidArgument);
 }
 
+// The cross-tab's count state (stats/crosstab.h) over more rows than
+// one inline chunk holds (64 pages of 500 cells): codes outside the
+// 64 x 64 grid that first appear after row 32,000, and a code past
+// double's exact range late in the column, at one and two workers.
+class CrossTabStateTest : public ::testing::Test {
+ protected:
+  static constexpr int kRows = 40000;
+
+  void SetUp() override {
+    storage_ = MakeTapeDiskStorage();
+    dbms_ = std::make_unique<StatisticalDbms>(storage_.get());
+    Table t{Schema({Attribute::Category("A"), Attribute::Category("B"),
+                    Attribute::Category("BIG")})};
+    Rng rng(6);
+    auto maybe = [&rng](Value v) {
+      return rng.Bernoulli(0.03) ? Value::Null() : v;
+    };
+    for (int i = 0; i < kRows; ++i) {
+      int64_t a = rng.UniformInt(0, 5);
+      if (i > 32500 && rng.Bernoulli(0.3)) a = rng.UniformInt(64, 66);
+      int64_t b = rng.UniformInt(0, 2);
+      if (i > 33000 && rng.Bernoulli(0.1)) b = -3;
+      int64_t big = i == 38000 ? kTwoTo53 + 1 : rng.UniformInt(0, 3);
+      STATDB_ASSERT_OK(t.AppendRow({maybe(Value::Int(a)),
+                                    maybe(Value::Int(b)), Value::Int(big)}));
+    }
+    STATDB_ASSERT_OK(t.SetCell(38000, 0, Value::Int(1)));
+    STATDB_ASSERT_OK(dbms_->LoadRawDataSet("census", t));
+    ViewDefinition def;
+    def.source = "census";
+    STATDB_ASSERT_OK(
+        dbms_->CreateView("v", def, MaintenancePolicy::kIncremental)
+            .status());
+    no_cache_.cache_result = false;
+  }
+
+  /// CountCodePairs over the two columns' non-null pairs, read as Values.
+  Result<CrossTab> Counted(const std::string& a, const std::string& b) {
+    std::vector<Value> va = dbms_->ReadColumn("v", a).value();
+    std::vector<Value> vb = dbms_->ReadColumn("v", b).value();
+    std::vector<double> xs, ys;
+    for (size_t i = 0; i < va.size(); ++i) {
+      if (va[i].is_null() || vb[i].is_null()) continue;
+      xs.push_back(double(va[i].AsInt()));
+      ys.push_back(double(vb[i].AsInt()));
+    }
+    return CountCodePairs(xs, ys);
+  }
+
+  /// The answers at one and at two workers.
+  std::vector<Result<QueryAnswer>> Answers(const std::string& fn,
+                                           const std::string& a,
+                                           const std::string& b) {
+    std::vector<Result<QueryAnswer>> out;
+    out.push_back(dbms_->QueryBivariate("v", fn, a, b, no_cache_));
+    out.push_back(dbms_->QueryBivariateParallel("v", fn, a, b, no_cache_, 2));
+    return out;
+  }
+
+  std::unique_ptr<StorageManager> storage_;
+  std::unique_ptr<StatisticalDbms> dbms_;
+  QueryOptions no_cache_;
+};
+
+TEST_F(CrossTabStateTest, LateLargeCodesCountAtEveryWorkerCount) {
+  for (auto [a, b] : std::vector<std::pair<std::string, std::string>>{
+           {"A", "B"}, {"B", "A"}}) {
+    CrossTab want = Counted(a, b).value();
+    // The late codes reach the table: 64..66 on A's side, -3 on B's.
+    const std::vector<Value>& a_labels =
+        a == "A" ? want.row_labels : want.col_labels;
+    const std::vector<Value>& b_labels =
+        a == "A" ? want.col_labels : want.row_labels;
+    EXPECT_EQ(a_labels.back(), Value::Int(66));
+    EXPECT_EQ(b_labels.front(), Value::Int(-3));
+    TestResult chi2 = ChiSquaredIndependence(want).value();
+    const SummaryResult want_chi2 =
+        SummaryResult::Vector({chi2.statistic, chi2.dof, chi2.p_value});
+    for (const Result<QueryAnswer>& got : Answers("crosstab", a, b)) {
+      STATDB_ASSERT_OK(got);
+      EXPECT_EQ(got->result, SummaryResult::Contingency(want)) << a << b;
+    }
+    for (const Result<QueryAnswer>& got :
+         Answers("chi2_independence", a, b)) {
+      STATDB_ASSERT_OK(got);
+      EXPECT_EQ(got->result, want_chi2) << a << b;
+    }
+  }
+}
+
+TEST_F(CrossTabStateTest, LateInexactCodeFailsAtEveryWorkerCount) {
+  const Status want = Counted("BIG", "A").status();
+  ASSERT_EQ(want.code(), StatusCode::kInvalidArgument);
+  for (const char* fn : {"crosstab", "chi2_independence"}) {
+    for (auto [a, b] : std::vector<std::pair<std::string, std::string>>{
+             {"BIG", "A"}, {"A", "BIG"}}) {
+      for (const Result<QueryAnswer>& got : Answers(fn, a, b)) {
+        ASSERT_FALSE(got.ok()) << fn << "(" << a << "," << b << ")";
+        EXPECT_EQ(got.status().code(), want.code());
+        EXPECT_EQ(got.status().message(), want.message());
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace statdb

@@ -10,9 +10,11 @@
 // Randomized columns sweep run lengths, NaN/missing density, extreme
 // magnitudes, and the empty/single-run edges.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -22,6 +24,7 @@
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
 #include "stats/descriptive.h"
+#include "stats/moment_fold.h"
 #include "storage/rle.h"
 #include "tests/test_util.h"
 
@@ -276,6 +279,98 @@ TEST(SimdDispatch, ScopedForceRestoresOuterLevelOnEarlyExit) {
   EXPECT_EQ(simd::ActiveLevel(), ambient);
 }
 
+// --- the one moment fold (stats/moment_fold.h) ---------------------------
+// Fed in pieces of any size, MomentFold and ComomentFold give the bits of
+// one FoldMoments / FoldComoments call, at every ISA level; and the fold
+// itself is the same at every level.
+
+/// Five whole blocks that stress the block step — ordinary values,
+/// alternating -0.0/+0.0, a constant and ±1e150, rotated by `shift`
+/// blocks, then a sprinkle of NaN (last, since it makes every later mean
+/// NaN) — and a short tail.
+std::vector<double> FoldColumn(Rng* rng, size_t shift) {
+  std::vector<std::vector<double>> blocks(5);
+  for (size_t i = 0; i < kFoldBlock; ++i) {
+    blocks[0].push_back(rng->Normal(10.0, 42.0));
+    blocks[1].push_back(i % 97 == 5 ? kNaN : rng->Normal(0.0, 1.0));
+    blocks[2].push_back(i % 2 == 0 ? -0.0 : 0.0);
+    blocks[3].push_back(0.1);
+    blocks[4].push_back(rng->UniformDouble(-1.0, 1.0) * 1e150);
+  }
+  const size_t order[] = {0, 2, 3, 4, 0, 2, 3};
+  std::vector<double> v;
+  for (size_t b = shift % 4; b < shift % 4 + 4; ++b) {
+    v.insert(v.end(), blocks[order[b]].begin(), blocks[order[b]].end());
+  }
+  v.insert(v.end(), blocks[1].begin(), blocks[1].end());
+  for (int i = 0; i < 77; ++i) v.push_back(rng->Normal(-5.0, 3.0));
+  return v;
+}
+
+/// Cut points of `n` values into pieces of `piece` values, or of random
+/// sizes in [1, 3 * kFoldBlock] when `piece` is 0.
+std::vector<size_t> PieceEnds(size_t n, size_t piece, Rng* rng) {
+  std::vector<size_t> ends;
+  for (size_t at = 0; at < n;) {
+    const size_t len =
+        piece != 0 ? piece
+                   : size_t(rng->UniformInt(1, int64_t(3 * kFoldBlock)));
+    at = std::min(n, at + len);
+    ends.push_back(at);
+  }
+  return ends;
+}
+
+void ExpectSameComoments(const ComomentStats& a, const ComomentStats& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.n, b.n) << what;
+  EXPECT_TRUE(SameDouble(a.mean_x, b.mean_x)) << what << " mean_x";
+  EXPECT_TRUE(SameDouble(a.mean_y, b.mean_y)) << what << " mean_y";
+  EXPECT_TRUE(SameDouble(a.m2x, b.m2x)) << what << " m2x";
+  EXPECT_TRUE(SameDouble(a.m2y, b.m2y)) << what << " m2y";
+  EXPECT_TRUE(SameDouble(a.cxy, b.cxy)) << what << " cxy";
+}
+
+TEST(MomentFoldParity, PiecesOfAnySizeEqualOneCallAtEveryLevel) {
+  Rng rng(29);
+  const std::vector<double> xs = FoldColumn(&rng, 0);
+  const std::vector<double> ys = FoldColumn(&rng, 2);
+  const size_t n = xs.size();
+  std::optional<DescriptiveStats> scalar_moments;
+  std::optional<ComomentStats> scalar_comoments;
+  for (simd::SimdLevel level : {simd::SimdLevel::kScalar,
+                                simd::SimdLevel::kSSE2,
+                                simd::SimdLevel::kAVX2}) {
+    simd::ScopedForceLevel forced(level);
+    if (!forced.ok()) continue;  // not compiled in or not on this CPU
+    const DescriptiveStats moments = FoldMoments(xs.data(), n);
+    const ComomentStats comoments = FoldComoments(xs.data(), ys.data(), n);
+    // The fold does not depend on the ISA level.
+    if (!scalar_moments) {
+      scalar_moments = moments;
+      scalar_comoments = comoments;
+    }
+    ExpectBitIdentical(moments, *scalar_moments, simd::LevelName(level));
+    ExpectSameComoments(comoments, *scalar_comoments,
+                        simd::LevelName(level));
+    for (size_t piece : {size_t{1}, size_t{3}, kFoldBlock - 1, kFoldBlock,
+                         kFoldBlock + 1, size_t{0}, size_t{0}}) {
+      const std::string what = std::string(simd::LevelName(level)) +
+                               " pieces of " + std::to_string(piece);
+      MomentFold fold;
+      ComomentFold cofold;
+      size_t begin = 0;
+      for (size_t end : PieceEnds(n, piece, &rng)) {
+        fold.Add(xs.data() + begin, end - begin);
+        cofold.Add(xs.data() + begin, ys.data() + begin, end - begin);
+        begin = end;
+      }
+      ExpectBitIdentical(fold.Finish(), moments, what.c_str());
+      ExpectSameComoments(cofold.Finish(), comoments, what);
+    }
+  }
+}
+
 // --- regression: the NaN min/max divergence the harness surfaced ---------
 // The serial path used to seed min/max from the first element (sticky on
 // a leading NaN) and Min()/Max() used std::min_element, whose operator<
@@ -447,7 +542,8 @@ TEST_F(CompressedQueryParity, ForcedLevelsAgreeEndToEnd) {
   dbms_->set_compressed_scan_enabled(false);  // exercise the span kernels
   // Reference is the scalar-forced parallel answer; other ISA levels must
   // reproduce it BIT-identically (serial Query differs only by rounding —
-  // it uses the per-cell Welford oracle, a different documented path).
+  // it runs the one moment fold, 4,096-value blocks merged in order, a
+  // different documented path).
   double ref;
   {
     simd::ScopedForceLevel scalar(simd::SimdLevel::kScalar);
